@@ -155,9 +155,7 @@ class InequalityReport:
 
     @property
     def violated(self) -> bool:
-        return any(
-            row.gap is not None and row.gap < -GAP_TOL for row in self.rows
-        )
+        return any(_verdict(row.gap) == "violated" for row in self.rows)
 
     def row(self, source: str) -> BoundRow:
         for r in self.rows:

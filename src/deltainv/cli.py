@@ -82,12 +82,13 @@ def _load_tensor(path: str) -> CubicForm:
 
 
 def _optimizer_options(args) -> OptimizerOptions:
-    return OptimizerOptions(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed if args.seed is not None else _default_seed(),
-    )
+    seed = args.seed if args.seed is not None else _default_seed()
+    try:
+        return OptimizerOptions(
+            restarts=args.restarts, max_iters=args.max_iters, tol=args.tol, seed=seed
+        )
+    except ValueError as exc:
+        raise FormatError(f"invalid optimizer option: {exc}")
 
 
 def _add_optimizer_flags(parser):

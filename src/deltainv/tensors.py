@@ -14,10 +14,11 @@ and tau of a subspace is the sum of K over index pairs inside it.
 Conventions
 -----------
 * All public indices are 1-based.
-* Tensors are stored canonically on sorted triples A <= B <= C; a dense
-  (n, n, n) mirror, exactly symmetric, backs the numerical kernels.
-* Supported dimensions are 2 <= n <= 12, which keeps every brute-force
-  oracle in the test suite tractable.
+* Tensors are stored once, as an exactly symmetric dense (n, n, n) array;
+  their canonical entries on sorted triples A <= B <= C derive from it.
+* Supported dimensions are 2 <= n <= 12, which keeps the coordinate
+  oracle's 2^n index masks and the test suite's brute-force reference
+  enumerations tractable.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _validated_triple(key, n: int) -> tuple[int, int, int]:
         if len(raw) != 3 or any(float(v) != int(v) for v in raw):
             raise ValueError
         a, b, c = (int(v) for v in raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise IndexOutOfRange(f"index triple {key!r} is not three integers")
     for v in (a, b, c):
         if not 1 <= v <= n:
@@ -97,12 +98,12 @@ def _dense_from_entries(n: int, entries: Mapping[tuple[int, int, int], float]):
 class CubicForm:
     """Fully symmetric cubic tensor on R^n.
 
-    Entries are held canonically for sorted index triples; ``lookup`` sorts
-    its arguments, so the six permutation symmetries hold by construction.
-    Instances are immutable.
+    The tensor is held once, as an exactly symmetric dense (n, n, n) array;
+    ``entries`` derives the canonical nonzero entries on sorted triples
+    from it.  Instances are immutable.
     """
 
-    __slots__ = ("n", "_entries", "_dense")
+    __slots__ = ("n", "_dense")
 
     def __init__(self, n: int, entries: Mapping | None = None):
         _check_dimension(n)
@@ -120,7 +121,6 @@ class CubicForm:
             seen[triple] = v
         canonical = {t: v for t, v in seen.items() if v != 0.0}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_entries", canonical)
         object.__setattr__(self, "_dense", _dense_from_entries(n, canonical))
 
     def __setattr__(self, name, value):
@@ -164,17 +164,22 @@ class CubicForm:
     # -- access ---------------------------------------------------------
 
     def lookup(self, a: int, b: int, c: int) -> float:
-        triple = _validated_triple((a, b, c), self.n)
-        return self._entries.get(triple, 0.0)
+        a, b, c = _validated_triple((a, b, c), self.n)
+        return float(self._dense[a - 1, b - 1, c - 1])
 
     @property
     def entries(self) -> dict[tuple[int, int, int], float]:
         """Canonical nonzero entries, keyed by sorted 1-based triples."""
-        return dict(self._entries)
+        out = {}
+        for a, b, c in _canonical_triples(self.n):
+            v = float(self._dense[a - 1, b - 1, c - 1])
+            if v != 0.0:
+                out[(a, b, c)] = v
+        return out
 
     @property
     def dense_view(self):
-        """Read-only dense (n, n, n) mirror; exactly symmetric."""
+        """Read-only dense (n, n, n) array; exactly symmetric."""
         return self._dense
 
     def dense(self):
@@ -185,7 +190,7 @@ class CubicForm:
         return float(np.sqrt((self._dense * self._dense).sum()))
 
     def scaled(self, t: float) -> "CubicForm":
-        return CubicForm(self.n, {k: t * v for k, v in self._entries.items()})
+        return CubicForm(self.n, {k: t * v for k, v in self.entries.items()})
 
     def allclose(self, other: "CubicForm", tol: float = 1e-12) -> bool:
         return self.n == other.n and bool(
@@ -193,7 +198,7 @@ class CubicForm:
         )
 
     def __repr__(self):
-        return f"CubicForm(n={self.n}, nnz={len(self._entries)})"
+        return f"CubicForm(n={self.n}, nnz={len(self.entries)})"
 
     # -- serialization ----------------------------------------------------
 
@@ -201,8 +206,7 @@ class CubicForm:
         return {
             "n": self.n,
             "entries": [
-                {"idx": list(t), "value": self._entries[t]}
-                for t in sorted(self._entries)
+                {"idx": list(t), "value": v} for t, v in self.entries.items()
             ],
         }
 
@@ -370,22 +374,22 @@ def enumerate_partitions(n: int) -> list[PartitionSpec]:
 
 
 def _orthonormalize_rows(arr):
-    """Modified Gram-Schmidt with one reorthogonalization pass."""
-    n = arr.shape[0]
-    Q = arr.astype(float).copy()
-    for i in range(n):
-        v = Q[i]
-        for _ in range(2):
-            for j in range(i):
-                v = v - (Q[j] @ v) * Q[j]
-        norm = float(np.linalg.norm(v))
-        if norm < _FRAME_RANK_TOL:
-            raise RankDeficientFrame(
-                f"row {i + 1} is numerically dependent on earlier rows "
-                f"(residual norm {norm:.3e})"
-            )
-        Q[i] = v / norm
-    return Q
+    """Gram-Schmidt of the rows in order, computed as a QR of the transpose.
+
+    Flipping each column of Q to make diag R positive gives the rows
+    Gram-Schmidt would; |R_ii| is row i's residual norm against the rows
+    before it.
+    """
+    Q, R = np.linalg.qr(arr.T)
+    diag = np.diag(R)
+    weak = np.flatnonzero(np.abs(diag) < _FRAME_RANK_TOL)
+    if weak.size:
+        i = int(weak[0])
+        raise RankDeficientFrame(
+            f"row {i + 1} is numerically dependent on earlier rows "
+            f"(residual norm {abs(diag[i]):.3e})"
+        )
+    return (Q * np.sign(diag)).T
 
 
 class Frame:

@@ -248,3 +248,14 @@ def test_violated_property_on_synthetic_rows(t1_witness_n3):
     )
     assert doctored.violated
     assert not base.violated
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_violated_agrees_with_verdict_on_nan_gaps():
+    # entries near 1e200 overflow every Gauss sum, so the gaps are NaN
+    h = CubicForm(3, {(1, 1, 3): 1e200, (3, 3, 3): 1e200})
+    report = evaluate(h, 0.0, PartitionSpec(3, (2,)), OptimizerOptions(restarts=2))
+    gaps = [row.gap for row in report.rows if row.gap is not None]
+    assert gaps and all(gap != gap for gap in gaps)
+    assert {row.verdict for row in report.rows if row.gap is not None} == {"violated"}
+    assert report.violated

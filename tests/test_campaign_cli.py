@@ -230,6 +230,27 @@ def test_cli_input_errors(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "InadmissiblePartition"
 
 
+def _single_json_error(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_cli_overflowing_index_is_input_error(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text('{"n": 3, "entries": [{"idx": [1e400, 1, 1], "value": 1.0}]}')
+    code, out, err = run_cli(capsys, "verify", str(path), "--partition", "2")
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "IndexOutOfRange"
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
+def test_cli_zero_optimizer_option_is_input_error(tensor_file, capsys, flag):
+    code, out, err = run_cli(capsys, "delta", tensor_file, "--partition", "2", flag, "0")
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"
+
+
 def test_cli_verify_reports_violations_with_exit_1(tensor_file, capsys, monkeypatch):
     import deltainv.cli as cli_mod
     from deltainv.bounds import BoundRow, InequalityReport

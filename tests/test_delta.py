@@ -1,5 +1,7 @@
 """Coordinate oracle, continuous optimizer, and the universal gap check."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from deltainv import (
     delta_invariant,
     enumerate_partitions,
     random_cubic_form,
+    random_witness,
     rotate,
     shared_b,
     tau_subspace,
@@ -22,11 +25,112 @@ from deltainv import (
 from deltainv.delta import (
     _block_tau_h,
     _cayley_step,
-    _coordinate_assignments,
     _grad_skew,
     _leading_blocks0,
 )
-from deltainv.tensors import _rotate_dense
+from deltainv.tensors import (
+    _canonical_triples,
+    _rotate_dense,
+    _tau_dense,
+    scalar_curvature,
+)
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference for the coordinate oracle
+# ---------------------------------------------------------------------------
+
+
+def _coordinate_assignments(n: int, sizes: tuple[int, ...]):
+    """Disjoint index tuples of the given sizes, equal sizes deduplicated.
+
+    Blocks of equal size are unordered in the definition of delta, so among
+    them only assignments with increasing leading index are produced.
+    """
+
+    def rec(available: tuple[int, ...], i: int, prev: tuple[int, ...] | None):
+        if i == len(sizes):
+            yield ()
+            return
+        for combo in itertools.combinations(available, sizes[i]):
+            if prev is not None and sizes[i] == sizes[i - 1] and combo[0] < prev[0]:
+                continue
+            rest = tuple(v for v in available if v not in combo)
+            for tail in rec(rest, i + 1, combo):
+                yield (combo,) + tail
+
+    yield from rec(tuple(range(1, n + 1)), 0, None)
+
+
+def _enumerated_oracle(h, c, P):
+    """(value, assignment, block taus) by listing every assignment.
+
+    The smallest block-order sum of ``_tau_dense`` values wins; exact ties
+    go to the lexicographically smallest assignment.  Block taus are
+    memoized, which leaves every sum bit-identical.
+    """
+    T = h.dense_view
+    memo = {}
+
+    def tau(block):
+        if block not in memo:
+            memo[block] = _tau_dense(T, [v - 1 for v in block], c)
+        return memo[block]
+
+    best_sum = best_assignment = best_taus = None
+    for assignment in _coordinate_assignments(P.n, P.blocks):
+        taus = tuple(tau(block) for block in assignment)
+        s = sum(taus)
+        if (
+            best_sum is None
+            or s < best_sum
+            or (s == best_sum and assignment < best_assignment)
+        ):
+            best_sum, best_assignment, best_taus = s, assignment, taus
+    return scalar_curvature(h, c) - best_sum, best_assignment, best_taus
+
+
+def _integer_form(n, rng):
+    """Entries in {-1, 0, 1}: every tau is exact, so exact ties abound."""
+    triples = _canonical_triples(n)
+    values = rng.integers(-1, 2, size=len(triples)).astype(float)
+    return CubicForm(n, dict(zip(triples, values)))
+
+
+def _assert_oracle_matches_enumeration(h, c, P):
+    res = delta_coordinate_oracle(h, c, P)
+    value, assignment, taus = _enumerated_oracle(h, c, P)
+    assert res.assignment == assignment, (P, c)
+    assert res.tau_blocks == taus, (P, c)
+    assert res.value == value and res.certified_lower == value, (P, c)
+
+
+@pytest.mark.parametrize(
+    "P",
+    [P for n in range(3, 9) for P in enumerate_partitions(n)],
+    ids=lambda P: f"n{P.n}-{P.label()}",
+)
+def test_oracle_dp_matches_enumeration(P):
+    rng = np.random.default_rng([P.n, *P.blocks])
+    theorem = 2 if P.saturating else 1
+    tensors = (
+        [random_cubic_form(P.n, 1.0, rng) for _ in range(3)]
+        + [CubicForm.zero(P.n)]
+        + [_integer_form(P.n, rng) for _ in range(4)]
+        + [random_witness(theorem, P, seed=s) for s in range(2)]
+    )
+    for h in tensors:
+        for c in (-1.0, 0.0, 1.0):
+            _assert_oracle_matches_enumeration(h, c, P)
+
+
+@pytest.mark.parametrize("n, blocks", [(10, (3, 3, 3)), (9, (2, 2, 2, 3))])
+def test_oracle_dp_matches_enumeration_large(n, blocks):
+    rng = np.random.default_rng(n)
+    P = PartitionSpec(n, blocks)
+    for h in (random_cubic_form(n, 1.0, rng), _integer_form(n, rng)):
+        for c in (-1.0, 0.0, 1.0):
+            _assert_oracle_matches_enumeration(h, c, P)
 
 
 # ---------------------------------------------------------------------------
