@@ -12,23 +12,24 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .bounds import GAP_TOL
 from .delta import universal_check
 from .errors import FormatError, InadmissiblePartition
 from .tensors import (
     Frame,
     PartitionSpec,
+    _as_integer,
     enumerate_partitions,
     random_cubic_form,
 )
 
 SAMPLE_CSV_COLUMNS = ["index", "seed", "n", "partition", "c", "gap"]
-
-GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,13 @@ class CampaignConfig:
     tensor_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("seed", "samples"):
+            object.__setattr__(self, name, _as_integer(getattr(self, name), name))
+        if self.seed < 0:
+            raise FormatError(f"seed must be >= 0, got {self.seed}")
         if self.samples < 1:
             raise FormatError("samples must be >= 1")
-        lo, hi = (int(v) for v in self.n_range)
+        lo, hi = (_as_integer(v, "n_range") for v in self.n_range)
         if not (2 <= lo <= hi <= 12):
             raise FormatError(f"n_range must lie within [2, 12], got {self.n_range}")
         object.__setattr__(self, "n_range", (lo, hi))
@@ -70,7 +75,7 @@ class CampaignConfig:
             if "partitions" in kwargs and kwargs["partitions"] != "ALL":
                 kwargs["partitions"] = [tuple(p) for p in kwargs["partitions"]]
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"bad campaign config: {exc}")
 
 
@@ -86,15 +91,21 @@ class SampleResult:
 
 @dataclass
 class CampaignSummary:
+    """Running totals; a gap below -GAP_TOL or not finite is a violation,
+    and ``min_gap`` is the smallest finite gap (None while there is none)."""
+
     samples: int = 0
-    min_gap: float = float("inf")
+    min_gap: Optional[float] = None
     argmin_index: int = -1
     argmin_seed: Optional[tuple[int, int]] = None
     violations: int = 0
 
     def update(self, row: SampleResult):
         self.samples += 1
-        if row.gap < self.min_gap:
+        if not math.isfinite(row.gap):
+            self.violations += 1
+            return
+        if self.min_gap is None or row.gap < self.min_gap:
             self.min_gap = row.gap
             self.argmin_index = row.index
             self.argmin_seed = row.seed
@@ -136,7 +147,7 @@ def run_campaign(config: CampaignConfig) -> Iterable[SampleResult]:
     pool = _partition_pool(config)
     lo, hi = config.n_range
     for i in range(config.samples):
-        seed = (int(config.seed), i)
+        seed = (config.seed, i)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         n = int(rng.integers(lo, hi + 1))
         P = pool[n][int(rng.integers(len(pool[n])))]

@@ -19,6 +19,12 @@ with the prescribed dimensions.  Two estimators are provided:
   Starts are the identity, the oracle solution and seeded Haar-random
   frames, so the reported value never falls below the oracle's.
 
+Both read the single Gauss-sum kernel, the sectional-curvature matrix K of
+``tensors``.  The descent weighs K with the 0/1 block mask M (M_ij = 1 when
+i and j share a leading block): its objective is 1/2 <M, K> of the rotated
+tensor and its gradient (``_grad_skew``) needs no loop over blocks.
+``universal_check`` reads tau minus the block taus as 1/2 <J - M, K>.
+
 All randomness flows from a single 64-bit seed.
 """
 
@@ -36,6 +42,7 @@ from .tensors import (
     Frame,
     PartitionSpec,
     _rotate_dense,
+    _sectional_matrix,
     _tau_dense,
     ambient_value,
     mean_curvature_sq,
@@ -99,18 +106,6 @@ def _check_partition(h: CubicForm, P: PartitionSpec):
         raise InadmissiblePartition(
             f"partition is for n={P.n} but the tensor has n={h.n}"
         )
-
-
-def _sectional_matrix(T, cval: float) -> np.ndarray:
-    """K = c(J - I) + D D^T - sum_C h_{..C}^2 with D[i, C] = h_{iiC}.
-
-    K[i, j] is the sectional curvature of the coordinate plane (e_i, e_j),
-    so tau of the span of an index set S is 1/2 1_S^T K 1_S.
-    """
-    D = np.einsum("iic->ic", T)
-    K = D @ D.T - np.einsum("ijc,ijc->ij", T, T) + cval
-    np.fill_diagonal(K, 0.0)
-    return K
 
 
 @lru_cache(maxsize=32)
@@ -213,33 +208,27 @@ def delta_coordinate_oracle(h: CubicForm, c, P: PartitionSpec) -> DeltaResult:
 # ---------------------------------------------------------------------------
 
 
-def _leading_blocks0(P: PartitionSpec) -> list[np.ndarray]:
-    return [np.asarray(block) - 1 for block in P.index_blocks[: P.k]]
+def _block_mask(P: PartitionSpec) -> np.ndarray:
+    """0/1 (n, n) mask M with M_ij = 1 when i and j share a leading block."""
+    owner = np.repeat(np.arange(P.k + 1), P.blocks + (P.residual,))
+    return ((owner[:, None] == owner) & (owner < P.k)).astype(float)
 
 
-def _block_tau_h(H, blocks0) -> float:
-    """h-dependent part of sum_i tau(block_i) for a rotated dense tensor."""
-    total = 0.0
-    for idx in blocks0:
-        d = H[idx, idx, :]
-        s = d.sum(axis=0)
-        sub = H[np.ix_(idx, idx)]
-        total += 0.5 * (float(s @ s) - float((sub * sub).sum()))
-    return total
+def _block_tau_h(H, M) -> float:
+    """h-dependent part of sum_i tau(block_i): 1/2 <M, K> of H at c = 0."""
+    return 0.5 * float((M * _sectional_matrix(H, 0.0)).sum())
 
 
-def _grad_skew(H, blocks0):
+def _grad_skew(H, M):
     """Skew gradient A with d/dt f(cay(tS) R) at t=0 equal to <A, S>/2.
 
-    W = df/dH for the literal block sums; the three terms contract W with
-    the derivative of the rotated tensor in each of its slots.
+    W = df/dH of 1/2 <M, D D^T - sum_C H_{..C}^2> is -M_ab H_abc, plus
+    (M D)[a, c] where a = b; the three terms contract W with the
+    derivative of the rotated tensor in each of its slots.
     """
-    W = np.zeros_like(H)
-    for idx in blocks0:
-        d = H[idx, idx, :]
-        s = d.sum(axis=0)
-        W[np.ix_(idx, idx)] -= H[np.ix_(idx, idx)]
-        W[idx, idx, :] += s[None, :]
+    W = -M[:, :, None] * H
+    diag = np.arange(H.shape[0])
+    W[diag, diag, :] += M @ np.einsum("iic->ic", H)
     G = (
         np.einsum("abc,xbc->ax", W, H)
         + np.einsum("abc,axc->bx", W, H)
@@ -254,7 +243,7 @@ def _cayley_step(R, S, t):
     return np.linalg.solve(eye - (t / 2.0) * S, (eye + (t / 2.0) * S) @ R)
 
 
-def _descend(T, R0, blocks0, max_iters, tol):
+def _descend(T, R0, M, max_iters, tol):
     """Gradient descent with Barzilai-Borwein steps and Armijo backtracking.
 
     Moves along R(t) = cay(-t A) R for the skew gradient A; returns
@@ -263,13 +252,13 @@ def _descend(T, R0, blocks0, max_iters, tol):
     """
     R = np.array(R0, dtype=float)
     H = _rotate_dense(T, R)
-    f = _block_tau_h(H, blocks0)
+    f = _block_tau_h(H, M)
     prev_A = None
     prev_t = None
     converged = False
     stagnant = 0
     for _ in range(max_iters):
-        A = _grad_skew(H, blocks0)
+        A = _grad_skew(H, M)
         gnorm = float(np.linalg.norm(A))
         if gnorm < tol:
             converged = True
@@ -288,7 +277,7 @@ def _descend(T, R0, blocks0, max_iters, tol):
         while t > 1e-15:
             Rt = _cayley_step(R, -A, t)
             Ht = _rotate_dense(T, Rt)
-            ft = _block_tau_h(Ht, blocks0)
+            ft = _block_tau_h(Ht, M)
             if ft <= f - 1e-4 * t * slope:
                 accepted = True
                 break
@@ -335,7 +324,7 @@ def delta_invariant(
     oracle = delta_coordinate_oracle(h, cval, P)
 
     T = h.dense_view
-    blocks0 = _leading_blocks0(P)
+    M = _block_mask(P)
 
     # identity and the oracle permutation always run, so the reported value
     # can never fall below the certified lower bound
@@ -346,19 +335,19 @@ def delta_invariant(
 
     best = None
     for index, R0 in enumerate(starts):
-        f, R, converged = _descend(T, R0, blocks0, opts.max_iters, opts.tol)
+        f, R, converged = _descend(T, R0, M, opts.max_iters, opts.tol)
         # ties at float-noise level keep the earliest restart (deterministic)
         if best is None or f < best[0] - 1e-10 * max(1.0, abs(best[0])):
             best = (f, R, converged, index)
 
     frame = Frame(best[1])
     rotated = _rotate_dense(T, frame.matrix)
+    assignment = tuple(P.index_blocks[: P.k])
     tau_blocks = tuple(
-        _tau_dense(rotated, list(idx), cval) for idx in blocks0
+        _tau_dense(rotated, [v - 1 for v in block], cval) for block in assignment
     )
     tau_total = oracle.tau_total
     value = tau_total - sum(tau_blocks)
-    assignment = tuple(P.index_blocks[: P.k])
     return DeltaResult(
         value=value,
         frame=frame,
@@ -375,7 +364,8 @@ def universal_check(h: CubicForm, c, P: PartitionSpec, R: Frame) -> float:
 
     Returns rhs - (tau - sum_i tau(rows Delta_i of R)); the bound asserts
     this is nonnegative for every frame, which rearranges the definition of
-    delta as a universal statement over subspace tuples.
+    delta as a universal statement over subspace tuples.  tau minus the
+    block taus is 1/2 <J - M, K> for the K of the rotated tensor.
     """
     from .bounds import optimal_coefficients, rhs_value
 
@@ -383,11 +373,6 @@ def universal_check(h: CubicForm, c, P: PartitionSpec, R: Frame) -> float:
     if R.n != h.n:
         raise DimensionMismatch(f"frame n={R.n} does not match tensor n={h.n}")
     cval = ambient_value(c)
-    rotated = _rotate_dense(h.dense_view, R.matrix)
-    tau_total = scalar_curvature(h, cval)
-    block_sum = sum(
-        _tau_dense(rotated, list(idx), cval) for idx in _leading_blocks0(P)
-    )
-    coeffs = optimal_coefficients(P)
-    rhs = rhs_value(coeffs, mean_curvature_sq(h), cval)
-    return rhs - (tau_total - block_sum)
+    K = _sectional_matrix(_rotate_dense(h.dense_view, R.matrix), cval)
+    rhs = rhs_value(optimal_coefficients(P), mean_curvature_sq(h), cval)
+    return rhs - 0.5 * float(((1.0 - _block_mask(P)) * K).sum())

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InadmissiblePartition, InvariantViolation
-from .tensors import CubicForm, PartitionSpec
+from .tensors import CubicForm, PartitionSpec, _symmetrize_dense
 
 TRACE_TOL = 1e-10
 CHECK_TOL = 1e-10
@@ -67,14 +67,7 @@ def _as_block_array(values, size: int, what: str):
         )
     if not np.all(np.isfinite(arr)):
         raise InvariantViolation(f"{what} contains non-finite entries")
-    sym = (
-        arr
-        + arr.transpose(0, 2, 1)
-        + arr.transpose(1, 0, 2)
-        + arr.transpose(1, 2, 0)
-        + arr.transpose(2, 0, 1)
-        + arr.transpose(2, 1, 0)
-    ) / 6.0
+    sym = _symmetrize_dense(arr)
     if float(np.max(np.abs(arr - sym))) > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
         raise InvariantViolation(f"{what} is not symmetric")
     return arr
@@ -83,6 +76,12 @@ def _as_block_array(values, size: int, what: str):
 def _partial_traces(block_arr) -> np.ndarray:
     """Vector of sums over the doubled index: t_a = sum_b arr[a, b, b]."""
     return np.einsum("abb->a", block_arr)
+
+
+def _with_partial_traces(t) -> np.ndarray:
+    """Symmetric (m, m, m) array sym(I (x) t) scaled to partial traces t."""
+    m = len(t)
+    return _symmetrize_dense(np.multiply.outer(np.eye(m), t)) * (3.0 / (m + 2))
 
 
 @dataclass(frozen=True)
@@ -377,24 +376,8 @@ def check_t2(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Vio
 
 def _random_traceless_block(size: int, scale: float, rng: np.random.Generator):
     """Random symmetric in-block array projected to zero partial traces."""
-    arr = rng.uniform(-scale, scale, size=(size, size, size))
-    arr = (
-        arr
-        + arr.transpose(0, 2, 1)
-        + arr.transpose(1, 0, 2)
-        + arr.transpose(1, 2, 0)
-        + arr.transpose(2, 0, 1)
-        + arr.transpose(2, 1, 0)
-    ) / 6.0
-    traces = _partial_traces(arr)
-    w = 3.0 * traces / (size + 2)
-    eye = np.eye(size)
-    correction = (
-        np.einsum("ab,c->abc", eye, w)
-        + np.einsum("ac,b->abc", eye, w)
-        + np.einsum("bc,a->abc", eye, w)
-    ) / 3.0
-    return arr - correction
+    arr = _symmetrize_dense(rng.uniform(-scale, scale, size=(size, size, size)))
+    return arr - _with_partial_traces(_partial_traces(arr))
 
 
 def random_witness(
@@ -418,13 +401,7 @@ def random_witness(
                 # plant a definite trace on each index of the block
                 signs = rng.choice([-1.0, 1.0], size=size)
                 t = signs * rng.uniform(0.5 * scale, 2.0 * scale, size=size)
-                eye = np.eye(size)
-                bump = (
-                    np.einsum("ab,c->abc", eye, t)
-                    + np.einsum("ac,b->abc", eye, t)
-                    + np.einsum("bc,a->abc", eye, t)
-                ) / (size + 2)
-                arr = arr + bump
+                arr = arr + _with_partial_traces(t)
             inblock.append(arr)
         return build_t2(EqualityParamsT2(P, inblock))
     raise InvariantViolation(f"theorem must be 1 or 2, got {theorem!r}")

@@ -26,13 +26,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .bounds import THEOREM2
 from .errors import BadBlockIndex, CaseMismatch, EmptyList
 from .tensors import PartitionSpec
 
-# Cases for critical_C
+# Cases for critical_C; the saturating case shares the bounds' THEOREM2
 STATEMENT_I = "STATEMENT_I"
 STATEMENT_II = "STATEMENT_II"
-THEOREM2 = "THEOREM2"
 
 PSD_EIG_TOL = 1e-10
 

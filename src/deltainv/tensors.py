@@ -4,12 +4,13 @@ The pointwise data of a Lagrangian submanifold of a complex space form is a
 fully symmetric real 3-tensor h_{ABC} (the second fundamental form paired
 with the complex structure, in an orthonormal frame) together with one real
 constant c, a quarter of the ambient holomorphic sectional curvature.  Every
-curvature quantity in this package reduces to Gauss-equation sums over the
-entries of h:
+curvature quantity in this package comes from one kernel, the matrix of
+Gauss-equation sectional curvatures K (``_sectional_matrix``):
 
-    K(e_i, e_j) = c + sum_C ( h_{iiC} h_{jjC} - h_{ijC}^2 )
+    K[i, j] = c + sum_C ( h_{iiC} h_{jjC} - h_{ijC}^2 ),   i != j,
 
-and tau of a subspace is the sum of K over index pairs inside it.
+and tau of the span of an index set S is 1/2 1_S^T K 1_S, half the sum of
+K over the slab T[S, S, :].
 
 Conventions
 -----------
@@ -28,6 +29,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 import math
+import operator
 
 import numpy as np
 
@@ -58,6 +60,16 @@ def _check_dimension(n: int) -> int:
             f"{MIN_DIMENSION}..{MAX_DIMENSION}"
         )
     return n
+
+
+def _as_integer(value, what: str) -> int:
+    """An integral input value (3, or 3.0 from JSON) as an int, else FormatError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +105,18 @@ def _dense_from_entries(n: int, entries: Mapping[tuple[int, int, int], float]):
             T[p] = v
     T.flags.writeable = False
     return T
+
+
+def _symmetrize_dense(arr):
+    """Average of an (m, m, m) array over the six permutations of its axes."""
+    return (
+        arr
+        + arr.transpose(0, 2, 1)
+        + arr.transpose(1, 0, 2)
+        + arr.transpose(1, 2, 0)
+        + arr.transpose(2, 0, 1)
+        + arr.transpose(2, 1, 0)
+    ) / 6.0
 
 
 class CubicForm:
@@ -143,14 +167,7 @@ class CubicForm:
         n = _check_dimension(int(arr.shape[0]))
         if not np.all(np.isfinite(arr)):
             raise InvariantViolation("dense array contains non-finite entries")
-        sym = (
-            arr
-            + arr.transpose(0, 2, 1)
-            + arr.transpose(1, 0, 2)
-            + arr.transpose(1, 2, 0)
-            + arr.transpose(2, 0, 1)
-            + arr.transpose(2, 1, 0)
-        ) / 6.0
+        sym = _symmetrize_dense(arr)
         scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
         if float(np.max(np.abs(arr - sym))) > atol * scale:
             raise ConflictingEntry("dense array is not symmetric in its three indices")
@@ -215,10 +232,7 @@ class CubicForm:
         """Load the JSON wire format; duplicate triples are a load error."""
         if not isinstance(data, dict) or "n" not in data:
             raise FormatError("tensor JSON must be an object with an 'n' field")
-        try:
-            n = int(data["n"])
-        except (TypeError, ValueError):
-            raise FormatError(f"invalid dimension {data.get('n')!r}")
+        n = _as_integer(data["n"], "dimension")
         raw_entries = data.get("entries", [])
         if not isinstance(raw_entries, list):
             raise FormatError("'entries' must be a list")
@@ -469,6 +483,20 @@ def mean_curvature_sq(h: CubicForm) -> float:
     return float(traces @ traces) / h.n**2
 
 
+def _sectional_matrix(T, cval: float):
+    """K = c(J - I) + D D^T - sum_C h_{..C}^2 with D[i, C] = h_{iiC}.
+
+    T is a dense (n, n, n) tensor or an (m, m, n) slab T[S, S, :]; K[i, j]
+    is the sectional curvature of the plane of the i-th and j-th listed
+    directions, and tau of their span is half the sum of K.  The diagonal,
+    zero in exact arithmetic, is set to zero.
+    """
+    D = np.einsum("iic->ic", T)
+    K = D @ D.T - np.einsum("ijc,ijc->ij", T, T) + cval
+    np.fill_diagonal(K, 0.0)
+    return K
+
+
 def sectional_curvature(h: CubicForm, c, i: int, j: int) -> float:
     """Gauss-equation sectional curvature of the coordinate plane (e_i, e_j)."""
     cval = ambient_value(c)
@@ -477,21 +505,14 @@ def sectional_curvature(h: CubicForm, c, i: int, j: int) -> float:
             raise IndexOutOfRange(f"index {v} outside 1..{h.n}")
     if i == j:
         raise EqualIndices(f"sectional curvature needs two distinct indices, got {i}")
-    T = h.dense_view
-    a, b = i - 1, j - 1
-    return float(cval + T[a, a, :] @ T[b, b, :] - T[a, b, :] @ T[a, b, :])
+    idx0 = [i - 1, j - 1]
+    return float(_sectional_matrix(h.dense_view[np.ix_(idx0, idx0)], cval)[0, 1])
 
 
 def _tau_dense(T, idx0, cval: float) -> float:
-    """Sum of K over pairs inside the 0-based index list idx0."""
-    m = len(idx0)
-    if m < 2:
-        return 0.0
-    d = T[idx0, idx0, :]
-    s = d.sum(axis=0)
-    sub = T[np.ix_(idx0, idx0)]
-    hpart = 0.5 * (float(s @ s) - float((sub * sub).sum()))
-    return hpart + cval * (m * (m - 1) // 2)
+    """tau of the span of the 0-based index list idx0: 1/2 sum K of T[S, S, :]."""
+    idx = np.asarray(idx0, dtype=np.intp)
+    return 0.5 * float(_sectional_matrix(T[idx[:, None], idx], cval).sum())
 
 
 def tau_subspace(h: CubicForm, c, indices: Iterable[int]) -> float:

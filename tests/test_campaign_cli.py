@@ -244,6 +244,52 @@ def test_cli_overflowing_index_is_input_error(tmp_path, capsys):
     assert _single_json_error(err)["error"] == "IndexOutOfRange"
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1, 2],
+        {"seed": -1, "samples": 5},
+        {"seed": 1, "samples": 5, "n_range": [3.7, 4]},
+        {"seed": 1, "samples": 5, "n_range": [3]},
+        {"seed": 1, "samples": 2.5},
+    ],
+    ids=[
+        "non-object",
+        "negative-seed",
+        "fractional-n_range",
+        "short-n_range",
+        "fractional-samples",
+    ],
+)
+def test_cli_sample_bad_config_is_input_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sample", "--config", str(path))
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"
+
+
+def test_cli_fractional_dimension_is_input_error(tmp_path, capsys):
+    path = tmp_path / "frac.json"
+    path.write_text('{"n": 3.7, "entries": []}')
+    code, out, err = run_cli(capsys, "verify", str(path), "--partition", "2")
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"
+
+
+def test_cli_sample_non_finite_gaps_are_violations(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"seed": 1, "samples": 5, "n_range": [3, 4], "tensor_scale": 1e200}
+    ))
+    code, out, err = run_cli(capsys, "sample", "--config", str(cfg))
+    assert code == 1
+    assert out.count("nan") == 5
+    summary = json.loads(err.strip().splitlines()[-1])
+    assert summary["violations"] == 5
+    assert summary["min_gap"] is None
+
+
 @pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
 def test_cli_zero_optimizer_option_is_input_error(tensor_file, capsys, flag):
     code, out, err = run_cli(capsys, "delta", tensor_file, "--partition", "2", flag, "0")

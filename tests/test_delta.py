@@ -23,10 +23,10 @@ from deltainv import (
     universal_check,
 )
 from deltainv.delta import (
+    _block_mask,
     _block_tau_h,
     _cayley_step,
     _grad_skew,
-    _leading_blocks0,
 )
 from deltainv.tensors import (
     _canonical_triples,
@@ -206,19 +206,19 @@ def test_gradient_matches_finite_differences():
     for n, blocks in [(4, (2,)), (5, (2, 2)), (6, (2, 3))]:
         h = random_cubic_form(n, 1.0, rng)
         P = PartitionSpec(n, blocks)
-        blocks0 = _leading_blocks0(P)
+        M = _block_mask(P)
         R = Frame.random(n, rng).matrix
         H = _rotate_dense(h.dense_view, R)
-        A = _grad_skew(H, blocks0)
+        A = _grad_skew(H, M)
         for _ in range(4):
             S = rng.standard_normal((n, n))
             S = S - S.T
             eps = 1e-6
             fp = _block_tau_h(
-                _rotate_dense(h.dense_view, _cayley_step(R, S, eps)), blocks0
+                _rotate_dense(h.dense_view, _cayley_step(R, S, eps)), M
             )
             fm = _block_tau_h(
-                _rotate_dense(h.dense_view, _cayley_step(R, S, -eps)), blocks0
+                _rotate_dense(h.dense_view, _cayley_step(R, S, -eps)), M
             )
             fd = (fp - fm) / (2 * eps)
             analytic = float(np.vdot(A, S)) / 2.0
