@@ -3,9 +3,15 @@
 Each sample draws a dimension, an admissible partition, an ambient constant
 and a random symmetric tensor plus Haar frame, then records the gap of the
 optimal bound at that frame.  Sampling is fully deterministic: sample i of
-a campaign with master seed s uses the seed sequence (s, i), so any sample
-can be reproduced in isolation and identical configurations produce
-byte-identical CSV output.
+a campaign with master seed s draws from its own generator seeded by the
+seed sequence (s, i), so any sample can be reproduced in isolation and
+identical configurations produce byte-identical CSV output.
+
+The arithmetic is done on stacked arrays: the draws of up to ``_CHUNK``
+consecutive samples are grouped by dimension, and each group takes one
+dense build, one stacked QR for its frames, one stacked rotation and one
+stacked sectional-curvature matrix.  Rows are still yielded in sample
+order, and memory stays bounded by the chunk whatever the sample count.
 """
 
 from __future__ import annotations
@@ -14,22 +20,32 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import GAP_TOL
-from .delta import universal_check
+from .bounds import GAP_TOL, optimal_coefficients
+from .delta import _block_mask
 from .errors import FormatError, InadmissiblePartition
 from .tensors import (
-    Frame,
     PartitionSpec,
     _as_integer,
+    _canonical_triples,
+    _dense_from_values,
+    _mean_curvature_sq_dense,
+    _haar_rows,
+    _rotate_dense,
+    _sectional_matrix,
     enumerate_partitions,
-    random_cubic_form,
 )
 
 SAMPLE_CSV_COLUMNS = ["index", "seed", "n", "partition", "c", "gap"]
+
+# Samples whose draws are stacked and checked together.  One stacked
+# (_CHUNK, 12, 12, 12) tensor array is 14 MB, which bounds the memory a
+# campaign holds at any sample count.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -57,8 +73,21 @@ class CampaignConfig:
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
         if not self.c_values:
             raise FormatError("c_values must be nonempty")
-        if self.tensor_scale <= 0:
-            raise FormatError("tensor_scale must be positive")
+        if self.partitions != "ALL":
+            object.__setattr__(
+                self,
+                "partitions",
+                tuple(
+                    tuple(_as_integer(b, "partition block") for b in p)
+                    for p in self.partitions
+                ),
+            )
+        # uniform draws on [-scale, scale] need the width 2 * scale finite
+        if not (self.tensor_scale > 0 and math.isfinite(2.0 * self.tensor_scale)):
+            raise FormatError(
+                "tensor_scale must be positive with 2 * tensor_scale finite, "
+                f"got {self.tensor_scale!r}"
+            )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CampaignConfig":
@@ -142,22 +171,77 @@ def _partition_pool(config: CampaignConfig) -> dict[int, list[PartitionSpec]]:
     return pool
 
 
+@lru_cache(maxsize=None)
+def _partition_terms(P: PartitionSpec):
+    """Float a and b of the optimal bound and the off-block mask J - M."""
+    coeffs = optimal_coefficients(P)
+    off_block = 1.0 - _block_mask(P)
+    off_block.flags.writeable = False
+    return float(coeffs.a), float(coeffs.b), off_block
+
+
+class _Draw(NamedTuple):
+    """One sample's draws: dimension, partition and c as indices into the
+    pool and the config, canonical tensor values and a Gaussian matrix."""
+
+    n: int
+    partition: int
+    c: int
+    values: np.ndarray
+    gauss: np.ndarray
+
+
+def _draw(config: CampaignConfig, pool, i: int) -> _Draw:
+    """Sample i's draws, in this order, from its own seeded generator."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
+    lo, hi = config.n_range
+    n = int(rng.integers(lo, hi + 1))
+    p = int(rng.integers(len(pool[n])))
+    ci = int(rng.integers(len(config.c_values)))
+    scale = config.tensor_scale
+    values = rng.uniform(-scale, scale, size=len(_canonical_triples(n)))
+    return _Draw(n, p, ci, values, rng.standard_normal((n, n)))
+
+
+def _stacked_gaps(n: int, draws: list[_Draw], specs, c_values):
+    """Gaps rhs - 1/2 <J - M, K> of same-dimension draws, as one stack.
+
+    Frames are built from the Gaussian draws as ``Frame.random`` builds
+    them; K is that of the rotated tensor.
+    """
+    T = _dense_from_values(n, np.stack([d.values for d in draws]))
+    R = _haar_rows(np.stack([d.gauss for d in draws]))
+    terms = [_partition_terms(specs[d.partition]) for d in draws]
+    a = np.array([t[0] for t in terms])
+    b = np.array([t[1] for t in terms])
+    off_block = np.stack([t[2] for t in terms])
+    c = np.array([c_values[d.c] for d in draws])
+    K = _sectional_matrix(_rotate_dense(T, R), c)
+    rhs = a * _mean_curvature_sq_dense(T) + b * c
+    return rhs - 0.5 * np.einsum("sij,sij->s", off_block, K)
+
+
 def run_campaign(config: CampaignConfig) -> Iterable[SampleResult]:
     """Generate the campaign rows in sample order."""
     pool = _partition_pool(config)
-    lo, hi = config.n_range
-    for i in range(config.samples):
-        seed = (config.seed, i)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        n = int(rng.integers(lo, hi + 1))
-        P = pool[n][int(rng.integers(len(pool[n])))]
-        c = config.c_values[int(rng.integers(len(config.c_values)))]
-        h = random_cubic_form(n, config.tensor_scale, rng)
-        R = Frame.random(n, rng)
-        gap = universal_check(h, c, P, R)
-        yield SampleResult(
-            index=i, seed=seed, n=n, partition=P.blocks, c=c, gap=gap
-        )
+    for start in range(0, config.samples, _CHUNK):
+        indices = range(start, min(start + _CHUNK, config.samples))
+        draws = [_draw(config, pool, i) for i in indices]
+        gaps = np.empty(len(draws))
+        for n in sorted({d.n for d in draws}):
+            rows = [j for j, d in enumerate(draws) if d.n == n]
+            gaps[rows] = _stacked_gaps(
+                n, [draws[j] for j in rows], pool[n], config.c_values
+            )
+        for i, d, gap in zip(indices, draws, gaps.tolist()):
+            yield SampleResult(
+                index=i,
+                seed=(config.seed, i),
+                n=d.n,
+                partition=pool[d.n][d.partition].blocks,
+                c=config.c_values[d.c],
+                gap=gap,
+            )
 
 
 def campaign_csv(rows: Iterable[SampleResult], summary: CampaignSummary) -> str:

@@ -97,14 +97,27 @@ def _validated_triple(key, n: int) -> tuple[int, int, int]:
     return tuple(sorted((a, b, c)))
 
 
-def _dense_from_entries(n: int, entries: Mapping[tuple[int, int, int], float]):
-    T = np.zeros((n, n, n))
-    for (a, b, c), v in entries.items():
-        i, j, k = a - 1, b - 1, c - 1
-        for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-            T[p] = v
-    T.flags.writeable = False
-    return T
+@lru_cache(maxsize=None)
+def _triple_positions(n: int):
+    """Flat (n^3,) table: position (a, b, c) -> index of its sorted triple."""
+    where = {t: k for k, t in enumerate(_canonical_triples(n))}
+    cube = range(1, n + 1)
+    return np.array(
+        [where[tuple(sorted((a, b, c)))] for a in cube for b in cube for c in cube],
+        dtype=np.intp,
+    )
+
+
+def _dense_from_values(n: int, values):
+    """(..., n, n, n) tensors from (..., len(_canonical_triples(n))) values
+    listed in canonical triple order."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise InvariantViolation("non-finite tensor entry")
+    # C order, so each tensor's layout and hence its summation order does
+    # not depend on how many tensors are stacked with it
+    dense = np.take(values, _triple_positions(n), axis=-1)
+    return np.ascontiguousarray(dense).reshape(values.shape[:-1] + (n, n, n))
 
 
 def _symmetrize_dense(arr):
@@ -143,9 +156,12 @@ class CubicForm:
                     f"equivalent entry ({seen[triple]} vs {v})"
                 )
             seen[triple] = v
-        canonical = {t: v for t, v in seen.items() if v != 0.0}
+        # a zero entry, -0.0 included, is stored as 0.0
+        values = [seen.get(t, 0.0) or 0.0 for t in _canonical_triples(n)]
+        dense = _dense_from_values(n, values)
+        dense.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_dense", _dense_from_entries(n, canonical))
+        object.__setattr__(self, "_dense", dense)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicForm is immutable")
@@ -315,8 +331,8 @@ class PartitionSpec:
     def __post_init__(self):
         _check_dimension(self.n)
         try:
-            blocks = tuple(int(b) for b in self.blocks)
-        except (TypeError, ValueError):
+            blocks = tuple(_as_integer(b, "block size") for b in self.blocks)
+        except (TypeError, FormatError):
             raise InadmissiblePartition(f"blocks {self.blocks!r} are not integers")
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
@@ -387,23 +403,45 @@ def enumerate_partitions(n: int) -> list[PartitionSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _orthonormalize_rows(arr):
-    """Gram-Schmidt of the rows in order, computed as a QR of the transpose.
+def _qr_rows(arr):
+    """Rows of the sign-fixed Q of arr^T = QR, and diag R.
 
-    Flipping each column of Q to make diag R positive gives the rows
-    Gram-Schmidt would; |R_ii| is row i's residual norm against the rows
-    before it.
+    ``arr`` is one (n, n) array or a stack (..., n, n) of them.  Flipping
+    each column of Q to make diag R nonnegative gives the rows Gram-Schmidt
+    of the rows of ``arr`` would; |R_ii| is row i's residual norm against
+    the rows before it.  The rows are orthonormal however small it is.
     """
-    Q, R = np.linalg.qr(arr.T)
-    diag = np.diag(R)
-    weak = np.flatnonzero(np.abs(diag) < _FRAME_RANK_TOL)
+    Q, R = np.linalg.qr(np.swapaxes(arr, -1, -2))
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    signs = np.where(diag < 0.0, -1.0, 1.0)
+    return np.swapaxes(Q * signs[..., None, :], -1, -2), diag
+
+
+def _orthonormalize_rows(arr):
+    """Gram-Schmidt of the rows in order, computed as a QR of the transpose
+    (``_qr_rows``); a row whose residual norm is below the rank tolerance
+    raises RankDeficientFrame."""
+    rows, diag = _qr_rows(arr)
+    weak = np.argwhere(np.abs(diag) < _FRAME_RANK_TOL)
     if weak.size:
-        i = int(weak[0])
+        *stack, i = (int(v) for v in weak[0])
+        where = f" of frame {tuple(stack)}" if stack else ""
         raise RankDeficientFrame(
-            f"row {i + 1} is numerically dependent on earlier rows "
-            f"(residual norm {abs(diag[i]):.3e})"
+            f"row {i + 1}{where} is numerically dependent on earlier rows "
+            f"(residual norm {abs(diag[(*stack, i)]):.3e})"
         )
-    return (Q * np.sign(diag)).T
+    return rows
+
+
+def _haar_rows(gauss):
+    """Haar-distributed orthogonal rows from standard normal (..., n, n)
+    draws: the rows are the orthonormalized columns of each draw.
+
+    No rank test: a Gaussian draw is as likely to be nearly singular as
+    any other (|R_nn| < 1e-6 about once in a million frames), and its Q is
+    orthonormal all the same.
+    """
+    return _qr_rows(np.swapaxes(gauss, -1, -2))[0]
 
 
 class Frame:
@@ -422,7 +460,9 @@ class Frame:
         _check_dimension(int(arr.shape[0]))
         if not np.all(np.isfinite(arr)):
             raise InvariantViolation("frame contains non-finite entries")
-        Q = _orthonormalize_rows(arr)
+        self._set_rows(_orthonormalize_rows(arr))
+
+    def _set_rows(self, Q):
         Q.flags.writeable = False
         object.__setattr__(self, "_rows", Q)
 
@@ -435,11 +475,11 @@ class Frame:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Frame":
-        """Haar-distributed orthogonal frame."""
+        """Haar-distributed orthogonal frame, orthonormalized once."""
         _check_dimension(n)
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        q = q * np.sign(np.diag(r))
-        return cls(q.T)
+        frame = object.__new__(cls)
+        frame._set_rows(_haar_rows(rng.standard_normal((n, n))))
+        return frame
 
     @property
     def n(self) -> int:
@@ -458,11 +498,18 @@ class Frame:
 
 
 def _rotate_dense(T, R):
-    """new_{ABC} = sum R_{Aa} R_{Bb} R_{Cc} T_{abc} for an (n,n,n) array."""
-    X = np.tensordot(R, T, axes=(1, 0))
-    X = np.tensordot(R, X, axes=(1, 1))
-    X = np.tensordot(R, X, axes=(1, 2))
-    return X.transpose(2, 1, 0)
+    """new_{ABC} = sum R_{Aa} R_{Bb} R_{Cc} T_{abc} for (..., n, n, n) T.
+
+    R is (n, n) or a matching stack (..., n, n).  Each of the three passes
+    contracts the leading tensor axis by one matmul and moves the new axis
+    to the back.
+    """
+    n = T.shape[-1]
+    X = T
+    for _ in range(3):
+        Y = R @ X.reshape(X.shape[:-3] + (n, n * n))
+        X = np.moveaxis(Y.reshape(Y.shape[:-2] + (n, n, n)), -3, -1)
+    return X
 
 
 def rotate(h: CubicForm, frame: Frame) -> CubicForm:
@@ -477,23 +524,31 @@ def rotate(h: CubicForm, frame: Frame) -> CubicForm:
 # ---------------------------------------------------------------------------
 
 
+def _mean_curvature_sq_dense(T):
+    """(1/n^2) sum_C (sum_A T_{AAC})^2 of an (n, n, n) array or a stack."""
+    traces = np.einsum("...aac->...c", T)[..., None, :]
+    return (traces @ np.swapaxes(traces, -1, -2))[..., 0, 0] / T.shape[-1] ** 2
+
+
 def mean_curvature_sq(h: CubicForm) -> float:
     """Squared mean curvature (1/n^2) sum_C (sum_A h_{AAC})^2."""
-    traces = np.einsum("aac->c", h.dense_view)
-    return float(traces @ traces) / h.n**2
+    return float(_mean_curvature_sq_dense(h.dense_view))
 
 
-def _sectional_matrix(T, cval: float):
+def _sectional_matrix(T, cval):
     """K = c(J - I) + D D^T - sum_C h_{..C}^2 with D[i, C] = h_{iiC}.
 
-    T is a dense (n, n, n) tensor or an (m, m, n) slab T[S, S, :]; K[i, j]
-    is the sectional curvature of the plane of the i-th and j-th listed
-    directions, and tau of their span is half the sum of K.  The diagonal,
-    zero in exact arithmetic, is set to zero.
+    T is a dense (n, n, n) tensor or an (m, m, n) slab T[S, S, :], or a
+    stack (..., m, m, n) of them with c a scalar or one value per stacked
+    tensor.  K[i, j] is the sectional curvature of the plane of the i-th
+    and j-th listed directions, and tau of their span is half the sum of
+    K.  The diagonal, zero in exact arithmetic, is set to zero.
     """
-    D = np.einsum("iic->ic", T)
-    K = D @ D.T - np.einsum("ijc,ijc->ij", T, T) + cval
-    np.fill_diagonal(K, 0.0)
+    D = np.einsum("...iic->...ic", T)
+    K = D @ np.swapaxes(D, -1, -2) - np.einsum("...ijc,...ijc->...ij", T, T)
+    K += np.asarray(cval, dtype=float)[..., None, None]
+    diag = np.arange(K.shape[-1])
+    K[..., diag, diag] = 0.0
     return K
 
 

@@ -252,6 +252,10 @@ def test_cli_overflowing_index_is_input_error(tmp_path, capsys):
         {"seed": 1, "samples": 5, "n_range": [3.7, 4]},
         {"seed": 1, "samples": 5, "n_range": [3]},
         {"seed": 1, "samples": 2.5},
+        {"seed": 1, "samples": 3, "n_range": [3, 4], "tensor_scale": float("nan")},
+        {"seed": 1, "samples": 3, "n_range": [3, 4], "tensor_scale": float("inf")},
+        {"seed": 1, "samples": 3, "n_range": [3, 4], "tensor_scale": 1e308},
+        {"seed": 1, "samples": 3, "n_range": [4, 4], "partitions": [[2.5]]},
     ],
     ids=[
         "non-object",
@@ -259,6 +263,10 @@ def test_cli_overflowing_index_is_input_error(tmp_path, capsys):
         "fractional-n_range",
         "short-n_range",
         "fractional-samples",
+        "nan-tensor_scale",
+        "infinite-tensor_scale",
+        "overflowing-tensor_scale",
+        "fractional-partition-block",
     ],
 )
 def test_cli_sample_bad_config_is_input_error(tmp_path, capsys, config):
@@ -267,6 +275,14 @@ def test_cli_sample_bad_config_is_input_error(tmp_path, capsys, config):
     code, out, err = run_cli(capsys, "sample", "--config", str(path))
     assert code == 2 and out == ""
     assert _single_json_error(err)["error"] == "FormatError"
+
+
+def test_cli_sample_integral_float_partition_block(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"seed": 1, "samples": 3, "n_range": [4, 4], "partitions": [[2.0]]}')
+    code, out, err = run_cli(capsys, "sample", "--config", str(path))
+    assert code == 0
+    assert [row.split(",")[3] for row in out.splitlines()[1:]] == ["2"] * 3
 
 
 def test_cli_fractional_dimension_is_input_error(tmp_path, capsys):

@@ -20,7 +20,14 @@ from deltainv import (
 )
 from deltainv.bounds import optimal_coefficients, rhs_value
 from deltainv.delta import _block_mask, _block_tau_h, _grad_skew
-from deltainv.tensors import _rotate_dense, _tau_dense, mean_curvature_sq
+from deltainv.errors import RankDeficientFrame
+from deltainv.tensors import (
+    _orthonormalize_rows,
+    _rotate_dense,
+    _sectional_matrix,
+    _tau_dense,
+    mean_curvature_sq,
+)
 
 RTOL = 1e-12
 C_VALUES = (-1.0, 0.0, 0.5)
@@ -125,3 +132,31 @@ def test_mask_objective_gradient_and_gap_match_block_loops(P):
             )
             assert _close(universal_check(h, cval, P, R), ref)
 
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_stacked_kernels_match_per_slice_calls(n):
+    rng = np.random.default_rng([41, n])
+    s = 5
+    T = np.stack([random_cubic_form(n, 1.0, rng).dense_view for _ in range(s)])
+    G = rng.standard_normal((s, n, n))
+    c = rng.standard_normal(s)
+    Q = _orthonormalize_rows(G)
+    H = _rotate_dense(T, Q)
+    K = _sectional_matrix(H, c)
+    for k in range(s):
+        assert _close(Q[k], _orthonormalize_rows(G[k]))
+        assert _close(Q[k] @ Q[k].T, np.eye(n))
+        assert _close(H[k], _rotate_dense(T[k], Q[k]))
+        ref = np.einsum("Aa,Bb,Cc,abc->ABC", Q[k], Q[k], Q[k], T[k])
+        assert _close(H[k], ref)
+        assert _close(K[k], _sectional_matrix(H[k], c[k]))
+    assert _close(_sectional_matrix(H, c[0]), _sectional_matrix(H, np.full(s, c[0])))
+
+
+def test_dependent_row_in_a_stack_raises():
+    rng = np.random.default_rng(43)
+    G = rng.standard_normal((4, 5, 5))
+    G[2, 3] = 2.0 * G[2, 0] - G[2, 1]
+    with pytest.raises(RankDeficientFrame, match=r"row 4 of frame \(2,\)"):
+        _orthonormalize_rows(G)

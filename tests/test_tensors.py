@@ -331,6 +331,26 @@ def test_frame_random_is_orthogonal():
     assert np.max(np.abs(gram - np.eye(6))) < 1e-12
 
 
+def test_frame_random_orthonormalizes_the_draw_once():
+    """The rows are the sign-fixed Q of the Gaussian draw, as they come out
+    of one QR; the frame is not orthonormalized a second time."""
+    F = Frame.random(6, np.random.default_rng(8))
+    G = np.random.default_rng(8).standard_normal((6, 6))
+    q, r = np.linalg.qr(G)
+    assert np.array_equal(F.matrix, (q * np.sign(np.diag(r))).T)
+
+
+def test_frame_random_accepts_a_nearly_singular_draw():
+    class NearlySingular:
+        def standard_normal(self, shape):
+            G = np.random.default_rng(9).standard_normal(shape)
+            G[:, -1] = G[:, 0] - G[:, 1] + 1e-9
+            return G
+
+    F = Frame.random(4, NearlySingular())
+    assert np.max(np.abs(F.matrix @ F.matrix.T - np.eye(4))) < 1e-12
+
+
 def test_frame_shape_validation():
     with pytest.raises(DimensionMismatch):
         Frame(np.ones((2, 3)))
@@ -358,11 +378,18 @@ def test_partition_admissibility():
         (4, (4,)),        # block above n-1
         (5, (2, 2, 2)),   # sum above n
         (4, ()),          # empty
+        (4, (2.5,)),      # fractional block
+        (5, (2, "3")),    # not a number
     ],
 )
 def test_partition_rejections(n, blocks):
     with pytest.raises(InadmissiblePartition):
         PartitionSpec(n, blocks)
+
+
+def test_partition_integral_float_blocks_accepted():
+    P = PartitionSpec(4, (2.0,))
+    assert P.blocks == (2,) and type(P.blocks[0]) is int
 
 
 def test_enumerate_partitions_small_n():
