@@ -20,23 +20,19 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import GAP_TOL, optimal_coefficients
-from .delta import _block_mask
+from .bounds import GAP_TOL
+from .delta import _frame_gaps, _gap_terms
 from .errors import FormatError, InadmissiblePartition
 from .tensors import (
     PartitionSpec,
     _as_integer,
     _canonical_triples,
     _dense_from_values,
-    _mean_curvature_sq_dense,
     _haar_rows,
-    _rotate_dense,
-    _sectional_matrix,
     enumerate_partitions,
 )
 
@@ -171,15 +167,6 @@ def _partition_pool(config: CampaignConfig) -> dict[int, list[PartitionSpec]]:
     return pool
 
 
-@lru_cache(maxsize=None)
-def _partition_terms(P: PartitionSpec):
-    """Float a and b of the optimal bound and the off-block mask J - M."""
-    coeffs = optimal_coefficients(P)
-    off_block = 1.0 - _block_mask(P)
-    off_block.flags.writeable = False
-    return float(coeffs.a), float(coeffs.b), off_block
-
-
 class _Draw(NamedTuple):
     """One sample's draws: dimension, partition and c as indices into the
     pool and the config, canonical tensor values and a Gaussian matrix."""
@@ -204,21 +191,16 @@ def _draw(config: CampaignConfig, pool, i: int) -> _Draw:
 
 
 def _stacked_gaps(n: int, draws: list[_Draw], specs, c_values):
-    """Gaps rhs - 1/2 <J - M, K> of same-dimension draws, as one stack.
-
-    Frames are built from the Gaussian draws as ``Frame.random`` builds
-    them; K is that of the rotated tensor.
-    """
+    """The gaps of same-dimension draws, computed as one stack; frames are
+    built from the Gaussian draws as ``Frame.random`` builds them."""
     T = _dense_from_values(n, np.stack([d.values for d in draws]))
     R = _haar_rows(np.stack([d.gauss for d in draws]))
-    terms = [_partition_terms(specs[d.partition]) for d in draws]
+    terms = [_gap_terms(specs[d.partition]) for d in draws]
     a = np.array([t[0] for t in terms])
     b = np.array([t[1] for t in terms])
     off_block = np.stack([t[2] for t in terms])
     c = np.array([c_values[d.c] for d in draws])
-    K = _sectional_matrix(_rotate_dense(T, R), c)
-    rhs = a * _mean_curvature_sq_dense(T) + b * c
-    return rhs - 0.5 * np.einsum("sij,sij->s", off_block, K)
+    return _frame_gaps(T, R, c, a, b, off_block)
 
 
 def run_campaign(config: CampaignConfig) -> Iterable[SampleResult]:

@@ -41,11 +41,11 @@ from .tensors import (
     CubicForm,
     Frame,
     PartitionSpec,
+    _mean_curvature_sq_dense,
     _rotate_dense,
     _sectional_matrix,
     _tau_dense,
     ambient_value,
-    mean_curvature_sq,
     scalar_curvature,
 )
 
@@ -359,6 +359,28 @@ def delta_invariant(
     )
 
 
+@lru_cache(maxsize=None)
+def _gap_terms(P: PartitionSpec):
+    """Float a and b of the optimal bound for P, and the off-block mask J - M."""
+    from .bounds import optimal_coefficients
+
+    coeffs = optimal_coefficients(P)
+    off_block = 1.0 - _block_mask(P)
+    off_block.flags.writeable = False
+    return float(coeffs.a), float(coeffs.b), off_block
+
+
+def _frame_gaps(T, R, cval, a, b, off_block):
+    """rhs - 1/2 <J - M, K> for the tensor T in the frame R.
+
+    Every argument may instead be a stack with one leading axis: tensors,
+    frames, c, a, b and masks of many samples, one gap each.
+    """
+    K = _sectional_matrix(_rotate_dense(T, R), cval)
+    rhs = a * _mean_curvature_sq_dense(T) + b * cval
+    return rhs - 0.5 * (off_block * K).sum(axis=(-2, -1))
+
+
 def universal_check(h: CubicForm, c, P: PartitionSpec, R: Frame) -> float:
     """Gap of the optimal bound at one frame.
 
@@ -367,12 +389,8 @@ def universal_check(h: CubicForm, c, P: PartitionSpec, R: Frame) -> float:
     delta as a universal statement over subspace tuples.  tau minus the
     block taus is 1/2 <J - M, K> for the K of the rotated tensor.
     """
-    from .bounds import optimal_coefficients, rhs_value
-
     _check_partition(h, P)
     if R.n != h.n:
         raise DimensionMismatch(f"frame n={R.n} does not match tensor n={h.n}")
     cval = ambient_value(c)
-    K = _sectional_matrix(_rotate_dense(h.dense_view, R.matrix), cval)
-    rhs = rhs_value(optimal_coefficients(P), mean_curvature_sq(h), cval)
-    return rhs - 0.5 * float(((1.0 - _block_mask(P)) * K).sum())
+    return float(_frame_gaps(h.dense_view, R.matrix, cval, *_gap_terms(P)))

@@ -114,10 +114,12 @@ def _dense_from_values(n: int, values):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise InvariantViolation("non-finite tensor entry")
-    # C order, so each tensor's layout and hence its summation order does
-    # not depend on how many tensors are stacked with it
+    # np.take writes C order, where indexing with values[..., positions]
+    # would make the stack axis the fastest; so each tensor's layout, and
+    # with it the summation order of later kernels, does not depend on how
+    # many tensors are stacked with it
     dense = np.take(values, _triple_positions(n), axis=-1)
-    return np.ascontiguousarray(dense).reshape(values.shape[:-1] + (n, n, n))
+    return dense.reshape(values.shape[:-1] + (n, n, n))
 
 
 def _symmetrize_dense(arr):
@@ -409,12 +411,12 @@ def _qr_rows(arr):
     ``arr`` is one (n, n) array or a stack (..., n, n) of them.  Flipping
     each column of Q to make diag R nonnegative gives the rows Gram-Schmidt
     of the rows of ``arr`` would; |R_ii| is row i's residual norm against
-    the rows before it.  The rows are orthonormal however small it is.
+    the rows before it.  The rows are orthonormal however small |R_ii| is.
     """
-    Q, R = np.linalg.qr(np.swapaxes(arr, -1, -2))
+    Q, R = np.linalg.qr(arr.swapaxes(-1, -2))
     diag = np.diagonal(R, axis1=-2, axis2=-1)
     signs = np.where(diag < 0.0, -1.0, 1.0)
-    return np.swapaxes(Q * signs[..., None, :], -1, -2), diag
+    return (Q * signs[..., None, :]).swapaxes(-1, -2), diag
 
 
 def _orthonormalize_rows(arr):
@@ -437,11 +439,11 @@ def _haar_rows(gauss):
     """Haar-distributed orthogonal rows from standard normal (..., n, n)
     draws: the rows are the orthonormalized columns of each draw.
 
-    No rank test: a Gaussian draw is as likely to be nearly singular as
-    any other (|R_nn| < 1e-6 about once in a million frames), and its Q is
-    orthonormal all the same.
+    No rank test: about one draw in a million has some |R_ii| below the
+    rank tolerance, and its Q is orthonormal all the same, so such a draw
+    is a valid sample, not an error.
     """
-    return _qr_rows(np.swapaxes(gauss, -1, -2))[0]
+    return _qr_rows(gauss.swapaxes(-1, -2))[0]
 
 
 class Frame:
@@ -527,7 +529,7 @@ def rotate(h: CubicForm, frame: Frame) -> CubicForm:
 def _mean_curvature_sq_dense(T):
     """(1/n^2) sum_C (sum_A T_{AAC})^2 of an (n, n, n) array or a stack."""
     traces = np.einsum("...aac->...c", T)[..., None, :]
-    return (traces @ np.swapaxes(traces, -1, -2))[..., 0, 0] / T.shape[-1] ** 2
+    return (traces @ traces.swapaxes(-1, -2))[..., 0, 0] / T.shape[-1] ** 2
 
 
 def mean_curvature_sq(h: CubicForm) -> float:
@@ -545,10 +547,9 @@ def _sectional_matrix(T, cval):
     K.  The diagonal, zero in exact arithmetic, is set to zero.
     """
     D = np.einsum("...iic->...ic", T)
-    K = D @ np.swapaxes(D, -1, -2) - np.einsum("...ijc,...ijc->...ij", T, T)
+    K = D @ D.swapaxes(-1, -2) - np.einsum("...ijc,...ijc->...ij", T, T)
     K += np.asarray(cval, dtype=float)[..., None, None]
-    diag = np.arange(K.shape[-1])
-    K[..., diag, diag] = 0.0
+    np.einsum("...ii->...i", K)[...] = 0.0  # a writeable view of the diagonal
     return K
 
 

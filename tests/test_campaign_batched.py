@@ -114,10 +114,13 @@ def test_nearly_singular_gaussian_draw_still_gives_a_row():
     assert abs(gap - want.gap) <= RTOL * max(1.0, abs(want.gap))
 
 
-def test_rows_do_not_depend_on_the_sample_count():
-    big = list(run_campaign(CampaignConfig(seed=12, samples=_CHUNK + 100, n_range=(3, 12))))
-    for k in (1, 2, 37, _CHUNK, _CHUNK + 1):
-        small = CampaignConfig(seed=12, samples=k, n_range=(3, 12))
+@pytest.mark.parametrize("seed", [9, 12])
+def test_rows_do_not_depend_on_the_sample_count(seed):
+    """A row is the same bits whatever else shares its chunk: samples = k
+    gives the first k rows of a longer campaign."""
+    big = list(run_campaign(CampaignConfig(seed=seed, samples=_CHUNK + 100, n_range=(3, 12))))
+    for k in (1, 2, 37, 100, _CHUNK, _CHUNK + 1):
+        small = CampaignConfig(seed=seed, samples=k, n_range=(3, 12))
         assert list(run_campaign(small)) == big[:k]
 
 
