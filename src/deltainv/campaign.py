@@ -7,11 +7,13 @@ a campaign with master seed s draws from its own generator seeded by the
 seed sequence (s, i), so any sample can be reproduced in isolation and
 identical configurations produce byte-identical CSV output.
 
-The arithmetic is done on stacked arrays: the draws of up to ``_CHUNK``
-consecutive samples are grouped by dimension, and each group takes one
-dense build, one stacked QR for its frames, one stacked rotation and one
-stacked sectional-curvature matrix.  Rows are still yielded in sample
-order, and memory stays bounded by the chunk whatever the sample count.
+Samples are drawn ``_CHUNK`` at a time.  Each sample's tensor comes from
+``random_cubic_form`` and its gap from ``universal_check``, the functions
+a single sample is reproduced with; the frames of a chunk's samples of
+one dimension come from one stacked QR of their Gaussian draws, bit for
+bit the frames ``Frame.random`` would build one at a time.  Rows are
+yielded in sample order, and memory stays bounded by the chunk whatever
+the sample count.
 """
 
 from __future__ import annotations
@@ -25,22 +27,22 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .bounds import GAP_TOL
-from .delta import _frame_gaps, _gap_terms
+from .delta import universal_check
 from .errors import FormatError, InadmissiblePartition
 from .tensors import (
+    CubicForm,
+    Frame,
     PartitionSpec,
     _as_integer,
-    _canonical_triples,
-    _dense_from_values,
     _haar_rows,
     enumerate_partitions,
+    random_cubic_form,
 )
 
 SAMPLE_CSV_COLUMNS = ["index", "seed", "n", "partition", "c", "gap"]
 
-# Samples whose draws are stacked and checked together.  One stacked
-# (_CHUNK, 12, 12, 12) tensor array is 14 MB, which bounds the memory a
-# campaign holds at any sample count.
+# Samples drawn together, whose frames are orthonormalized by stacked QRs;
+# a chunk's draws are what a campaign holds at any sample count.
 _CHUNK = 1024
 
 
@@ -169,12 +171,12 @@ def _partition_pool(config: CampaignConfig) -> dict[int, list[PartitionSpec]]:
 
 class _Draw(NamedTuple):
     """One sample's draws: dimension, partition and c as indices into the
-    pool and the config, canonical tensor values and a Gaussian matrix."""
+    pool and the config, the tensor and a Gaussian matrix for the frame."""
 
     n: int
     partition: int
     c: int
-    values: np.ndarray
+    h: CubicForm
     gauss: np.ndarray
 
 
@@ -185,45 +187,38 @@ def _draw(config: CampaignConfig, pool, i: int) -> _Draw:
     n = int(rng.integers(lo, hi + 1))
     p = int(rng.integers(len(pool[n])))
     ci = int(rng.integers(len(config.c_values)))
-    scale = config.tensor_scale
-    values = rng.uniform(-scale, scale, size=len(_canonical_triples(n)))
-    return _Draw(n, p, ci, values, rng.standard_normal((n, n)))
+    h = random_cubic_form(n, config.tensor_scale, rng)
+    return _Draw(n, p, ci, h, rng.standard_normal((n, n)))
 
 
-def _stacked_gaps(n: int, draws: list[_Draw], specs, c_values):
-    """The gaps of same-dimension draws, computed as one stack; frames are
-    built from the Gaussian draws as ``Frame.random`` builds them."""
-    T = _dense_from_values(n, np.stack([d.values for d in draws]))
-    R = _haar_rows(np.stack([d.gauss for d in draws]))
-    terms = [_gap_terms(specs[d.partition]) for d in draws]
-    a = np.array([t[0] for t in terms])
-    b = np.array([t[1] for t in terms])
-    off_block = np.stack([t[2] for t in terms])
-    c = np.array([c_values[d.c] for d in draws])
-    return _frame_gaps(T, R, c, a, b, off_block)
+def _chunk_rows(config: CampaignConfig, pool, indices) -> Iterable[SampleResult]:
+    """The rows of the listed samples, in order."""
+    draws = [_draw(config, pool, i) for i in indices]
+    frames = [None] * len(draws)
+    for n in {d.n for d in draws}:
+        group = [j for j, d in enumerate(draws) if d.n == n]
+        rows = _haar_rows(np.stack([draws[j].gauss for j in group]))
+        for j, Q in zip(group, rows):
+            frames[j] = Frame._of_rows(Q)
+    for i, d, R in zip(indices, draws, frames):
+        P = pool[d.n][d.partition]
+        c = config.c_values[d.c]
+        yield SampleResult(
+            index=i,
+            seed=(config.seed, i),
+            n=d.n,
+            partition=P.blocks,
+            c=c,
+            gap=universal_check(d.h, c, P, R),
+        )
 
 
 def run_campaign(config: CampaignConfig) -> Iterable[SampleResult]:
     """Generate the campaign rows in sample order."""
     pool = _partition_pool(config)
     for start in range(0, config.samples, _CHUNK):
-        indices = range(start, min(start + _CHUNK, config.samples))
-        draws = [_draw(config, pool, i) for i in indices]
-        gaps = np.empty(len(draws))
-        for n in sorted({d.n for d in draws}):
-            rows = [j for j, d in enumerate(draws) if d.n == n]
-            gaps[rows] = _stacked_gaps(
-                n, [draws[j] for j in rows], pool[n], config.c_values
-            )
-        for i, d, gap in zip(indices, draws, gaps.tolist()):
-            yield SampleResult(
-                index=i,
-                seed=(config.seed, i),
-                n=d.n,
-                partition=pool[d.n][d.partition].blocks,
-                c=config.c_values[d.c],
-                gap=gap,
-            )
+        stop = min(start + _CHUNK, config.samples)
+        yield from _chunk_rows(config, pool, range(start, stop))
 
 
 def campaign_csv(rows: Iterable[SampleResult], summary: CampaignSummary) -> str:

@@ -41,11 +41,11 @@ from .tensors import (
     CubicForm,
     Frame,
     PartitionSpec,
-    _mean_curvature_sq_dense,
     _rotate_dense,
     _sectional_matrix,
     _tau_dense,
     ambient_value,
+    mean_curvature_sq,
     scalar_curvature,
 )
 
@@ -370,17 +370,6 @@ def _gap_terms(P: PartitionSpec):
     return float(coeffs.a), float(coeffs.b), off_block
 
 
-def _frame_gaps(T, R, cval, a, b, off_block):
-    """rhs - 1/2 <J - M, K> for the tensor T in the frame R.
-
-    Every argument may instead be a stack with one leading axis: tensors,
-    frames, c, a, b and masks of many samples, one gap each.
-    """
-    K = _sectional_matrix(_rotate_dense(T, R), cval)
-    rhs = a * _mean_curvature_sq_dense(T) + b * cval
-    return rhs - 0.5 * (off_block * K).sum(axis=(-2, -1))
-
-
 def universal_check(h: CubicForm, c, P: PartitionSpec, R: Frame) -> float:
     """Gap of the optimal bound at one frame.
 
@@ -393,4 +382,7 @@ def universal_check(h: CubicForm, c, P: PartitionSpec, R: Frame) -> float:
     if R.n != h.n:
         raise DimensionMismatch(f"frame n={R.n} does not match tensor n={h.n}")
     cval = ambient_value(c)
-    return float(_frame_gaps(h.dense_view, R.matrix, cval, *_gap_terms(P)))
+    a, b, off_block = _gap_terms(P)
+    K = _sectional_matrix(_rotate_dense(h.dense_view, R.matrix), cval)
+    rhs = a * mean_curvature_sq(h) + b * cval
+    return float(rhs - 0.5 * (off_block * K).sum())

@@ -109,17 +109,14 @@ def _triple_positions(n: int):
 
 
 def _dense_from_values(n: int, values):
-    """(..., n, n, n) tensors from (..., len(_canonical_triples(n))) values
-    listed in canonical triple order."""
-    values = np.asarray(values, dtype=float)
+    """Read-only (n, n, n) tensor from values listed in canonical triple
+    order; a zero value, -0.0 included, is stored as 0.0."""
+    values = np.asarray(values, dtype=float) + 0.0
     if not np.all(np.isfinite(values)):
         raise InvariantViolation("non-finite tensor entry")
-    # np.take writes C order, where indexing with values[..., positions]
-    # would make the stack axis the fastest; so each tensor's layout, and
-    # with it the summation order of later kernels, does not depend on how
-    # many tensors are stacked with it
-    dense = np.take(values, _triple_positions(n), axis=-1)
-    return dense.reshape(values.shape[:-1] + (n, n, n))
+    dense = values[_triple_positions(n)].reshape(n, n, n)
+    dense.flags.writeable = False
+    return dense
 
 
 def _symmetrize_dense(arr):
@@ -158,12 +155,19 @@ class CubicForm:
                     f"equivalent entry ({seen[triple]} vs {v})"
                 )
             seen[triple] = v
-        # a zero entry, -0.0 included, is stored as 0.0
-        values = [seen.get(t, 0.0) or 0.0 for t in _canonical_triples(n)]
-        dense = _dense_from_values(n, values)
-        dense.flags.writeable = False
+        self._set_dense(n, [seen.get(t, 0.0) for t in _canonical_triples(n)])
+
+    def _set_dense(self, n: int, values):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_dense", _dense_from_values(n, values))
+
+    @classmethod
+    def _of_values(cls, n: int, values) -> "CubicForm":
+        """From values listed in canonical triple order, so no triple needs
+        the checks ``__init__`` makes; values must still be finite."""
+        h = object.__new__(cls)
+        h._set_dense(_check_dimension(n), values)
+        return h
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicForm is immutable")
@@ -285,9 +289,8 @@ def symmetrize(raw: Mapping, n: int) -> CubicForm:
 
 def random_cubic_form(n: int, scale: float, rng: np.random.Generator) -> CubicForm:
     """I.i.d. uniform entries on [-scale, scale] over canonical triples."""
-    triples = _canonical_triples(n)
-    values = rng.uniform(-scale, scale, size=len(triples))
-    return CubicForm(n, dict(zip(triples, values)))
+    values = rng.uniform(-scale, scale, size=len(_canonical_triples(n)))
+    return CubicForm._of_values(n, values)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +482,13 @@ class Frame:
     def random(cls, n: int, rng: np.random.Generator) -> "Frame":
         """Haar-distributed orthogonal frame, orthonormalized once."""
         _check_dimension(n)
+        return cls._of_rows(_haar_rows(rng.standard_normal((n, n))))
+
+    @classmethod
+    def _of_rows(cls, Q) -> "Frame":
+        """A frame of rows that are already orthonormal, taken as they are."""
         frame = object.__new__(cls)
-        frame._set_rows(_haar_rows(rng.standard_normal((n, n))))
+        frame._set_rows(Q)
         return frame
 
     @property
@@ -502,16 +510,14 @@ class Frame:
 def _rotate_dense(T, R):
     """new_{ABC} = sum R_{Aa} R_{Bb} R_{Cc} T_{abc} for (..., n, n, n) T.
 
-    R is (n, n) or a matching stack (..., n, n).  Each of the three passes
-    contracts the leading tensor axis by one matmul and moves the new axis
-    to the back.
+    R is (n, n) or a matching stack (..., n, n).  Three matmuls and no
+    transposed copies: R on the first axis, R^T from the right on the last
+    axis, then R on the middle axis, broadcast over the first.
     """
     n = T.shape[-1]
-    X = T
-    for _ in range(3):
-        Y = R @ X.reshape(X.shape[:-3] + (n, n * n))
-        X = np.moveaxis(Y.reshape(Y.shape[:-2] + (n, n, n)), -3, -1)
-    return X
+    R1 = R[..., None, :, :]
+    X = (R @ T.reshape(T.shape[:-3] + (n, n * n))).reshape(T.shape)
+    return R1 @ (X @ R1.swapaxes(-1, -2))
 
 
 def rotate(h: CubicForm, frame: Frame) -> CubicForm:
@@ -526,15 +532,10 @@ def rotate(h: CubicForm, frame: Frame) -> CubicForm:
 # ---------------------------------------------------------------------------
 
 
-def _mean_curvature_sq_dense(T):
-    """(1/n^2) sum_C (sum_A T_{AAC})^2 of an (n, n, n) array or a stack."""
-    traces = np.einsum("...aac->...c", T)[..., None, :]
-    return (traces @ traces.swapaxes(-1, -2))[..., 0, 0] / T.shape[-1] ** 2
-
-
 def mean_curvature_sq(h: CubicForm) -> float:
     """Squared mean curvature (1/n^2) sum_C (sum_A h_{AAC})^2."""
-    return float(_mean_curvature_sq_dense(h.dense_view))
+    traces = np.einsum("aac->c", h.dense_view)
+    return float(traces @ traces) / h.n**2
 
 
 def _sectional_matrix(T, cval):

@@ -1,10 +1,10 @@
-"""The stacked campaign against the per-sample loop it replaced.
+"""The chunked campaign against the per-sample loop.
 
 ``run_campaign`` draws every sample from its own seeded generator, in the
-same order as the loop below, and then computes tensors, frames and gaps
-for a chunk of samples at once.  The loop builds one ``CubicForm`` and one
-``Frame`` per sample and calls ``universal_check``; its sums run in another
-order, so gaps agree to 1e-12 relative (floored at 1), not bit for bit.
+same order as the loop below, and orthonormalizes the Gaussian draws of a
+chunk's samples of one dimension by one stacked QR.  The loop builds one
+``Frame.random`` per sample.  Both call ``random_cubic_form`` and
+``universal_check``, so their rows agree bit for bit, NaN gaps included.
 """
 
 import math
@@ -19,14 +19,11 @@ from deltainv.campaign import (
     _CHUNK,
     CampaignConfig,
     SampleResult,
+    _chunk_rows,
     _draw,
     _partition_pool,
-    _stacked_gaps,
     run_campaign,
 )
-
-RTOL = 1e-12
-
 
 def _per_sample_row(config, pool, i):
     """Sample i alone: one tensor, one frame, one ``universal_check``."""
@@ -63,7 +60,7 @@ def _assert_rows_match(rows, ref):
         if math.isnan(want.gap):
             assert math.isnan(row.gap), row
         else:
-            assert abs(row.gap - want.gap) <= RTOL * max(1.0, abs(want.gap)), row
+            assert row.gap == want.gap, row
 
 
 @pytest.mark.parametrize(
@@ -94,7 +91,7 @@ def _assert_rows_match(rows, ref):
         "2chunks",
     ],
 )
-def test_stacked_campaign_matches_per_sample_loop(config):
+def test_chunked_campaign_matches_per_sample_loop(config):
     config = CampaignConfig(**config)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = list(run_campaign(config))
@@ -109,9 +106,8 @@ def test_nearly_singular_gaussian_draw_still_gives_a_row():
     pool = _partition_pool(config)
     d = _draw(config, pool, 166_390)
     assert np.min(np.abs(np.diag(np.linalg.qr(d.gauss)[1]))) < 1e-6
-    (gap,) = _stacked_gaps(d.n, [d], pool[d.n], config.c_values)
-    want = _per_sample_row(config, pool, 166_390)
-    assert abs(gap - want.gap) <= RTOL * max(1.0, abs(want.gap))
+    (row,) = _chunk_rows(config, pool, [166_390])
+    assert row == _per_sample_row(config, pool, 166_390)
 
 
 @pytest.mark.parametrize("seed", [9, 12])
