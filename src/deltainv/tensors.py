@@ -108,17 +108,6 @@ def _triple_positions(n: int):
     )
 
 
-def _dense_from_values(n: int, values):
-    """Read-only (n, n, n) tensor from values listed in canonical triple
-    order; a zero value, -0.0 included, is stored as 0.0."""
-    values = np.asarray(values, dtype=float) + 0.0
-    if not np.all(np.isfinite(values)):
-        raise InvariantViolation("non-finite tensor entry")
-    dense = values[_triple_positions(n)].reshape(n, n, n)
-    dense.flags.writeable = False
-    return dense
-
-
 def _symmetrize_dense(arr):
     """Average of an (m, m, m) array over the six permutations of its axes."""
     return (
@@ -158,13 +147,18 @@ class CubicForm:
         self._set_dense(n, [seen.get(t, 0.0) for t in _canonical_triples(n)])
 
     def _set_dense(self, n: int, values):
+        """Store finite values listed in canonical triple order as the dense
+        array; a zero value, -0.0 included, is stored as 0.0."""
+        values = np.asarray(values, dtype=float) + 0.0
+        dense = values[_triple_positions(n)].reshape(n, n, n)
+        dense.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_dense", _dense_from_values(n, values))
+        object.__setattr__(self, "_dense", dense)
 
     @classmethod
     def _of_values(cls, n: int, values) -> "CubicForm":
-        """From values listed in canonical triple order, so no triple needs
-        the checks ``__init__`` makes; values must still be finite."""
+        """From finite values listed in canonical triple order, so no triple
+        needs the checks ``__init__`` makes."""
         h = object.__new__(cls)
         h._set_dense(_check_dimension(n), values)
         return h

@@ -340,6 +340,26 @@ def test_frame_random_orthonormalizes_the_draw_once():
     assert np.array_equal(F.matrix, (q * np.sign(np.diag(r))).T)
 
 
+def test_random_cubic_form_equals_the_checked_constructor():
+    """random_cubic_form skips the per-triple checks of CubicForm(n, entries);
+    its tensor must be the one those checks build from the same draws."""
+    from deltainv.tensors import _canonical_triples
+
+    for n in (2, 3, 7, 12):
+        h = random_cubic_form(n, 1.5, np.random.default_rng(n))
+        triples = _canonical_triples(n)
+        values = np.random.default_rng(n).uniform(-1.5, 1.5, size=len(triples))
+        want = CubicForm(n, dict(zip(triples, values)))
+        assert np.array_equal(h.dense_view, want.dense_view)
+        assert not h.dense_view.flags.writeable
+
+
+def test_negative_zero_entries_are_stored_as_zero():
+    h = CubicForm(3, {(1, 2, 3): -0.0, (1, 1, 1): 2.0})
+    assert not np.signbit(h.dense_view).any()
+    assert h.entries == {(1, 1, 1): 2.0}
+
+
 def test_frame_random_accepts_a_nearly_singular_draw():
     class NearlySingular:
         def standard_normal(self, shape):
