@@ -232,6 +232,10 @@ def evaluate(h: CubicForm, c, P: PartitionSpec, opts=None) -> InequalityReport:
     always present.  ``sharp`` is set when the applicable optimal bound is
     attained within SHARP_TOL.
     """
+    # The one lazy import in the package: delta imports this module at load
+    # time for optimal_coefficients.  Moving delta_invariant or evaluate to
+    # break the cycle would change the module names perfbench/tracer.py
+    # traces them under.
     from .delta import delta_invariant
 
     cval = ambient_value(c)

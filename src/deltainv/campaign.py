@@ -30,6 +30,8 @@ from .bounds import GAP_TOL
 from .delta import universal_check
 from .errors import FormatError, InadmissiblePartition
 from .tensors import (
+    MAX_DIMENSION,
+    MIN_DIMENSION,
     CubicForm,
     Frame,
     PartitionSpec,
@@ -65,8 +67,11 @@ class CampaignConfig:
         if self.samples < 1:
             raise FormatError("samples must be >= 1")
         lo, hi = (_as_integer(v, "n_range") for v in self.n_range)
-        if not (2 <= lo <= hi <= 12):
-            raise FormatError(f"n_range must lie within [2, 12], got {self.n_range}")
+        if not (MIN_DIMENSION <= lo <= hi <= MAX_DIMENSION):
+            raise FormatError(
+                f"n_range must lie within [{MIN_DIMENSION}, {MAX_DIMENSION}], "
+                f"got {self.n_range}"
+            )
         object.__setattr__(self, "n_range", (lo, hi))
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
         if not self.c_values:

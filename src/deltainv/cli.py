@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .bounds import evaluate
 from .campaign import CampaignConfig, CampaignSummary, campaign_csv, run_campaign
-from .delta import OptimizerOptions, delta_invariant
+from .delta import DEFAULT_SEED, OptimizerOptions, delta_invariant
 from .equality import EqualityParamsT1, EqualityParamsT2, build_t1, build_t2
 from .errors import DeltainvError, FormatError
 from .immersion import (
@@ -49,11 +49,13 @@ from .tensors import CubicForm, PartitionSpec
 
 SEED_ENV = "DELTAINV_SEED"
 
+_OPTIMIZER_DEFAULTS = OptimizerOptions()
+
 
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV)
     if raw is None:
-        return 0
+        return DEFAULT_SEED
     try:
         return int(raw)
     except ValueError:
@@ -92,11 +94,11 @@ def _optimizer_options(args) -> OptimizerOptions:
 
 
 def _add_optimizer_flags(parser):
-    parser.add_argument("--restarts", type=int, default=16)
-    parser.add_argument("--max-iters", type=int, default=500)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--restarts", type=int, default=_OPTIMIZER_DEFAULTS.restarts)
+    parser.add_argument("--max-iters", type=int, default=_OPTIMIZER_DEFAULTS.max_iters)
+    parser.add_argument("--tol", type=float, default=_OPTIMIZER_DEFAULTS.tol)
     parser.add_argument("--seed", type=int, default=None,
-                        help=f"defaults to ${SEED_ENV} or 0")
+                        help=f"defaults to ${SEED_ENV} or {DEFAULT_SEED}")
 
 
 def cmd_delta(args) -> int:
@@ -130,8 +132,9 @@ def cmd_matrix(args) -> int:
     P = PartitionSpec(args.n, _parse_partition(args.partition))
     try:
         C = Fraction(args.C)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"cannot parse coefficient {args.C!r}")
+        float(C)  # the matrices are floats, so C must fit in one
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise FormatError(f"cannot parse coefficient {args.C!r} as a finite number")
     bundle = build_M(P, args.ell, C)
     psd, eig_min = psd_verdict(bundle)
     out = {
@@ -191,7 +194,12 @@ def cmd_construct_equality(args) -> int:
 def cmd_immersion_check(args) -> int:
     a = _load_tensor(args.tensor)
     if args.at is not None:
-        x = np.asarray(_load_json(args.at), dtype=float)
+        try:
+            x = np.asarray(_load_json(args.at), dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise FormatError(f"{args.at} must hold a list of numbers")
+        if not np.all(np.isfinite(x)):
+            raise FormatError(f"{args.at} holds a non-finite coordinate")
     else:
         x = np.zeros(a.n)
     f = potential_from_tensor(a)
@@ -285,8 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # overflow in a huge but finite input gives a non-finite gap, which the
+    # exit code and the reports already count as a violation
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except DeltainvError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)

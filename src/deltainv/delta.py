@@ -36,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bounds import optimal_coefficients
 from .errors import DimensionMismatch, InadmissiblePartition
 from .tensors import (
     CubicForm,
@@ -210,8 +211,8 @@ def delta_coordinate_oracle(h: CubicForm, c, P: PartitionSpec) -> DeltaResult:
 
 def _block_mask(P: PartitionSpec) -> np.ndarray:
     """0/1 (n, n) mask M with M_ij = 1 when i and j share a leading block."""
-    owner = np.repeat(np.arange(P.k + 1), P.blocks + (P.residual,))
-    return ((owner[:, None] == owner) & (owner < P.k)).astype(float)
+    own = P.owner
+    return ((own[:, None] == own) & (own < P.k)).astype(float)
 
 
 def _block_tau_h(H, M) -> float:
@@ -302,10 +303,7 @@ def _oracle_start_frame(P: PartitionSpec, assignment) -> np.ndarray:
     """Permutation moving the oracle's index sets onto the leading blocks."""
     order = [v - 1 for block in assignment for v in block]
     order += [v for v in range(P.n) if v not in order]
-    R = np.zeros((P.n, P.n))
-    for row, col in enumerate(order):
-        R[row, col] = 1.0
-    return R
+    return np.eye(P.n)[order]
 
 
 def delta_invariant(
@@ -362,8 +360,6 @@ def delta_invariant(
 @lru_cache(maxsize=None)
 def _gap_terms(P: PartitionSpec):
     """Float a and b of the optimal bound for P, and the off-block mask J - M."""
-    from .bounds import optimal_coefficients
-
     coeffs = optimal_coefficients(P)
     off_block = 1.0 - _block_mask(P)
     off_block.flags.writeable = False

@@ -33,6 +33,7 @@ structural conditions are stated at a minimizing tuple.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -57,10 +58,26 @@ class Violation:
         return f"{self.bullet} at {self.indices}: residual {self.residual:.3e}"
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantViolation(f"{what} must hold numbers, got {values!r}")
+
+
+def _per_block(values, k: int, what: str) -> Sequence:
+    """The k per-block items of ``values``; None stands for k Nones."""
+    if values is None:
+        return [None] * k
+    if not isinstance(values, (list, tuple)) or len(values) != k:
+        raise InvariantViolation(f"expected a list of {k} {what}, got {values!r}")
+    return values
+
+
 def _as_block_array(values, size: int, what: str):
     if values is None:
         return np.zeros((size, size, size))
-    arr = np.asarray(values, dtype=float)
+    arr = _float_array(values, what)
     if arr.shape != (size, size, size):
         raise InvariantViolation(
             f"{what} must have shape {(size, size, size)}, got {arr.shape}"
@@ -71,6 +88,24 @@ def _as_block_array(values, size: int, what: str):
     if float(np.max(np.abs(arr - sym))) > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
         raise InvariantViolation(f"{what} is not symmetric")
     return arr
+
+
+def _block_arrays(P: PartitionSpec, values, free_trace):
+    """Validated in-block arrays, one per leading block, and their partial
+    traces; a block whose size is not in ``free_trace`` must be traceless."""
+    arrays, traces = [], []
+    raw = _per_block(values, P.k, "in-block arrays")
+    for i, (size, value) in enumerate(zip(P.blocks, raw), start=1):
+        arr = _as_block_array(value, size, f"in-block array {i}")
+        tr = _partial_traces(arr)
+        if size not in free_trace and float(np.max(np.abs(tr))) > TRACE_TOL:
+            raise InvariantViolation(
+                f"in-block array {i} (block size {size}) must be traceless, "
+                f"got partial traces {tr}"
+            )
+        arrays.append(arr)
+        traces.append(tr)
+    return tuple(arrays), tuple(traces)
 
 
 def _partial_traces(block_arr) -> np.ndarray:
@@ -102,25 +137,14 @@ class EqualityParamsT1:
             raise InadmissiblePartition(
                 "non-saturating equality tensors need a nonempty residual block"
             )
-        lambdas = tuple(float(v) for v in self.lambdas)
-        if len(lambdas) != self.P.residual:
+        lambdas = _float_array(self.lambdas, "lambdas")
+        if lambdas.shape != (self.P.residual,):
             raise InvariantViolation(
-                f"expected {self.P.residual} lambda values, got {len(lambdas)}"
+                f"expected {self.P.residual} lambda values, got shape {lambdas.shape}"
             )
-        object.__setattr__(self, "lambdas", lambdas)
-        raw = self.inblock if self.inblock is not None else [None] * self.P.k
-        if len(raw) != self.P.k:
-            raise InvariantViolation(f"expected {self.P.k} in-block arrays")
-        arrays = []
-        for i, (size, values) in enumerate(zip(self.P.blocks, raw), start=1):
-            arr = _as_block_array(values, size, f"in-block array {i}")
-            traces = _partial_traces(arr)
-            if float(np.max(np.abs(traces))) > TRACE_TOL:
-                raise InvariantViolation(
-                    f"in-block array {i} has nonzero partial traces {traces}"
-                )
-            arrays.append(arr)
-        object.__setattr__(self, "inblock", tuple(arrays))
+        object.__setattr__(self, "lambdas", tuple(float(v) for v in lambdas))
+        arrays, _ = _block_arrays(self.P, self.inblock, free_trace=())
+        object.__setattr__(self, "inblock", arrays)
 
 
 @dataclass(frozen=True)
@@ -142,36 +166,21 @@ class EqualityParamsT2:
             raise InadmissiblePartition(
                 "saturating equality tensors need sum(n_i) = n"
             )
-        raw = self.inblock if self.inblock is not None else [None] * self.P.k
-        if len(raw) != self.P.k:
-            raise InvariantViolation(f"expected {self.P.k} in-block arrays")
-        minimal = min(self.P.blocks)
-        arrays = []
-        derived = []
-        for i, (size, values) in enumerate(zip(self.P.blocks, raw), start=1):
-            arr = _as_block_array(values, size, f"in-block array {i}")
-            tr = _partial_traces(arr)
-            if size != minimal and float(np.max(np.abs(tr))) > TRACE_TOL:
+        arrays, derived = _block_arrays(
+            self.P, self.inblock, free_trace=(min(self.P.blocks),)
+        )
+        given_traces = _per_block(self.traces, self.P.k, "trace vectors")
+        for i, (given, have) in enumerate(zip(given_traces, derived), start=1):
+            if given is None:
+                continue
+            g = _float_array(given, f"declared traces for block {i}")
+            if g.shape != have.shape or not np.all(np.abs(g - have) <= TRACE_TOL):
                 raise InvariantViolation(
-                    f"block {i} is not of minimal size; its partial traces "
-                    f"must vanish, got {tr}"
+                    f"declared traces for block {i} disagree with the "
+                    f"in-block array ({g} vs {have})"
                 )
-            arrays.append(arr)
-            derived.append(tr)
-        if self.traces is not None:
-            if len(self.traces) != self.P.k:
-                raise InvariantViolation(f"expected {self.P.k} trace vectors")
-            for i, (given, have) in enumerate(zip(self.traces, derived), start=1):
-                if given is None:
-                    continue
-                g = np.asarray(given, dtype=float)
-                if g.shape != have.shape or float(np.max(np.abs(g - have))) > TRACE_TOL:
-                    raise InvariantViolation(
-                        f"declared traces for block {i} disagree with the "
-                        f"in-block array ({g} vs {have})"
-                    )
-        object.__setattr__(self, "inblock", tuple(arrays))
-        object.__setattr__(self, "traces", tuple(derived))
+        object.__setattr__(self, "inblock", arrays)
+        object.__setattr__(self, "traces", derived)
 
 
 # ---------------------------------------------------------------------------
@@ -179,65 +188,51 @@ class EqualityParamsT2:
 # ---------------------------------------------------------------------------
 
 
-def build_t1(params: EqualityParamsT1) -> CubicForm:
-    """Assemble the non-saturating equality tensor from its parameters."""
-    P = params.P
-    n = P.n
-    T = np.zeros((n, n, n))
-    residual = P.index_blocks[P.k]
-    leading = P.index_blocks[: P.k]
+def _spread_divisors(P: PartitionSpec) -> np.ndarray:
+    """m_a = n_i + 2 for an index a of leading block i, 3 for a residual one."""
+    return np.append(np.asarray(P.blocks) + 2, 3)[P.owner]
 
-    for arr, block in zip(params.inblock, leading):
-        idx = np.asarray(block) - 1
+
+def _assemble(P: PartitionSpec, inblock, V) -> CubicForm:
+    """The in-block arrays on the leading blocks, then h^x_{aa} = V[x, a]
+    in all three symmetric positions wherever V is nonzero."""
+    own = P.owner
+    T = np.zeros((P.n, P.n, P.n))
+    for i, arr in enumerate(inblock):
+        idx = np.flatnonzero(own == i)
         T[np.ix_(idx, idx, idx)] = arr
-
-    for lam, r in zip(params.lambdas, residual):
-        r0 = r - 1
-        T[r0, r0, r0] = lam
-        for s in residual:
-            if s == r:
-                continue
-            s0 = s - 1
-            for p in ((s0, s0, r0), (s0, r0, s0), (r0, s0, s0)):
-                T[p] = lam / 3.0
-        for size, block in zip(P.blocks, leading):
-            v = lam / (size + 2)
-            for a in block:
-                a0 = a - 1
-                for p in ((a0, a0, r0), (a0, r0, a0), (r0, a0, a0)):
-                    T[p] = v
+    x, a = np.nonzero(V)
+    T[a, a, x] = T[a, x, a] = T[x, a, a] = V[x, a]
     return CubicForm.from_dense(T, atol=1e-12)
+
+
+def build_t1(params: EqualityParamsT1) -> CubicForm:
+    """Assemble the non-saturating equality tensor from its parameters.
+
+    Each residual index r spreads lambda_r as h^r_{aa} = lambda_r / m_a
+    over every other index a, with h^r_{rr} = lambda_r.
+    """
+    P = params.P
+    res = np.flatnonzero(P.owner == P.k)
+    lam = np.asarray(params.lambdas)
+    V = np.zeros((P.n, P.n))
+    V[res] = lam[:, None] / _spread_divisors(P)
+    V[res, res] = lam
+    return _assemble(P, params.inblock, V)
 
 
 def build_t2(params: EqualityParamsT2) -> CubicForm:
-    """Assemble the saturating equality tensor from its parameters."""
+    """Assemble the saturating equality tensor from its parameters.
+
+    Each index b of a minimal-size block spreads its partial trace t_b as
+    h^b_{aa} = t_b / (n_i + 2) over the indices a of every other block i.
+    """
     P = params.P
-    n = P.n
-    T = np.zeros((n, n, n))
-    minimal = min(P.blocks)
-    leading = P.index_blocks[: P.k]
-
-    for arr, block in zip(params.inblock, leading):
-        idx = np.asarray(block) - 1
-        T[np.ix_(idx, idx, idx)] = arr
-
-    for j, (size_j, block_j) in enumerate(zip(P.blocks, leading)):
-        if size_j != minimal:
-            continue
-        for pos, b in enumerate(block_j):
-            t = params.traces[j][pos]
-            if t == 0.0:
-                continue
-            b0 = b - 1
-            for i, (size_i, block_i) in enumerate(zip(P.blocks, leading)):
-                if i == j:
-                    continue
-                v = t / (size_i + 2)
-                for a in block_i:
-                    a0 = a - 1
-                    for p in ((a0, a0, b0), (a0, b0, a0), (b0, a0, a0)):
-                        T[p] = v
-    return CubicForm.from_dense(T, atol=1e-12)
+    own = P.owner
+    sizes = np.asarray(P.blocks)[own]
+    t = np.where(sizes == min(P.blocks), np.concatenate(params.traces), 0.0)
+    V = np.where(own[:, None] != own, t[:, None] / _spread_divisors(P), 0.0)
+    return _assemble(P, params.inblock, V)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +240,10 @@ def build_t2(params: EqualityParamsT2) -> CubicForm:
 # ---------------------------------------------------------------------------
 
 
-def _block_id(P: PartitionSpec):
-    """Map 1-based index -> block number (k+1 for the residual block)."""
-    owner = {}
-    for i, block in enumerate(P.index_blocks, start=1):
-        for v in block:
-            owner[v] = i
-    return owner
+def _flag(out: list, bullet: str, idx0, v, tol: float):
+    """Record a violation at the 0-based indices idx0 when |v| > tol."""
+    if abs(v) > tol:
+        out.append(Violation(bullet, tuple(i + 1 for i in idx0), abs(v)))
 
 
 def check_t1(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Violation]:
@@ -260,58 +252,38 @@ def check_t1(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Vio
         raise InadmissiblePartition(f"partition n={P.n} vs tensor n={h.n}")
     if P.residual < 1:
         raise InadmissiblePartition("checker needs a nonempty residual block")
-    owner = _block_id(P)
-    kp1 = P.k + 1
+    own = P.owner
+    k = P.k
+    m = _spread_divisors(P)
     T = h.dense_view
     out: list[Violation] = []
 
     # bullet 1: three mutually different indices, not all in one leading block
-    for a in range(1, P.n + 1):
-        for b in range(a + 1, P.n + 1):
-            for c in range(b + 1, P.n + 1):
-                same_leading = owner[a] == owner[b] == owner[c] != kp1
-                if same_leading:
-                    continue
-                v = T[a - 1, b - 1, c - 1]
-                if abs(v) > tol:
-                    out.append(Violation("bullet1", (a, b, c), abs(v)))
+    for a, b, c in itertools.combinations(range(P.n), 3):
+        if not own[a] == own[b] == own[c] != k:
+            _flag(out, "bullet1", (a, b, c), T[a, b, c], tol)
 
-    residual = P.index_blocks[P.k]
-    leading = P.index_blocks[: P.k]
+    leading = [a for a in range(P.n) if own[a] < k]
+    residual = [r for r in range(P.n) if own[r] == k]
 
     # bullet 2: cross couplings of leading-block upper indices vanish,
     # in-block partial traces vanish
-    for i, block_i in enumerate(leading, start=1):
-        for a in block_i:
-            for j, block_j in enumerate(leading, start=1):
-                if i == j:
-                    continue
-                for b in block_j:
-                    v = T[a - 1, b - 1, b - 1]
-                    if abs(v) > tol:
-                        out.append(Violation("bullet2-cross", (a, b, b), abs(v)))
-            for r in residual:
-                v = T[a - 1, r - 1, r - 1]
-                if abs(v) > tol:
-                    out.append(Violation("bullet2-residual", (a, r, r), abs(v)))
-            trace = sum(T[a - 1, b - 1, b - 1] for b in block_i)
-            if abs(trace) > tol:
-                out.append(Violation("bullet2-trace", (a,), abs(trace)))
+    for a in leading:
+        for b in range(P.n):
+            if own[b] != own[a]:
+                kind = "bullet2-residual" if own[b] == k else "bullet2-cross"
+                _flag(out, kind, (a, b, b), T[a, b, b], tol)
+        trace = sum(T[a, b, b] for b in range(P.n) if own[b] == own[a])
+        _flag(out, "bullet2-trace", (a,), trace, tol)
 
-    # bullet 3: the residual chain h^r_{rr} = 3 h^r_{ss} = (n_i+2) h^r_{aa}
+    # bullet 3: the residual chain h^r_{rr} = 3 h^r_{ss} = (n_i+2) h^r_{aa},
+    # residual s first, then the leading indices a
     for r in residual:
-        top = T[r - 1, r - 1, r - 1]
-        for s in residual:
-            if s == r:
-                continue
-            v = top - 3.0 * T[r - 1, s - 1, s - 1]
-            if abs(v) > tol:
-                out.append(Violation("bullet3-residual", (r, s, s), abs(v)))
-        for size, block in zip(P.blocks, leading):
-            for a in block:
-                v = top - (size + 2) * T[r - 1, a - 1, a - 1]
-                if abs(v) > tol:
-                    out.append(Violation("bullet3-block", (r, a, a), abs(v)))
+        top = T[r, r, r]
+        for b in residual + leading:
+            if b != r:
+                kind = "bullet3-residual" if own[b] == k else "bullet3-block"
+                _flag(out, kind, (r, b, b), top - m[b] * T[r, b, b], tol)
     return out
 
 
@@ -321,51 +293,31 @@ def check_t2(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Vio
         raise InadmissiblePartition(f"partition n={P.n} vs tensor n={h.n}")
     if P.residual != 0:
         raise InadmissiblePartition("checker needs sum(n_i) = n")
-    owner = _block_id(P)
+    own = P.owner
+    m = _spread_divisors(P)
+    minimal = min(P.blocks)
     T = h.dense_view
     out: list[Violation] = []
-    minimal = min(P.blocks)
-    leading = P.index_blocks[: P.k]
 
     # bullet 1: cross pairs with an unrelated upper index vanish
-    for a in range(1, P.n + 1):
-        for b in range(a + 1, P.n + 1):
-            if owner[a] == owner[b]:
-                continue
-            for A in range(1, P.n + 1):
-                if A in (a, b):
-                    continue
-                v = T[A - 1, a - 1, b - 1]
-                if abs(v) > tol:
-                    out.append(Violation("bullet1", (A, a, b), abs(v)))
+    for a, b in itertools.combinations(range(P.n), 2):
+        if own[a] != own[b]:
+            for A in range(P.n):
+                if A not in (a, b):
+                    _flag(out, "bullet1", (A, a, b), T[A, a, b], tol)
 
-    for j, (size_j, block_j) in enumerate(zip(P.blocks, leading), start=1):
-        for b in block_j:
-            trace = sum(T[b - 1, a - 1, a - 1] for a in block_j)
-            if size_j != minimal:
-                # non-minimal: traceless and decoupled
-                if abs(trace) > tol:
-                    out.append(Violation("nonminimal-trace", (b,), abs(trace)))
-                for i, block_i in enumerate(leading, start=1):
-                    if i == j:
-                        continue
-                    for a in block_i:
-                        v = T[b - 1, a - 1, a - 1]
-                        if abs(v) > tol:
-                            out.append(
-                                Violation("nonminimal-cross", (b, a, a), abs(v))
-                            )
-            else:
-                # minimal: the trace spreads as t/(n_i+2) over other blocks
-                for i, (size_i, block_i) in enumerate(zip(P.blocks, leading), start=1):
-                    if i == j:
-                        continue
-                    for a in block_i:
-                        v = trace - (size_i + 2) * T[b - 1, a - 1, a - 1]
-                        if abs(v) > tol:
-                            out.append(
-                                Violation("minimal-spread", (b, a, a), abs(v))
-                            )
+    for b in range(P.n):
+        others = [a for a in range(P.n) if own[a] != own[b]]
+        trace = sum(T[b, a, a] for a in range(P.n) if own[a] == own[b])
+        if P.blocks[own[b]] != minimal:
+            # non-minimal: traceless and decoupled
+            _flag(out, "nonminimal-trace", (b,), trace, tol)
+            for a in others:
+                _flag(out, "nonminimal-cross", (b, a, a), T[b, a, a], tol)
+        else:
+            # minimal: the trace spreads as t/(n_i+2) over other blocks
+            for a in others:
+                _flag(out, "minimal-spread", (b, a, a), trace - m[a] * T[b, a, a], tol)
     return out
 
 

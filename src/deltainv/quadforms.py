@@ -163,24 +163,13 @@ class QuadraticFormBundle:
         return isinstance(self.C, Fraction)
 
 
-def _fill_blocks(P: PartitionSpec, C: float, distinguished: int | None,
-                 residual_off: float):
-    """Common n x n assembly; ``distinguished`` marks the all-2C block."""
-    n = P.n
-    M = np.full((n, n), 2 * C - 1.0)
-    for i, block in enumerate(P.index_blocks, start=1):
-        if not block:
-            continue
-        idx = np.asarray(block) - 1
-        grid = np.ix_(idx, idx)
-        if i == distinguished:
-            M[grid] = 2 * C
-        elif i == P.k + 1:
-            M[grid] = residual_off
-            M[idx, idx] = 2 * (C + 1.0)
-        else:
-            M[grid] = 2 * C
-            M[idx, idx] = 2 * (C + 1.0)
+def _fill_blocks(P: PartitionSpec, C: float, distinguished: int):
+    """Common n x n assembly: 2C within leading blocks, 2C - 1 elsewhere,
+    and 2(C + 1) on the diagonal outside the all-2C block ``distinguished``
+    (1-based; 0 marks none)."""
+    own = P.owner
+    M = np.where((own[:, None] == own) & (own < P.k), 2 * C, 2 * C - 1.0)
+    M[np.diag_indices(P.n)] = np.where(own + 1 == distinguished, 2 * C, 2 * (C + 1.0))
     return M
 
 
@@ -194,7 +183,7 @@ def build_M(P: PartitionSpec, ell: int, C: Number) -> QuadraticFormBundle:
     """
     ell = _check_ell(P, ell)
     Cf = float(C)
-    M = _fill_blocks(P, Cf, distinguished=ell, residual_off=2 * Cf - 1.0)
+    M = _fill_blocks(P, Cf, distinguished=ell)
     bundle = QuadraticFormBundle(P=P, ell=ell, C=C, M=M)
     bundle.Mprime = reduce_M(bundle)
     bundle.critical_C = critical_C(P, ell, STATEMENT_I)
@@ -215,16 +204,14 @@ def build_statement2_matrix(P: PartitionSpec, t: int, C: Number) -> np.ndarray:
     if t not in residual:
         raise BadBlockIndex(f"t={t} not in the residual block {residual}")
     Cf = float(C)
-    M = _fill_blocks(P, Cf, distinguished=None, residual_off=2 * Cf - 1.0)
+    M = _fill_blocks(P, Cf, distinguished=0)
     M[t - 1, t - 1] = 2 * Cf
     return M
 
 
 def _reduced_dims(P: PartitionSpec) -> list[int]:
-    dims = list(P.blocks)
-    if P.residual >= 1:
-        dims.append(P.residual)
-    return dims
+    """Block sizes, the residual block's last when it is nonempty."""
+    return [m for m in P.blocks + (P.residual,) if m]
 
 
 def _reduced_diagonal(P: PartitionSpec, ell: int, C: Number) -> list[Number]:
@@ -253,13 +240,9 @@ def reduce_M(bundle: QuadraticFormBundle) -> np.ndarray:
     residual position, 2(C + 1/n_i) elsewhere on the diagonal, and 2C - 1
     off the diagonal.  Equals V M V^T for V stacking the v_i.
     """
-    P, ell, C = bundle.P, bundle.ell, float(bundle.C)
-    dims = _reduced_dims(P)
-    size = len(dims)
-    out = np.full((size, size), 2 * C - 1.0)
-    diag = _reduced_diagonal(P, ell, bundle.C)
-    for i in range(size):
-        out[i, i] = float(diag[i])
+    diag = [float(d) for d in _reduced_diagonal(bundle.P, bundle.ell, bundle.C)]
+    out = np.full((len(diag), len(diag)), 2 * float(bundle.C) - 1.0)
+    np.fill_diagonal(out, diag)
     return out
 
 
@@ -329,8 +312,4 @@ def kernel_solution_theorem2(P: PartitionSpec, ell: int):
 def block_average_vectors(P: PartitionSpec) -> np.ndarray:
     """Rows v_i = (1/n_i) * indicator(block i), residual block included."""
     dims = _reduced_dims(P)
-    V = np.zeros((len(dims), P.n))
-    for i, block in enumerate(P.index_blocks[: len(dims)]):
-        idx = np.asarray(block) - 1
-        V[i, idx] = 1.0 / len(block)
-    return V
+    return (np.arange(len(dims))[:, None] == P.owner) / np.array(dims)[:, None]

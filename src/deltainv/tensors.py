@@ -187,12 +187,8 @@ class CubicForm:
         scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
         if float(np.max(np.abs(arr - sym))) > atol * scale:
             raise ConflictingEntry("dense array is not symmetric in its three indices")
-        entries = {}
-        for (a, b, c) in _canonical_triples(n):
-            v = float(sym[a - 1, b - 1, c - 1])
-            if v != 0.0:
-                entries[(a, b, c)] = v
-        return cls(n, entries)
+        a, b, c = (np.array(_canonical_triples(n)) - 1).T
+        return cls._of_values(n, sym[a, b, c])
 
     # -- access ---------------------------------------------------------
 
@@ -364,15 +360,19 @@ class PartitionSpec:
         return self.residual == 0
 
     @property
+    def owner(self) -> np.ndarray:
+        """Block of each 0-based index: 0..k-1 for the leading blocks, k for
+        the residual block; blocks are contiguous and in order."""
+        return np.repeat(np.arange(self.k + 1), self.blocks + (self.residual,))
+
+    @property
     def index_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Contiguous 1-based index blocks, the residual block last (may be empty)."""
-        out = []
-        start = 1
-        for b in self.blocks:
-            out.append(tuple(range(start, start + b)))
-            start += b
-        out.append(tuple(range(start, self.n + 1)))
-        return tuple(out)
+        """1-based index blocks of ``owner``, the residual block last (may be
+        empty)."""
+        own = self.owner.tolist()
+        return tuple(
+            tuple(a + 1 for a in range(self.n) if own[a] == i) for i in range(self.k + 1)
+        )
 
     def label(self) -> str:
         return "+".join(str(b) for b in self.blocks)

@@ -1,6 +1,10 @@
 """Campaign determinism and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,3 +348,86 @@ def test_cli_seed_env_default(tensor_file, capsys, monkeypatch):
         capsys, "delta", tensor_file, "--partition", "2", "--restarts", "4"
     )
     assert code == 2
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, so warnings reach its real stderr."""
+    import deltainv
+
+    env = dict(os.environ, PYTHONPATH=str(Path(deltainv.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "deltainv.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_cli_sample_overflow_keeps_stderr_to_the_summary(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"seed": 1, "samples": 5, "n_range": [3, 4], "tensor_scale": 1e200}
+    ))
+    proc = run_cli_process("sample", "--config", str(cfg))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["violations"] == 5
+
+
+def test_cli_verify_overflow_writes_nothing_to_stderr(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 3, "entries": [
+        {"idx": [1, 1, 1], "value": 1e200},
+        {"idx": [1, 2, 3], "value": -3e199},
+        {"idx": [2, 2, 3], "value": 2e200},
+    ]}))
+    proc = run_cli_process("verify", str(path), "--partition", "2", "--restarts", "3")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "theorem, partition, params",
+    [
+        (1, "2", {"lambdas": 5}),
+        (1, "2", {"lambdas": "ab"}),
+        (1, "2", {"lambdas": [1], "inblock": 7}),
+        (1, "2", {"lambdas": [1], "inblock": [[["a"]]]}),
+        (2, "2,2", {"traces": [[1, "x"], None]}),
+        (2, "2,2", {"traces": [[float("nan"), 0], None]}),
+    ],
+    ids=["scalar-lambdas", "string-lambdas", "scalar-inblock",
+         "string-inblock-entry", "string-trace", "nan-trace"],
+)
+def test_cli_construct_equality_bad_params_is_input_error(
+    tmp_path, capsys, theorem, partition, params
+):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    n = "3" if theorem == 1 else "4"
+    code, out, err = run_cli(
+        capsys, "construct-equality", "--theorem", str(theorem), "--n", n,
+        "--partition", partition, "--params", str(path),
+    )
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "InvariantViolation"
+
+
+@pytest.mark.parametrize(
+    "point",
+    ['{"a": 1}', '["x", "y", "z"]', "[1e400, 0, 0]"],
+    ids=["object", "strings", "overflowing"],
+)
+def test_cli_immersion_check_bad_point_is_input_error(tensor_file, tmp_path, capsys, point):
+    path = tmp_path / "at.json"
+    path.write_text(point)
+    code, out, err = run_cli(
+        capsys, "immersion-check", "--tensor", tensor_file, "--at", str(path)
+    )
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"
+
+
+def test_cli_matrix_overflowing_coefficient_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "matrix", "--n", "4", "--partition", "2", "--C", "1e400")
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"

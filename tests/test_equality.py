@@ -12,6 +12,7 @@ from deltainv import (
     InvariantViolation,
     LEGACY_CDVV,
     OptimizerOptions,
+    CubicForm,
     PartitionSpec,
     THEOREM1,
     THEOREM2,
@@ -20,12 +21,14 @@ from deltainv import (
     check_t1,
     check_t2,
     coeff_legacy_cdvv,
+    enumerate_partitions,
     evaluate,
     mean_curvature_sq,
     optimal_coefficients,
     random_cubic_form,
     random_witness,
 )
+from deltainv.equality import Violation
 
 OPTS = OptimizerOptions(restarts=6, max_iters=300, seed=3)
 
@@ -101,6 +104,242 @@ def brute_force_t2_scan(h, P, tol=1e-10):
                             if abs(trace - (size_i + 2) * h.lookup(b, a, a)) > tol:
                                 count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# index-loop references: the builders and checkers written block by block
+# ---------------------------------------------------------------------------
+
+
+def _block_id(P):
+    """Map 1-based index -> block number (k+1 for the residual block)."""
+    owner = {}
+    for i, block in enumerate(P.index_blocks, start=1):
+        for v in block:
+            owner[v] = i
+    return owner
+
+
+def reference_build_t1(params):
+    P = params.P
+    n = P.n
+    T = np.zeros((n, n, n))
+    residual = P.index_blocks[P.k]
+    leading = P.index_blocks[: P.k]
+
+    for arr, block in zip(params.inblock, leading):
+        idx = np.asarray(block) - 1
+        T[np.ix_(idx, idx, idx)] = arr
+
+    for lam, r in zip(params.lambdas, residual):
+        r0 = r - 1
+        T[r0, r0, r0] = lam
+        for s in residual:
+            if s == r:
+                continue
+            s0 = s - 1
+            for p in ((s0, s0, r0), (s0, r0, s0), (r0, s0, s0)):
+                T[p] = lam / 3.0
+        for size, block in zip(P.blocks, leading):
+            v = lam / (size + 2)
+            for a in block:
+                a0 = a - 1
+                for p in ((a0, a0, r0), (a0, r0, a0), (r0, a0, a0)):
+                    T[p] = v
+    return CubicForm.from_dense(T, atol=1e-12)
+
+
+def reference_build_t2(params):
+    P = params.P
+    n = P.n
+    T = np.zeros((n, n, n))
+    minimal = min(P.blocks)
+    leading = P.index_blocks[: P.k]
+
+    for arr, block in zip(params.inblock, leading):
+        idx = np.asarray(block) - 1
+        T[np.ix_(idx, idx, idx)] = arr
+
+    for j, (size_j, block_j) in enumerate(zip(P.blocks, leading)):
+        if size_j != minimal:
+            continue
+        for pos, b in enumerate(block_j):
+            t = params.traces[j][pos]
+            if t == 0.0:
+                continue
+            b0 = b - 1
+            for i, (size_i, block_i) in enumerate(zip(P.blocks, leading)):
+                if i == j:
+                    continue
+                v = t / (size_i + 2)
+                for a in block_i:
+                    a0 = a - 1
+                    for p in ((a0, a0, b0), (a0, b0, a0), (b0, a0, a0)):
+                        T[p] = v
+    return CubicForm.from_dense(T, atol=1e-12)
+
+
+def reference_check_t1(h, P, tol=1e-10):
+    owner = _block_id(P)
+    kp1 = P.k + 1
+    T = h.dense_view
+    out = []
+
+    for a in range(1, P.n + 1):
+        for b in range(a + 1, P.n + 1):
+            for c in range(b + 1, P.n + 1):
+                same_leading = owner[a] == owner[b] == owner[c] != kp1
+                if same_leading:
+                    continue
+                v = T[a - 1, b - 1, c - 1]
+                if abs(v) > tol:
+                    out.append(Violation("bullet1", (a, b, c), abs(v)))
+
+    residual = P.index_blocks[P.k]
+    leading = P.index_blocks[: P.k]
+
+    for i, block_i in enumerate(leading, start=1):
+        for a in block_i:
+            for j, block_j in enumerate(leading, start=1):
+                if i == j:
+                    continue
+                for b in block_j:
+                    v = T[a - 1, b - 1, b - 1]
+                    if abs(v) > tol:
+                        out.append(Violation("bullet2-cross", (a, b, b), abs(v)))
+            for r in residual:
+                v = T[a - 1, r - 1, r - 1]
+                if abs(v) > tol:
+                    out.append(Violation("bullet2-residual", (a, r, r), abs(v)))
+            trace = sum(T[a - 1, b - 1, b - 1] for b in block_i)
+            if abs(trace) > tol:
+                out.append(Violation("bullet2-trace", (a,), abs(trace)))
+
+    for r in residual:
+        top = T[r - 1, r - 1, r - 1]
+        for s in residual:
+            if s == r:
+                continue
+            v = top - 3.0 * T[r - 1, s - 1, s - 1]
+            if abs(v) > tol:
+                out.append(Violation("bullet3-residual", (r, s, s), abs(v)))
+        for size, block in zip(P.blocks, leading):
+            for a in block:
+                v = top - (size + 2) * T[r - 1, a - 1, a - 1]
+                if abs(v) > tol:
+                    out.append(Violation("bullet3-block", (r, a, a), abs(v)))
+    return out
+
+
+def reference_check_t2(h, P, tol=1e-10):
+    owner = _block_id(P)
+    T = h.dense_view
+    out = []
+    minimal = min(P.blocks)
+    leading = P.index_blocks[: P.k]
+
+    for a in range(1, P.n + 1):
+        for b in range(a + 1, P.n + 1):
+            if owner[a] == owner[b]:
+                continue
+            for A in range(1, P.n + 1):
+                if A in (a, b):
+                    continue
+                v = T[A - 1, a - 1, b - 1]
+                if abs(v) > tol:
+                    out.append(Violation("bullet1", (A, a, b), abs(v)))
+
+    for j, (size_j, block_j) in enumerate(zip(P.blocks, leading), start=1):
+        for b in block_j:
+            trace = sum(T[b - 1, a - 1, a - 1] for a in block_j)
+            if size_j != minimal:
+                if abs(trace) > tol:
+                    out.append(Violation("nonminimal-trace", (b,), abs(trace)))
+                for i, block_i in enumerate(leading, start=1):
+                    if i == j:
+                        continue
+                    for a in block_i:
+                        v = T[b - 1, a - 1, a - 1]
+                        if abs(v) > tol:
+                            out.append(
+                                Violation("nonminimal-cross", (b, a, a), abs(v))
+                            )
+            else:
+                for i, (size_i, block_i) in enumerate(zip(P.blocks, leading), start=1):
+                    if i == j:
+                        continue
+                    for a in block_i:
+                        v = trace - (size_i + 2) * T[b - 1, a - 1, a - 1]
+                        if abs(v) > tol:
+                            out.append(
+                                Violation("minimal-spread", (b, a, a), abs(v))
+                            )
+    return out
+
+
+REFERENCE_PARTITIONS = [P for n in range(3, 10) for P in enumerate_partitions(n)]
+
+
+def _random_params(P, rng):
+    """Builder parameters as ``random_witness`` draws them, plus a few zeros."""
+    h = random_witness(1 if P.residual else 2, P, seed=int(rng.integers(1 << 30)))
+    inblock = [
+        h.dense_view[np.ix_(idx, idx, idx)]
+        for idx in (np.asarray(block) - 1 for block in P.index_blocks[: P.k])
+    ]
+    if P.residual:
+        lambdas = rng.uniform(-2.0, 2.0, size=P.residual)
+        lambdas[rng.random(P.residual) < 0.3] = 0.0
+        return EqualityParamsT1(P, lambdas, inblock)
+    return EqualityParamsT2(P, inblock)
+
+
+def _assert_same_violations(got, want):
+    assert [(v.bullet, v.indices) for v in got] == [(v.bullet, v.indices) for v in want]
+    for g, w in zip(got, want):
+        assert g.residual == pytest.approx(w.residual, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("P", REFERENCE_PARTITIONS, ids=str)
+def test_builders_match_index_loop_reference(P):
+    rng = np.random.default_rng(P.n * 100 + sum(P.blocks) + P.k)
+    for _ in range(3):
+        params = _random_params(P, rng)
+        if P.residual:
+            got, want = build_t1(params), reference_build_t1(params)
+        else:
+            got, want = build_t2(params), reference_build_t2(params)
+        assert np.array_equal(got.dense_view, want.dense_view)
+
+
+@pytest.mark.parametrize("P", REFERENCE_PARTITIONS, ids=str)
+def test_checkers_match_index_loop_reference(P):
+    rng = np.random.default_rng(P.n * 1000 + sum(P.blocks) + P.k)
+    theorem = 1 if P.residual else 2
+    checker = check_t1 if theorem == 1 else check_t2
+    reference = reference_check_t1 if theorem == 1 else reference_check_t2
+    own = P.owner
+    for seed in range(3):
+        witness = random_witness(theorem, P, seed=seed)
+        # one perturbed entry anywhere, and one h^a_{bb} across two blocks,
+        # which every equality case constrains
+        a = int(rng.integers(P.n))
+        b = int(rng.choice(np.flatnonzero(own != own[a])))
+        anywhere = _perturbed(witness, rng.integers(0, P.n, size=3))
+        across = _perturbed(witness, (a, b, b))
+        cases = [witness, anywhere, across, random_cubic_form(P.n, 1.0, rng)]
+        for h in cases:
+            _assert_same_violations(checker(h, P), reference(h, P))
+        assert checker(witness, P) == []
+        assert checker(across, P) != []
+
+
+def _perturbed(h, position, eps=1e-3):
+    """h with eps added to one entry (all of its symmetric positions)."""
+    T = h.dense()
+    for p in set(itertools.permutations(position)):
+        T[p] += eps
+    return CubicForm.from_dense(T)
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,19 @@ def test_partition_admissibility():
     assert Q.index_blocks == ((1, 2), (3, 4, 5), (6,))
 
 
+def test_owner_matches_index_blocks():
+    for n in range(2, 13):
+        for P in enumerate_partitions(n):
+            # contiguous blocks in order, the residual block last
+            starts = np.cumsum((1,) + P.blocks)
+            ends = np.append(starts[1:], n + 1)
+            expected = tuple(tuple(range(s, e)) for s, e in zip(starts, ends))
+            assert P.index_blocks == expected
+            assert P.owner.tolist() == [
+                i for i, block in enumerate(expected) for _ in block
+            ]
+
+
 @pytest.mark.parametrize(
     "n, blocks",
     [
