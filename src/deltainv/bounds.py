@@ -27,7 +27,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotApplicable
-from .tensors import CubicForm, PartitionSpec, ambient_value, mean_curvature_sq
+from .tensors import (
+    CubicForm,
+    PartitionSpec,
+    ambient_value,
+    finite_or_none,
+    mean_curvature_sq,
+)
 
 THEOREM1 = "THEOREM1"
 THEOREM2 = "THEOREM2"
@@ -164,11 +170,12 @@ class InequalityReport:
         raise KeyError(source)
 
     def to_json_dict(self) -> dict:
+        """Strict JSON: a number that is not finite is written as null."""
         return {
             "n": self.partition.n,
             "partition": list(self.partition.blocks),
             "c": self.c,
-            "hsq": self.hsq,
+            "hsq": finite_or_none(self.hsq),
             "delta": self.delta.to_json_dict(),
             "sharp": self.sharp,
             "rows": [
@@ -184,8 +191,8 @@ class InequalityReport:
                     "a_den": r.coeffs.a.denominator if r.coeffs else None,
                     "b_num": r.coeffs.b.numerator if r.coeffs else None,
                     "b_den": r.coeffs.b.denominator if r.coeffs else None,
-                    "rhs": r.rhs,
-                    "gap": r.gap,
+                    "rhs": finite_or_none(r.rhs),
+                    "gap": finite_or_none(r.gap),
                     "verdict": r.verdict,
                 }
                 for r in self.rows
@@ -215,7 +222,7 @@ class InequalityReport:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False)
 
 
 def _verdict(gap: Optional[float]) -> str:

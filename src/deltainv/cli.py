@@ -105,7 +105,7 @@ def cmd_delta(args) -> int:
     h = _load_tensor(args.tensor)
     P = PartitionSpec(h.n, _parse_partition(args.partition))
     result = delta_invariant(h, args.c, P, _optimizer_options(args))
-    print(json.dumps(result.to_json_dict(), indent=2))
+    print(json.dumps(result.to_json_dict(), indent=2, allow_nan=False))
     return 0
 
 

@@ -17,7 +17,13 @@ with the prescribed dimensions.  Two estimators are provided:
   group: frames move along Cayley retractions of skew-symmetric
   directions, with the exact polynomial gradient of the Gauss sums.
   Starts are the identity, the oracle solution and seeded Haar-random
-  frames, so the reported value never falls below the oracle's.
+  frames, so the reported value never falls below the oracle's.  The
+  starts descend together as one (r, n, n) stack of frames, at most
+  ``_STACK`` at a time (after Wen & Yin, "A feasible method for
+  optimization with orthogonality constraints", Math. Program. 2013):
+  batched Cayley solves, and per-restart Barzilai-Borwein steps and
+  backtracking under an active mask.  Each restart takes the steps a
+  descent from its start alone would take, up to float rounding.
 
 Both read the single Gauss-sum kernel, the sectional-curvature matrix K of
 ``tensors``.  The descent weighs K with the 0/1 block mask M (M_ij = 1 when
@@ -31,6 +37,7 @@ All randomness flows from a single 64-bit seed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,10 +49,12 @@ from .tensors import (
     CubicForm,
     Frame,
     PartitionSpec,
+    _haar_rows,
     _rotate_dense,
     _sectional_matrix,
     _tau_dense,
     ambient_value,
+    finite_or_none,
     mean_curvature_sq,
     scalar_curvature,
 )
@@ -54,6 +63,9 @@ DEFAULT_SEED = 0
 
 # relative tolerance under which two oracle assignments count as tied
 _TIE_RTOL = 1e-12
+
+# most starts descended in one stack; memory does not grow with --restarts
+_STACK = 64
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,8 @@ class OptimizerOptions:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -91,11 +105,12 @@ class DeltaResult:
     converged: bool = True
 
     def to_json_dict(self) -> dict:
+        """Strict JSON: a number that is not finite is written as null."""
         return {
-            "value": self.value,
-            "certified_lower": self.certified_lower,
-            "tau_total": self.tau_total,
-            "tau_blocks": list(self.tau_blocks),
+            "value": finite_or_none(self.value),
+            "certified_lower": finite_or_none(self.certified_lower),
+            "tau_total": finite_or_none(self.tau_total),
+            "tau_blocks": [finite_or_none(tau) for tau in self.tau_blocks],
             "assignment": [list(b) for b in self.assignment],
             "frame": self.frame.matrix.tolist(),
             "converged": self.converged,
@@ -215,88 +230,148 @@ def _block_mask(P: PartitionSpec) -> np.ndarray:
     return ((own[:, None] == own) & (own < P.k)).astype(float)
 
 
-def _block_tau_h(H, M) -> float:
-    """h-dependent part of sum_i tau(block_i): 1/2 <M, K> of H at c = 0."""
-    return 0.5 * float((M * _sectional_matrix(H, 0.0)).sum())
+def _block_tau_h(H, M):
+    """h-dependent part of sum_i tau(block_i): 1/2 <M, K> of H at c = 0.
+
+    H is one (n, n, n) tensor or a stack (..., n, n, n); one value each.
+    """
+    return 0.5 * (M * _sectional_matrix(H, 0.0)).sum(axis=(-2, -1))
 
 
 def _grad_skew(H, M):
     """Skew gradient A with d/dt f(cay(tS) R) at t=0 equal to <A, S>/2.
 
     W = df/dH of 1/2 <M, D D^T - sum_C H_{..C}^2> is -M_ab H_abc, plus
-    (M D)[a, c] where a = b; the three terms contract W with the
-    derivative of the rotated tensor in each of its slots.
+    (M D)[a, c] where a = b; G contracts W with the derivative of the
+    rotated tensor in each of its three slots.  W is symmetric in (a, b),
+    so the first two slots give the same term and G is two matmuls.  H is
+    one (n, n, n) tensor or a stack (..., n, n, n) of them.
     """
+    n = H.shape[-1]
     W = -M[:, :, None] * H
-    diag = np.arange(H.shape[0])
-    W[diag, diag, :] += M @ np.einsum("iic->ic", H)
-    G = (
-        np.einsum("abc,xbc->ax", W, H)
-        + np.einsum("abc,axc->bx", W, H)
-        + np.einsum("abc,abx->cx", W, H)
-    )
-    return G - G.T
+    diag = np.arange(n)
+    W[..., diag, diag, :] += M @ np.einsum("...iic->...ic", H)
+    rows = H.shape[:-3] + (n, n * n)
+    cols = H.shape[:-3] + (n * n, n)
+    G = 2.0 * (W.reshape(rows) @ H.reshape(rows).swapaxes(-1, -2))
+    G += W.reshape(cols).swapaxes(-1, -2) @ H.reshape(cols)
+    return G - G.swapaxes(-1, -2)
 
 
 def _cayley_step(R, S, t):
-    n = R.shape[0]
-    eye = np.eye(n)
-    return np.linalg.solve(eye - (t / 2.0) * S, (eye + (t / 2.0) * S) @ R)
+    """cay(tS) R = (I - tS/2)^{-1} (I + tS/2) R for one frame, or for a
+    stack (..., n, n) of frames and skew S with one step t each."""
+    half = 0.5 * np.asarray(t, dtype=float)[..., None, None]
+    eye = np.eye(R.shape[-1])
+    return np.linalg.solve(eye - half * S, (eye + half * S) @ R)
 
 
-def _descend(T, R0, M, max_iters, tol):
-    """Gradient descent with Barzilai-Borwein steps and Armijo backtracking.
+def _stacked_descent(T, starts, M, max_iters, tol):
+    """Descend every frame of an (r, n, n) stack of starts at once.
 
-    Moves along R(t) = cay(-t A) R for the skew gradient A; returns
-    (f_min, frame, converged) where converged means the gradient criterion
-    was met or the iterate is numerically stationary.
+    Each restart is a gradient descent along R(t) = cay(-t A) R for the
+    skew gradient A: a Barzilai-Borwein first trial step (1/max(|A|, 1) at
+    the start), Armijo backtracking by halving, at most ``max_iters``
+    accepted steps.  A restart is converged when |A| < tol, or when it is
+    numerically stationary with |A| < max(tol, 1e-7): its step halved to
+    1e-15 without an Armijo decrease, or ten accepted steps in a row left f
+    unchanged to 1e-15 relative.
+
+    One round makes one stacked Armijo trial for every active restart and
+    one stacked gradient for the restarts whose trial was accepted, so a
+    restart that is still backtracking does not hold the others back.  A
+    step that is not > 1e-15, NaN included, ends its restart, so non-finite
+    input ends the loop.  Returns (f, frames, converged), one entry per
+    start.
     """
-    R = np.array(R0, dtype=float)
+    R = np.array(starts, dtype=float)
+    r = len(R)
     H = _rotate_dense(T, R)
     f = _block_tau_h(H, M)
-    prev_A = None
-    prev_t = None
-    converged = False
-    stagnant = 0
-    for _ in range(max_iters):
-        A = _grad_skew(H, M)
-        gnorm = float(np.linalg.norm(A))
-        if gnorm < tol:
-            converged = True
-            break
-        if prev_A is None:
-            t0 = 1.0 / max(gnorm, 1.0)
-        else:
-            denom = float(np.vdot(prev_A, prev_A - A))
-            if denom > 1e-30:
-                t0 = prev_t * float(np.vdot(prev_A, prev_A)) / denom
-            else:
-                t0 = 2.0 * prev_t
-        t = float(min(max(t0, 1e-12), 1e4))
-        slope = gnorm * gnorm / 2.0
-        accepted = False
-        while t > 1e-15:
-            Rt = _cayley_step(R, -A, t)
-            Ht = _rotate_dense(T, Rt)
-            ft = _block_tau_h(Ht, M)
-            if ft <= f - 1e-4 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            converged = gnorm < max(tol, 1e-7)
-            break
-        if f - ft <= 1e-15 * max(1.0, abs(f)):
-            stagnant += 1
-            if stagnant >= 10:
-                R, H, f = Rt, Ht, ft
-                converged = gnorm < max(tol, 1e-7)
-                break
-        else:
-            stagnant = 0
-        prev_A, prev_t = A, t
-        R, H, f = Rt, Ht, ft
-    return f, R, converged
+    A = np.empty_like(R)
+    prev_A = np.zeros_like(R)
+    gnorm, slope, t = (np.empty(r) for _ in range(3))
+    prev_t = np.zeros(r)
+    iters = np.zeros(r, dtype=int)
+    stagnant = np.zeros(r, dtype=int)
+    active = np.ones(r, dtype=bool)
+    converged = np.zeros(r, dtype=bool)
+    stationary_tol = max(tol, 1e-7)
+    # restarts at a new iterate: they need a gradient and a first trial step
+    moved = np.arange(r)
+    while True:
+        if moved.size:
+            G = _grad_skew(H[moved], M)
+            g = np.linalg.norm(G, axis=(-2, -1))
+            # Barzilai-Borwein step from the last accepted one, or 2x it
+            # when the gradients give no usable curvature
+            last_A, last_t = prev_A[moved], prev_t[moved]
+            num = np.einsum("kij,kij->k", last_A, last_A)
+            denom = np.einsum("kij,kij->k", last_A, last_A - G)
+            bb = 2.0 * last_t
+            np.divide(last_t * num, denom, out=bb, where=denom > 1e-30)
+            t0 = np.where(iters[moved] > 0, bb, 1.0 / np.maximum(g, 1.0))
+            A[moved], gnorm[moved] = G, g
+            t[moved] = np.minimum(np.maximum(t0, 1e-12), 1e4)
+            slope[moved] = g * g / 2.0
+            done = moved[g < tol]
+            converged[done] = True
+            active[done] = False
+
+        # a step halved to 1e-15 without a decrease, or a NaN step, ends
+        # its restart
+        trial = np.flatnonzero(active)
+        live = t[trial] > 1e-15
+        if not live.all():
+            spent = trial[~live]
+            converged[spent] = gnorm[spent] < stationary_tol
+            active[spent] = False
+            trial = trial[live]
+        if not trial.size:
+            return f, R, converged
+        steps = t[trial]
+        Rt = _cayley_step(R[trial], -A[trial], steps)
+        Ht = _rotate_dense(T, Rt)
+        ft = _block_tau_h(Ht, M)
+        ok = ft <= f[trial] - 1e-4 * steps * slope[trial]
+        t[trial[~ok]] *= 0.5
+
+        moved = trial[ok]
+        if not moved.size:
+            continue
+        ft, f_old = ft[ok], f[moved]
+        flat = f_old - ft <= 1e-15 * np.maximum(1.0, np.abs(f_old))
+        stagnant[moved] = np.where(flat, stagnant[moved] + 1, 0)
+        R[moved], H[moved], f[moved] = Rt[ok], Ht[ok], ft
+        prev_A[moved], prev_t[moved] = A[moved], t[moved]
+        iters[moved] += 1
+        stalled = moved[stagnant[moved] >= 10]
+        converged[stalled] = gnorm[stalled] < stationary_tol
+        active[stalled] = False
+        active[moved[iters[moved] >= max_iters]] = False
+        moved = moved[active[moved]]
+
+
+def _earliest_best(values) -> int:
+    """Index of the least value: a later value wins only when it is below
+    the current best by more than 1e-10 relative, so float-noise ties keep
+    the earliest (deterministic)."""
+    best = 0
+    for i, v in enumerate(values):
+        if v < values[best] - 1e-10 * max(1.0, abs(values[best])):
+            best = i
+    return best
+
+
+def _descend(T, starts, M, max_iters, tol):
+    """Descend an (r, n, n) stack of starts; the earliest best restart.
+
+    Returns one (f_min, frame, converged) triple, converged as defined by
+    ``_stacked_descent``.
+    """
+    f, R, converged = _stacked_descent(T, starts, M, max_iters, tol)
+    best = _earliest_best(f.tolist())
+    return float(f[best]), R[best], bool(converged[best])
 
 
 def _oracle_start_frame(P: PartitionSpec, assignment) -> np.ndarray:
@@ -306,15 +381,39 @@ def _oracle_start_frame(P: PartitionSpec, assignment) -> np.ndarray:
     return np.eye(P.n)[order]
 
 
+def _start_stacks(P: PartitionSpec, assignment, restarts: int, seed: int):
+    """The descent's starts, in stacks of at most _STACK frames.
+
+    The identity and the oracle permutation come first and always run; then
+    seeded Haar-random frames up to ``restarts`` starts in all.  Each stack
+    draws its random frames with one standard_normal((m, n, n)) and one
+    stacked QR, bit for bit the frames ``Frame.random`` gives called once
+    per start, so no start depends on the stack it falls in.
+    """
+    fixed = np.stack([np.eye(P.n), _oracle_start_frame(P, assignment)])
+    total = max(restarts, len(fixed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for lo in range(0, total, _STACK):
+        hi = min(lo + _STACK, total)
+        stack = fixed[lo:hi]
+        drawn = hi - max(lo, len(fixed))
+        if drawn > 0:
+            gauss = rng.standard_normal((drawn, P.n, P.n))
+            stack = np.concatenate([stack, _haar_rows(gauss)])
+        yield stack
+
+
 def delta_invariant(
     h: CubicForm, c, P: PartitionSpec, opts: OptimizerOptions | None = None
 ) -> DeltaResult:
     """Delta via multi-start descent over all orthonormal frames.
 
-    The reported value is tau minus the best sum of block taus found; it is
-    always at least the coordinate oracle's value because that solution
-    seeds one of the starts, and it is a lower bound for the true invariant
-    because every frame is feasible.
+    The starts descend together, a stack of at most _STACK at a time, so
+    memory does not grow with the restart count; the earliest best restart
+    wins.  The reported value is tau minus the best sum of block taus found;
+    it is always at least the coordinate oracle's value because that
+    solution seeds one of the starts, and it is a lower bound for the true
+    invariant because every frame is feasible.
     """
     opts = opts or OptimizerOptions()
     _check_partition(h, P)
@@ -323,22 +422,13 @@ def delta_invariant(
 
     T = h.dense_view
     M = _block_mask(P)
+    winners = [
+        _descend(T, stack, M, opts.max_iters, opts.tol)
+        for stack in _start_stacks(P, oracle.assignment, opts.restarts, opts.seed)
+    ]
+    _, R, converged = winners[_earliest_best([w[0] for w in winners])]
 
-    # identity and the oracle permutation always run, so the reported value
-    # can never fall below the certified lower bound
-    starts = [np.eye(P.n), _oracle_start_frame(P, oracle.assignment)]
-    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    for _ in range(max(0, opts.restarts - 2)):
-        starts.append(Frame.random(P.n, rng).matrix)
-
-    best = None
-    for index, R0 in enumerate(starts):
-        f, R, converged = _descend(T, R0, M, opts.max_iters, opts.tol)
-        # ties at float-noise level keep the earliest restart (deterministic)
-        if best is None or f < best[0] - 1e-10 * max(1.0, abs(best[0])):
-            best = (f, R, converged, index)
-
-    frame = Frame(best[1])
+    frame = Frame(R)
     rotated = _rotate_dense(T, frame.matrix)
     assignment = tuple(P.index_blocks[: P.k])
     tau_blocks = tuple(
@@ -353,7 +443,7 @@ def delta_invariant(
         tau_total=tau_total,
         tau_blocks=tau_blocks,
         certified_lower=oracle.value,
-        converged=best[2],
+        converged=converged,
     )
 
 

@@ -300,6 +300,11 @@ class AmbientConstant:
             raise InvariantViolation(f"ambient constant must be finite, got {self.c}")
 
 
+def finite_or_none(value):
+    """A float as a strict JSON number: None (null) unless it is finite."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def ambient_value(c) -> float:
     v = c.c if isinstance(c, AmbientConstant) else float(c)
     if not math.isfinite(v):
@@ -504,13 +509,15 @@ class Frame:
 def _rotate_dense(T, R):
     """new_{ABC} = sum R_{Aa} R_{Bb} R_{Cc} T_{abc} for (..., n, n, n) T.
 
-    R is (n, n) or a matching stack (..., n, n).  Three matmuls and no
-    transposed copies: R on the first axis, R^T from the right on the last
-    axis, then R on the middle axis, broadcast over the first.
+    R is (n, n) or a stack (..., n, n) that broadcasts against T's stack
+    shape: a matching stack, or a stack of frames for one T.  Three matmuls
+    and no transposed copies: R on the first axis, R^T from the right on
+    the last axis, then R on the middle axis, broadcast over the first.
     """
     n = T.shape[-1]
     R1 = R[..., None, :, :]
-    X = (R @ T.reshape(T.shape[:-3] + (n, n * n))).reshape(T.shape)
+    X = R @ T.reshape(T.shape[:-3] + (n, n * n))
+    X = X.reshape(X.shape[:-1] + (n, n))
     return R1 @ (X @ R1.swapaxes(-1, -2))
 
 

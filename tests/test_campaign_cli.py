@@ -317,6 +317,15 @@ def test_cli_zero_optimizer_option_is_input_error(tensor_file, capsys, flag):
     assert _single_json_error(err)["error"] == "FormatError"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_non_finite_or_negative_tol_is_input_error(tensor_file, capsys, tol):
+    code, out, err = run_cli(
+        capsys, "delta", tensor_file, "--partition", "2", f"--tol={tol}"
+    )
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"
+
+
 def test_cli_verify_reports_violations_with_exit_1(tensor_file, capsys, monkeypatch):
     import deltainv.cli as cli_mod
     from deltainv.bounds import BoundRow, InequalityReport
@@ -373,16 +382,42 @@ def test_cli_sample_overflow_keeps_stderr_to_the_summary(tmp_path):
     assert json.loads(lines[0])["violations"] == 5
 
 
+# entries near 1e200 overflow every Gauss sum: delta, rhs and gaps are not finite
+_OVERFLOWING_TENSOR = {"n": 3, "entries": [
+    {"idx": [1, 1, 1], "value": 1e200},
+    {"idx": [1, 2, 3], "value": -3e199},
+    {"idx": [2, 2, 3], "value": 2e200},
+]}
+
+
 def test_cli_verify_overflow_writes_nothing_to_stderr(tmp_path):
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"n": 3, "entries": [
-        {"idx": [1, 1, 1], "value": 1e200},
-        {"idx": [1, 2, 3], "value": -3e199},
-        {"idx": [2, 2, 3], "value": 2e200},
-    ]}))
+    path.write_text(json.dumps(_OVERFLOWING_TENSOR))
     proc = run_cli_process("verify", str(path), "--partition", "2", "--restarts", "3")
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("command, exit_code", [("verify", 1), ("delta", 0)])
+def test_cli_overflow_prints_strict_json(tmp_path, capsys, command, exit_code):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_OVERFLOWING_TENSOR))
+    code, out, err = run_cli(
+        capsys, command, str(path), "--partition", "2", "--restarts", "3"
+    )
+    assert code == exit_code and err == ""
+    data = json.loads(out, parse_constant=_reject_constant)
+    delta = data["delta"] if command == "verify" else data
+    assert delta["value"] is None and delta["tau_total"] is None
+    if command == "verify":
+        assert data["hsq"] is None
+        applicable = [r for r in data["rows"] if r["applicable"]]
+        assert applicable and all(r["gap"] is None for r in applicable)
+        assert {r["verdict"] for r in applicable} == {"violated"}
 
 
 @pytest.mark.parametrize(

@@ -22,11 +22,16 @@ from deltainv import (
     tau_subspace,
     universal_check,
 )
+import deltainv.delta as delta_mod
 from deltainv.delta import (
     _block_mask,
     _block_tau_h,
     _cayley_step,
+    _earliest_best,
     _grad_skew,
+    _oracle_start_frame,
+    _stacked_descent,
+    _start_stacks,
 )
 from deltainv.tensors import (
     _canonical_triples,
@@ -234,6 +239,134 @@ def test_cayley_step_is_orthogonal():
 
 
 # ---------------------------------------------------------------------------
+# single-start reference for the stacked descent
+# ---------------------------------------------------------------------------
+
+
+def _reference_descend(T, R0, M, max_iters, tol):
+    """One start at a time: gradient descent with Barzilai-Borwein steps and
+    Armijo backtracking along R(t) = cay(-t A) R; (f_min, frame, converged).
+    """
+    R = np.array(R0, dtype=float)
+    H = _rotate_dense(T, R)
+    f = float(_block_tau_h(H, M))
+    prev_A = None
+    prev_t = None
+    converged = False
+    stagnant = 0
+    for _ in range(max_iters):
+        A = _grad_skew(H, M)
+        gnorm = float(np.linalg.norm(A))
+        if gnorm < tol:
+            converged = True
+            break
+        if prev_A is None:
+            t0 = 1.0 / max(gnorm, 1.0)
+        else:
+            denom = float(np.vdot(prev_A, prev_A - A))
+            if denom > 1e-30:
+                t0 = prev_t * float(np.vdot(prev_A, prev_A)) / denom
+            else:
+                t0 = 2.0 * prev_t
+        t = float(min(max(t0, 1e-12), 1e4))
+        slope = gnorm * gnorm / 2.0
+        accepted = False
+        while t > 1e-15:
+            Rt = _cayley_step(R, -A, t)
+            Ht = _rotate_dense(T, Rt)
+            ft = float(_block_tau_h(Ht, M))
+            if ft <= f - 1e-4 * t * slope:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            converged = gnorm < max(tol, 1e-7)
+            break
+        if f - ft <= 1e-15 * max(1.0, abs(f)):
+            stagnant += 1
+            if stagnant >= 10:
+                R, H, f = Rt, Ht, ft
+                converged = gnorm < max(tol, 1e-7)
+                break
+        else:
+            stagnant = 0
+        prev_A, prev_t = A, t
+        R, H, f = Rt, Ht, ft
+    return f, R, converged
+
+
+def _reference_starts(P, assignment, restarts, seed):
+    """Identity, oracle permutation, then one ``Frame.random`` per start."""
+    starts = [np.eye(P.n), _oracle_start_frame(P, assignment)]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for _ in range(max(0, restarts - 2)):
+        starts.append(Frame.random(P.n, rng).matrix)
+    return starts
+
+
+def _descent_case(kind, n, seed):
+    """A witness or a random tensor with n = 3..8, its partition and starts."""
+    parts = enumerate_partitions(n)
+    P = parts[seed % len(parts)]
+    if kind == "witness":
+        h = random_witness(2 if P.saturating else 1, P, seed=seed)
+    else:
+        h = random_cubic_form(n, 1.0, np.random.default_rng([n, seed]))
+    assignment = delta_coordinate_oracle(h, 0.0, P).assignment
+    return h, P, _reference_starts(P, assignment, 6, seed)
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3, 7, 9])
+def test_start_stacks_are_the_per_start_frames(monkeypatch, restarts):
+    monkeypatch.setattr(delta_mod, "_STACK", 3)
+    P = PartitionSpec(5, (2, 2))
+    assignment = ((3, 5), (1, 4))
+    stacks = list(_start_stacks(P, assignment, restarts, 11))
+    assert [len(s) for s in stacks[:-1]] == [3] * (len(stacks) - 1)
+    got = np.concatenate(stacks)
+    assert np.array_equal(got, _reference_starts(P, assignment, restarts, 11))
+
+
+@pytest.mark.parametrize("max_iters", [500, 7])
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("kind", ["witness", "random"])
+def test_stacked_descent_matches_single_start_reference(kind, n, max_iters):
+    for seed in range(2):
+        h, P, starts = _descent_case(kind, n, seed)
+        T, M = h.dense_view, _block_mask(P)
+        f, R, converged = _stacked_descent(T, np.stack(starts), M, max_iters, 1e-9)
+        for i, R0 in enumerate(starts):
+            ref_f, _, ref_converged = _reference_descend(T, R0, M, max_iters, 1e-9)
+            assert abs(f[i] - ref_f) <= 1e-10 * max(1.0, abs(ref_f)), (P, seed, i)
+            assert f[i] == pytest.approx(
+                _block_tau_h(_rotate_dense(T, R[i]), M), rel=1e-12, abs=1e-12
+            )
+            # the verdict may flip only where |A| ends between 1e-9 and 1e-6
+            if kind == "witness":
+                assert converged[i] == ref_converged, (P, seed, i)
+
+
+def test_earliest_best_keeps_the_first_of_float_noise_ties():
+    assert _earliest_best([1.0, 1.0 - 5e-11, 2.0]) == 0
+    assert _earliest_best([2.0, 1.0, 1.0 - 2e-10, 1.0 - 2.5e-10]) == 2
+    assert _earliest_best([1e12, 1e12 - 50.0, 1e12 - 200.0]) == 2
+
+
+@pytest.mark.parametrize("kind", ["witness", "random"])
+def test_restarts_give_the_best_of_the_first_starts(monkeypatch, kind):
+    monkeypatch.setattr(delta_mod, "_STACK", 3)
+    h, P, _ = _descent_case(kind, 5, 3)
+    T, M = h.dense_view, _block_mask(P)
+    assignment = delta_coordinate_oracle(h, 0.0, P).assignment
+    starts = _reference_starts(P, assignment, 8, 4)
+    ref = [_reference_descend(T, R0, M, 500, 1e-9)[0] for R0 in starts]
+    for restarts in (1, 2, 4, 6, 8):
+        res = delta_invariant(h, 0.0, P, OptimizerOptions(restarts=restarts, seed=4))
+        best = min(ref[: max(restarts, 2)])
+        assert res.value == pytest.approx(res.tau_total - best, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # continuous optimizer
 # ---------------------------------------------------------------------------
 
@@ -323,6 +456,12 @@ def test_optimizer_options_validation():
         OptimizerOptions(restarts=0)
     with pytest.raises(ValueError):
         OptimizerOptions(max_iters=0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_optimizer_options_reject_non_finite_or_negative_tol(tol):
+    with pytest.raises(ValueError):
+        OptimizerOptions(tol=tol)
 
 
 # ---------------------------------------------------------------------------

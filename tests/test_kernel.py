@@ -19,7 +19,7 @@ from deltainv import (
     universal_check,
 )
 from deltainv.bounds import optimal_coefficients, rhs_value
-from deltainv.delta import _block_mask, _block_tau_h, _grad_skew
+from deltainv.delta import _block_mask, _block_tau_h, _cayley_step, _grad_skew
 from deltainv.errors import RankDeficientFrame
 from deltainv.tensors import (
     _orthonormalize_rows,
@@ -152,6 +152,27 @@ def test_stacked_kernels_match_per_slice_calls(n):
         assert _close(H[k], ref)
         assert _close(K[k], _sectional_matrix(H[k], c[k]))
     assert _close(_sectional_matrix(H, c[0]), _sectional_matrix(H, np.full(s, c[0])))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_descent_kernels_on_a_stack_of_frames_match_per_frame_calls(n):
+    rng = np.random.default_rng([47, n])
+    s = 4
+    P = enumerate_partitions(n)[-1]
+    M = _block_mask(P)
+    blocks0 = _leading_blocks0(P)
+    T = random_cubic_form(n, 1.0, rng).dense_view
+    Q = _orthonormalize_rows(rng.standard_normal((s, n, n)))
+    S = rng.standard_normal((s, n, n))
+    S = S - S.swapaxes(-1, -2)
+    t = rng.uniform(0.1, 2.0, s)
+    H = _rotate_dense(T, Q)
+    f, A, C = _block_tau_h(H, M), _grad_skew(H, M), _cayley_step(Q, S, t)
+    for k in range(s):
+        assert _close(H[k], _rotate_dense(T, Q[k]))
+        assert _close(f[k], _block_tau_h_sliced(H[k], blocks0))
+        assert _close(A[k], _grad_skew_sliced(H[k], blocks0))
+        assert _close(C[k], _cayley_step(Q[k], S[k], t[k]))
 
 
 def test_dependent_row_in_a_stack_raises():
