@@ -77,14 +77,19 @@ class CampaignConfig:
         if not self.c_values:
             raise FormatError("c_values must be nonempty")
         if self.partitions != "ALL":
-            object.__setattr__(
-                self,
-                "partitions",
-                tuple(
-                    tuple(_as_integer(b, "partition block") for b in p)
-                    for p in self.partitions
-                ),
+            partitions = tuple(
+                tuple(_as_integer(b, "partition block") for b in p)
+                for p in self.partitions
             )
+            # PartitionSpec's rules that hold whatever n; the fit to each n
+            # is left to the pool
+            for p in partitions:
+                if not p or p[0] < 2 or list(p) != sorted(p):
+                    raise FormatError(
+                        "every partition must be a nonempty nondecreasing list "
+                        f"of blocks >= 2, got {list(p)}"
+                    )
+            object.__setattr__(self, "partitions", partitions)
         # uniform draws on [-scale, scale] need the width 2 * scale finite
         if not (self.tensor_scale > 0 and math.isfinite(2.0 * self.tensor_scale)):
             raise FormatError(
@@ -164,7 +169,7 @@ def _partition_pool(config: CampaignConfig) -> dict[int, list[PartitionSpec]]:
             specs = [
                 PartitionSpec(n, tuple(p))
                 for p in config.partitions
-                if sum(p) <= n and all(2 <= b <= n - 1 for b in p)
+                if sum(p) <= n and p[-1] <= n - 1
             ]
         if not specs:
             raise InadmissiblePartition(

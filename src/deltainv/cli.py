@@ -10,7 +10,8 @@ immersion-check     round-trip a tensor through its gradient-graph immersion
 sample              randomized verification campaign, CSV output
 
 Exit codes: 0 success, 1 verification failure (a gap below -1e-9 or not
-finite), 2 input error.  Errors are reported as one JSON object on stderr.
+finite, a delta or round-trip error that is not finite), 2 input error.
+Errors are reported as one JSON object on stderr.
 The environment variable DELTAINV_SEED supplies the default seed.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -45,7 +47,7 @@ from .quadforms import (
     psd_verdict,
     psd_verdict_minors,
 )
-from .tensors import CubicForm, PartitionSpec
+from .tensors import CubicForm, PartitionSpec, finite_or_none
 
 SEED_ENV = "DELTAINV_SEED"
 
@@ -101,12 +103,22 @@ def _add_optimizer_flags(parser):
                         help=f"defaults to ${SEED_ENV} or {DEFAULT_SEED}")
 
 
+def _all_finite(*values: float) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _strict(numbers: dict) -> dict:
+    """Strict JSON numbers: a value that is not finite becomes None (null)."""
+    return {key: finite_or_none(v) for key, v in numbers.items()}
+
+
 def cmd_delta(args) -> int:
     h = _load_tensor(args.tensor)
     P = PartitionSpec(h.n, _parse_partition(args.partition))
     result = delta_invariant(h, args.c, P, _optimizer_options(args))
     print(json.dumps(result.to_json_dict(), indent=2, allow_nan=False))
-    return 0
+    finite = _all_finite(result.value, result.certified_lower, result.tau_total)
+    return 0 if finite else 1
 
 
 def cmd_verify(args) -> int:
@@ -132,9 +144,11 @@ def cmd_matrix(args) -> int:
     P = PartitionSpec(args.n, _parse_partition(args.partition))
     try:
         C = Fraction(args.C)
-        float(C)  # the matrices are floats, so C must fit in one
+        float(2 * (C + 1)), float(2 * C - 1)  # the float matrices' extreme entries
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise FormatError(f"cannot parse coefficient {args.C!r} as a finite number")
+        raise FormatError(
+            f"coefficient {args.C!r} must be a number with 2(C + 1) and 2C - 1 finite"
+        )
     bundle = build_M(P, args.ell, C)
     psd, eig_min = psd_verdict(bundle)
     out = {
@@ -203,21 +217,23 @@ def cmd_immersion_check(args) -> int:
     else:
         x = np.zeros(a.n)
     f = potential_from_tensor(a)
-    out = {
-        "n": a.n,
-        "point": x.tolist(),
+    errors = {
         "roundtrip_error": lemma1_roundtrip(a, x),
         "lagrangian_defect": lagrangian_check(f, x),
     }
+    cross = {}
     if args.fd_crosscheck:
-        exact = second_fundamental_form_numeric(f, x, fd=False)
+        exact = second_fundamental_form_numeric(f, x)
         fd = second_fundamental_form_numeric(f, x, fd=True)
-        out["fd_crosscheck"] = {
-            "roundtrip_error": lemma1_roundtrip(a, x, fd=True),
+        cross = {
+            "roundtrip_error": float(np.max(np.abs(fd - a.dense_view))),
             "max_difference_vs_exact": float(np.max(np.abs(exact - fd))),
         }
-    print(json.dumps(out, indent=2))
-    return 0
+    out = {"n": a.n, "point": x.tolist(), **_strict(errors)}
+    if args.fd_crosscheck:
+        out["fd_crosscheck"] = _strict(cross)
+    print(json.dumps(out, indent=2, allow_nan=False))
+    return 0 if _all_finite(*errors.values(), *cross.values()) else 1
 
 
 def cmd_sample(args) -> int:

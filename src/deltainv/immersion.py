@@ -14,13 +14,17 @@ at every point where the metric is nonsingular.
 
 This module recomputes that second fundamental form by independent
 numerical differential geometry (metric, Christoffel symbols, tangential
-projection) so the identity can be checked rather than assumed.  All
-derivatives are exact polynomial expressions; an optional finite-difference
-path re-derives them from evaluations of F alone.
+projection) so the identity can be checked rather than assumed.  One
+pipeline takes the first and second derivatives of F and derives
+everything else from them, the metric and its derivative included.  The
+derivatives are exact polynomial expressions by default; the
+finite-difference path takes them from evaluations of F alone, so it
+shares no formula with the exact one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +89,7 @@ class ImmersionPoint:
     x: np.ndarray
     position: np.ndarray      # F(x) in R^2n, ordered (x, grad f)
     tangents: np.ndarray      # (2n, n), column A is F_* e_A
-    metric: np.ndarray        # (n, n), g = I + Hess^2
+    metric: np.ndarray        # (n, n), g = F_*^T F_* = I + Hess^2
 
 
 def _apply_j(vectors: np.ndarray) -> np.ndarray:
@@ -94,17 +98,19 @@ def _apply_j(vectors: np.ndarray) -> np.ndarray:
     return np.vstack([-vectors[n:], vectors[:n]])
 
 
+def _position(f: CubicPotential, x) -> np.ndarray:
+    """F(x) = (x, grad f(x)) in R^2n."""
+    return np.concatenate([x, f.gradient(x)])
+
+
 def immerse(f: CubicPotential, x) -> ImmersionPoint:
     x = f._point(x)
-    hess = f.hessian(x)
-    n = f.n
-    tangents = np.vstack([np.eye(n), hess])
-    metric = np.eye(n) + hess @ hess
+    tangents = np.vstack([np.eye(f.n), f.hessian(x)])
     return ImmersionPoint(
         x=x,
-        position=np.concatenate([x, f.gradient(x)]),
+        position=_position(f, x),
         tangents=tangents,
-        metric=metric,
+        metric=tangents.T @ tangents,
     )
 
 
@@ -119,140 +125,76 @@ def lagrangian_check(f: CubicPotential, x) -> float:
     return float(np.max(np.abs(point.tangents.T @ jt)))
 
 
-# ---------------------------------------------------------------------------
-# Derivatives of F, exact and finite-difference
-# ---------------------------------------------------------------------------
+def _check_conditioning(metric: np.ndarray, limit: float):
+    cond = float(np.linalg.cond(metric))
+    if not np.isfinite(cond) or cond > limit:
+        raise SingularMetric(f"induced metric condition number {cond:.3e}")
 
 
-def _exact_f_derivatives(f: CubicPotential, x):
-    """(tangents (2n, n), second derivatives (2n, n, n)) from polynomials."""
-    n = f.n
-    hess = f.hessian(x)
-    tangents = np.vstack([np.eye(n), hess])
-    second = np.zeros((2 * n, n, n))
-    second[n:] = f.coefficients  # f_{x_j x_A x_B} in slot j
-    return tangents, second
+def _fd_derivatives(f: CubicPotential, x):
+    """(F_A (2n, n), F_AB (2n, n, n)) from evaluations of F alone.
 
-
-def _position(f: CubicPotential, x):
-    return np.concatenate([x, f.gradient(x)])
-
-
-def _richardson_tangents(f: CubicPotential, x, step: float):
-    n = f.n
-    out = np.zeros((2 * n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-
-        def central(h):
-            return (_position(f, x + h * e) - _position(f, x - h * e)) / (2 * h)
-
-        out[:, a] = (4.0 * central(step / 2) - central(step)) / 3.0
-    return out
-
-
-def _richardson_second(f: CubicPotential, x, step: float):
-    n = f.n
-    out = np.zeros((2 * n, n, n))
-
-    def second_aa(a, h):
-        e = np.zeros(n)
-        e[a] = h
-        return (_position(f, x + e) - 2.0 * _position(f, x) + _position(f, x - e)) / h**2
-
-    def second_ab(a, b, h):
-        ea = np.zeros(n)
-        ea[a] = h
-        eb = np.zeros(n)
-        eb[b] = h
-        return (
-            _position(f, x + ea + eb)
-            - _position(f, x + ea - eb)
-            - _position(f, x - ea + eb)
-            + _position(f, x - ea - eb)
-        ) / (4 * h**2)
-
-    for a in range(n):
-        val = (4.0 * second_aa(a, step / 2) - second_aa(a, step)) / 3.0
-        out[:, a, a] = val
-        for b in range(a + 1, n):
-            val = (4.0 * second_ab(a, b, step / 2) - second_ab(a, b, step)) / 3.0
-            out[:, a, b] = val
-            out[:, b, a] = val
-    return out
-
-
-def _metric_derivative(f: CubicPotential, x):
-    """dg[C, A, B] = sum_j (f_{jAC} hess_{jB} + hess_{jA} f_{jBC}), exact."""
-    hess = f.hessian(x)
-    T = f.coefficients
-    first = np.einsum("jac,jb->cab", T, hess)
-    return first + first.transpose(0, 2, 1)
-
-
-def _fd_metric_derivative(f: CubicPotential, x, step: float):
+    Central differences at steps h and h/2, Richardson-extrapolated once;
+    F_AA is the same four-point difference as F_AB with both steps along A.
+    """
     n = f.n
 
-    def metric_at(y):
-        hess = f.hessian(y)
-        return np.eye(n) + hess @ hess
+    def central(h):
+        E = h * np.eye(n)
+        first = np.stack(
+            [_position(f, x + e) - _position(f, x - e) for e in E], axis=1
+        ) / (2 * h)
+        second = np.empty((2 * n, n, n))
+        for a, b in itertools.combinations_with_replacement(range(n), 2):
+            p, m = x + E[a], x - E[a]
+            second[:, a, b] = second[:, b, a] = (
+                _position(f, p + E[b]) - _position(f, p - E[b])
+                - _position(f, m + E[b]) + _position(f, m - E[b])
+            ) / (4 * h * h)
+        return first, second
 
-    dg = np.zeros((n, n, n))
-    for c in range(n):
-        e = np.zeros(n)
-        e[c] = 1.0
-
-        def central(h):
-            return (metric_at(x + h * e) - metric_at(x - h * e)) / (2 * h)
-
-        dg[c] = (4.0 * central(step / 2) - central(step)) / 3.0
-    return dg
+    (t1, s1), (t2, s2) = central(FD_STEP), central(FD_STEP / 2)
+    return (4.0 * t2 - t1) / 3.0, (4.0 * s2 - s1) / 3.0
 
 
 def second_fundamental_form_numeric(
-    f: CubicPotential, x, fd: bool = False, step: float = FD_STEP
+    f: CubicPotential, x, fd: bool = False
 ) -> np.ndarray:
     """Recover <h(e_A, e_B), J F_* e_C> by the full geometric pipeline.
 
-    Computes second derivatives of F, removes the tangential part with the
-    Christoffel symbols of the induced metric, and pairs the normal rest
-    with J F_* e_C.  The components refer to the coordinate frame F_* e_C,
-    which is orthonormal only where the Hessian of f vanishes (in
+    From the tangents F_A and second derivatives F_AB of F: the induced
+    metric g = F_*^T F_*, its derivative dg[C, A, B] = F_CA.F_B + F_A.F_CB,
+    the Christoffel symbols, the normal part F_AB - Gamma^E_AB F_E and its
+    pairing with J F_* e_C.  The components refer to the coordinate frame
+    F_* e_C, which is orthonormal only where the Hessian of f vanishes (in
     particular at the origin).
 
-    With ``fd=True`` every derivative is taken by Richardson-extrapolated
-    central differences of F instead of the exact polynomial formulas.
+    The pair (F_A, F_AB) is exact polynomial data by default; with
+    ``fd=True`` it comes from Richardson-extrapolated central differences
+    of evaluations of F alone, and every later step is shared.
     """
     x = f._point(x)
     if fd:
-        tangents = _richardson_tangents(f, x, step)
-        second = _richardson_second(f, x, step)
-        metric = tangents.T @ tangents
-        dg = _fd_metric_derivative(f, x, step)
+        tangents, second = _fd_derivatives(f, x)
     else:
-        tangents, second = _exact_f_derivatives(f, x)
-        metric = np.eye(f.n) + f.hessian(x) @ f.hessian(x)
-        dg = _metric_derivative(f, x)
+        tangents = immerse(f, x).tangents
+        second = np.zeros((2 * f.n, f.n, f.n))
+        second[f.n:] = f.third_derivatives()  # f_{x_j x_A x_B} in slot j
 
-    cond = float(np.linalg.cond(metric))
-    if not np.isfinite(cond) or cond > SECOND_FORM_COND_LIMIT:
-        raise SingularMetric(f"induced metric condition number {cond:.3e}")
+    metric = tangents.T @ tangents
+    _check_conditioning(metric, SECOND_FORM_COND_LIMIT)
     ginv = np.linalg.inv(metric)
+    half = np.einsum("ica,ib->cab", second, tangents)
+    dg = half + half.transpose(0, 2, 1)
 
     # Gamma^E_{AB} = (1/2) g^{ED} (dg[A,D,B] + dg[B,D,A] - dg[D,A,B])
-    brackets = 0.5 * (
-        dg.transpose(1, 0, 2) + dg.transpose(2, 0, 1) - dg
-    )  # indexed [D, A, B] after: brackets[d, a, b]
+    brackets = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(2, 0, 1) - dg)  # [D, A, B]
     gamma = np.einsum("ed,dab->eab", ginv, brackets)
-
-    tangential = np.einsum("ie,eab->iab", tangents, gamma)
-    normal = second - tangential
-    jt = _apply_j(tangents)
-    return np.einsum("iab,ic->abc", normal, jt)
+    normal = second - np.einsum("ie,eab->iab", tangents, gamma)
+    return np.einsum("iab,ic->abc", normal, _apply_j(tangents))
 
 
-def lemma1_roundtrip(a: CubicForm, x=None, fd: bool = False) -> float:
+def lemma1_roundtrip(a: CubicForm, x=None) -> float:
     """Largest deviation between the recovered form and the target tensor.
 
     Zero in exact arithmetic at every point; the contract is 1e-8 at the
@@ -261,10 +203,7 @@ def lemma1_roundtrip(a: CubicForm, x=None, fd: bool = False) -> float:
     for the comparison to be meaningful.
     """
     f = potential_from_tensor(a)
-    x = np.zeros(a.n) if x is None else f._point(x)
-    metric = np.eye(a.n) + f.hessian(x) @ f.hessian(x)
-    cond = float(np.linalg.cond(metric))
-    if not np.isfinite(cond) or cond > ROUNDTRIP_COND_LIMIT:
-        raise SingularMetric(f"induced metric condition number {cond:.3e}")
-    recovered = second_fundamental_form_numeric(f, x, fd=fd)
+    x = np.zeros(a.n) if x is None else x
+    _check_conditioning(immerse(f, x).metric, ROUNDTRIP_COND_LIMIT)
+    recovered = second_fundamental_form_numeric(f, x)
     return float(np.max(np.abs(recovered - a.dense_view)))

@@ -66,6 +66,15 @@ def test_campaign_explicit_partition_list():
         assert row.partition == (2, 2)
 
 
+def test_campaign_pool_drops_partitions_that_do_not_fit_n():
+    config = CampaignConfig(
+        seed=3, samples=40, n_range=(3, 5), partitions=[(2,), (2, 2), (4,)]
+    )
+    seen = {(row.n, row.partition) for row in run_campaign(config)}
+    allowed = {(3, (2,)), (4, (2,)), (4, (2, 2)), (5, (2,)), (5, (2, 2)), (5, (4,))}
+    assert seen <= allowed and {n for n, _ in seen} == {3, 4, 5}
+
+
 def test_campaign_rejects_dimension_without_partitions():
     config = CampaignConfig(seed=5, samples=5, n_range=(2, 3))
     with pytest.raises(Exception):
@@ -260,6 +269,11 @@ def test_cli_overflowing_index_is_input_error(tmp_path, capsys):
         {"seed": 1, "samples": 3, "n_range": [3, 4], "tensor_scale": float("inf")},
         {"seed": 1, "samples": 3, "n_range": [3, 4], "tensor_scale": 1e308},
         {"seed": 1, "samples": 3, "n_range": [4, 4], "partitions": [[2.5]]},
+        # [3, 2] fits no n of [3, 4] and every n of [5, 6]: rejected for both
+        {"seed": 1, "samples": 3, "n_range": [3, 4], "partitions": [[3, 2], [2]]},
+        {"seed": 1, "samples": 3, "n_range": [5, 6], "partitions": [[3, 2], [2]]},
+        {"seed": 1, "samples": 3, "n_range": [5, 6], "partitions": [[], [2]]},
+        {"seed": 1, "samples": 3, "n_range": [5, 6], "partitions": [[1, 2]]},
     ],
     ids=[
         "non-object",
@@ -271,6 +285,10 @@ def test_cli_overflowing_index_is_input_error(tmp_path, capsys):
         "infinite-tensor_scale",
         "overflowing-tensor_scale",
         "fractional-partition-block",
+        "decreasing-partition-fitting-no-n",
+        "decreasing-partition-fitting-every-n",
+        "empty-partition",
+        "partition-block-below-2",
     ],
 )
 def test_cli_sample_bad_config_is_input_error(tmp_path, capsys, config):
@@ -402,7 +420,7 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-@pytest.mark.parametrize("command, exit_code", [("verify", 1), ("delta", 0)])
+@pytest.mark.parametrize("command, exit_code", [("verify", 1), ("delta", 1)])
 def test_cli_overflow_prints_strict_json(tmp_path, capsys, command, exit_code):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(_OVERFLOWING_TENSOR))
@@ -418,6 +436,34 @@ def test_cli_overflow_prints_strict_json(tmp_path, capsys, command, exit_code):
         applicable = [r for r in data["rows"] if r["applicable"]]
         assert applicable and all(r["gap"] is None for r in applicable)
         assert {r["verdict"] for r in applicable} == {"violated"}
+
+
+@pytest.mark.parametrize(
+    "entries, exit_code",
+    [
+        # the finite-difference derivatives stay finite at the origin
+        ([{"idx": [1, 2, 3], "value": 1e200}, {"idx": [1, 1, 1], "value": 1e200}], 0),
+        # 4 * F_AB at step h/2 overflows in the Richardson step
+        ([{"idx": [1, 2, 3], "value": 1.5e308}, {"idx": [1, 1, 1], "value": 1.5e308}], 1),
+    ],
+    ids=["1e200", "1.5e308"],
+)
+def test_cli_immersion_check_huge_entries_print_strict_json(
+    tmp_path, capsys, entries, exit_code
+):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 3, "entries": entries}))
+    code, out, err = run_cli(
+        capsys, "immersion-check", "--tensor", str(path), "--fd-crosscheck"
+    )
+    assert code == exit_code and err == ""
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["roundtrip_error"] == 0.0
+    cross = data["fd_crosscheck"]
+    if exit_code:
+        assert cross == {"roundtrip_error": None, "max_difference_vs_exact": None}
+    else:
+        assert cross["roundtrip_error"] == cross["max_difference_vs_exact"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -464,5 +510,13 @@ def test_cli_immersion_check_bad_point_is_input_error(tensor_file, tmp_path, cap
 
 def test_cli_matrix_overflowing_coefficient_is_input_error(capsys):
     code, out, err = run_cli(capsys, "matrix", "--n", "4", "--partition", "2", "--C", "1e400")
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize("C", ["9e307", "1e308", "-9e307"])
+def test_cli_matrix_coefficient_with_overflowing_entries_is_input_error(capsys, C):
+    # C itself fits in a float, but 2(C + 1) or 2C - 1 does not
+    code, out, err = run_cli(capsys, "matrix", "--n", "4", "--partition", "2", f"--C={C}")
     assert code == 2 and out == ""
     assert _single_json_error(err)["error"] == "FormatError"

@@ -8,6 +8,7 @@ import sympy
 
 from deltainv import (
     CubicForm,
+    CubicPotential,
     PartitionSpec,
     SingularMetric,
     evaluate,
@@ -20,6 +21,7 @@ from deltainv import (
     second_fundamental_form_numeric,
     symmetrize,
 )
+from deltainv.immersion import FD_STEP, _apply_j
 
 
 def sympy_third_partials(f, n):
@@ -166,6 +168,107 @@ def test_second_form_fd_path_agrees():
     exact = second_fundamental_form_numeric(f, x, fd=False)
     fd = second_fundamental_form_numeric(f, x, fd=True)
     assert np.max(np.abs(exact - fd)) < 1e-8
+
+
+class _GradientOnly(CubicPotential):
+    """A potential whose Hessian is off limits: F alone may be evaluated."""
+
+    def hessian(self, x):
+        raise AssertionError("the finite-difference path read the Hessian")
+
+
+def test_second_form_fd_path_evaluates_f_alone():
+    rng = np.random.default_rng(107)
+    a = random_cubic_form(4, 2.0, rng)
+    x = rng.uniform(-0.2, 0.2, size=4)
+    exact = second_fundamental_form_numeric(potential_from_tensor(a), x)
+    fd = second_fundamental_form_numeric(_GradientOnly(4, a.dense()), x, fd=True)
+    assert np.max(np.abs(exact - fd)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the former pipeline, kept as an oracle: separate metric formulas per mode,
+# the FD metric derivative differenced from the exact Hessian
+# ---------------------------------------------------------------------------
+
+
+def _reference_derivatives(f, x, fd, step=FD_STEP):
+    """(tangents, second, metric, dg) as the former pipeline built them."""
+    n = f.n
+    if not fd:
+        hess = f.hessian(x)
+        second = np.zeros((2 * n, n, n))
+        second[n:] = f.coefficients
+        first = np.einsum("jac,jb->cab", f.coefficients, hess)
+        return (np.vstack([np.eye(n), hess]), second, np.eye(n) + hess @ hess,
+                first + first.transpose(0, 2, 1))
+
+    def position(y):
+        return np.concatenate([y, f.gradient(y)])
+
+    def richardson(central):
+        return (4.0 * central(step / 2) - central(step)) / 3.0
+
+    def unit(a, h=1.0):
+        e = np.zeros(n)
+        e[a] = h
+        return e
+
+    tangents = np.zeros((2 * n, n))
+    second = np.zeros((2 * n, n, n))
+    dg = np.zeros((n, n, n))
+    for a in range(n):
+        e = unit(a)
+        tangents[:, a] = richardson(
+            lambda h: (position(x + h * e) - position(x - h * e)) / (2 * h))
+        second[:, a, a] = richardson(
+            lambda h: (position(x + h * e) - 2.0 * position(x)
+                       + position(x - h * e)) / h**2)
+        for b in range(a + 1, n):
+            second[:, a, b] = second[:, b, a] = richardson(
+                lambda h: (position(x + unit(a, h) + unit(b, h))
+                           - position(x + unit(a, h) - unit(b, h))
+                           - position(x - unit(a, h) + unit(b, h))
+                           + position(x - unit(a, h) - unit(b, h))) / (4 * h**2))
+
+        def metric_at(y):
+            hess = f.hessian(y)
+            return np.eye(n) + hess @ hess
+
+        dg[a] = richardson(
+            lambda h: (metric_at(x + h * e) - metric_at(x - h * e)) / (2 * h))
+    return tangents, second, tangents.T @ tangents, dg
+
+
+def _reference_second_form(f, x, fd=False):
+    tangents, second, metric, dg = _reference_derivatives(f, x, fd)
+    ginv = np.linalg.inv(metric)
+    brackets = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(2, 0, 1) - dg)
+    gamma = np.einsum("ed,dab->eab", ginv, brackets)
+    normal = second - np.einsum("ie,eab->iab", tangents, gamma)
+    return np.einsum("iab,ic->abc", normal, _apply_j(tangents))
+
+
+def test_second_form_matches_reference_pipeline():
+    rng = np.random.default_rng(127)
+    worst_fd, worst_reference_fd = 0.0, 0.0
+    for _ in range(120):
+        n = int(rng.integers(2, 9))
+        a = random_cubic_form(n, float(rng.uniform(0.5, 5.0)), rng)
+        x = rng.standard_normal(n)
+        x *= float(rng.uniform(0.0, 0.25)) / float(np.linalg.norm(x))
+        f = potential_from_tensor(a)
+        exact = second_fundamental_form_numeric(f, x)
+        reference = _reference_second_form(f, x)
+        scale = max(1.0, float(np.max(np.abs(a.dense_view))))
+        assert np.max(np.abs(exact - reference)) <= 4e-15 * scale
+        fd = second_fundamental_form_numeric(f, x, fd=True)
+        worst_fd = max(worst_fd, float(np.max(np.abs(fd - exact))))
+        reference_fd = _reference_second_form(f, x, fd=True)
+        worst_reference_fd = max(
+            worst_reference_fd, float(np.max(np.abs(reference_fd - reference)))
+        )
+    assert 0.0 < worst_fd <= worst_reference_fd
 
 
 # ---------------------------------------------------------------------------
