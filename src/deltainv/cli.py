@@ -10,7 +10,8 @@ immersion-check     round-trip a tensor through its gradient-graph immersion
 sample              randomized verification campaign, CSV output
 
 Exit codes: 0 success, 1 verification failure (a gap below -1e-9 or not
-finite, a delta or round-trip error that is not finite), 2 input error.
+finite, a delta or round-trip error that is not finite, a matrix minor or
+least eigenvalue that is not finite as a float), 2 input error.
 Errors are reported as one JSON object on stderr.
 The environment variable DELTAINV_SEED supplies the default seed.
 """
@@ -112,6 +113,14 @@ def _strict(numbers: dict) -> dict:
     return {key: finite_or_none(v) for key, v in numbers.items()}
 
 
+def _float_or_none(value) -> float | None:
+    """An exact number as a strict JSON number: None when its float overflows."""
+    try:
+        return finite_or_none(float(value))
+    except OverflowError:
+        return None
+
+
 def cmd_delta(args) -> int:
     h = _load_tensor(args.tensor)
     P = PartitionSpec(h.n, _parse_partition(args.partition))
@@ -151,6 +160,7 @@ def cmd_matrix(args) -> int:
         )
     bundle = build_M(P, args.ell, C)
     psd, eig_min = psd_verdict(bundle)
+    minors = [_float_or_none(d) for d in bundle.minors]
     out = {
         "n": P.n,
         "partition": list(P.blocks),
@@ -158,7 +168,7 @@ def cmd_matrix(args) -> int:
         "C": _fraction_json(C),
         "M": bundle.M.tolist(),
         "Mprime": bundle.Mprime.tolist(),
-        "minors": [float(d) for d in bundle.minors],
+        "minors": minors,
         "critical_C": _fraction_json(bundle.critical_C),
         "thresholds": {
             "STATEMENT_I": _fraction_json(critical_C(P, args.ell, STATEMENT_I)),
@@ -175,10 +185,10 @@ def cmd_matrix(args) -> int:
         },
         "psd": psd,
         "psd_by_minors": psd_verdict_minors(bundle),
-        "min_eigenvalue": eig_min,
+        "min_eigenvalue": finite_or_none(eig_min),
     }
-    print(json.dumps(out, indent=2))
-    return 0
+    print(json.dumps(out, indent=2, allow_nan=False))
+    return 0 if None not in minors and math.isfinite(eig_min) else 1
 
 
 def _params_t1(P: PartitionSpec, data: dict) -> EqualityParamsT1:

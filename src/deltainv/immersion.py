@@ -8,18 +8,15 @@ take the cubic potential f(x) = (1/6) sum a_{ABC} x_A x_B x_C and map
 
 identified with R^2n as (x, grad f).  The induced metric is
 g = I + (Hess f)^2, the image is Lagrangian for the standard complex
-structure J(u, v) = (-v, u), and the pairing of the normal part of the
-second derivatives of F with J F_* e_C recovers f_{x_A x_B x_C} = a_{ABC}
-at every point where the metric is nonsingular.
+structure J(u, v) = (-v, u), and the pairing of the second derivatives of
+F with J F_* e_C recovers f_{x_A x_B x_C} = a_{ABC} at every point.
 
-This module recomputes that second fundamental form by independent
-numerical differential geometry (metric, Christoffel symbols, tangential
-projection) so the identity can be checked rather than assumed.  One
-pipeline takes the first and second derivatives of F and derives
-everything else from them, the metric and its derivative included.  The
-derivatives are exact polynomial expressions by default; the
-finite-difference path takes them from evaluations of F alone, so it
-shares no formula with the exact one.
+On a Lagrangian immersion J F_* e_C is normal, which `lagrangian_check`
+measures, so <h(e_A, e_B), J F_* e_C> = <F_AB, J F_* e_C> and the
+recovery is one pairing with no tangential projection.  With the exact
+polynomial derivatives the round trip holds by construction; the
+finite-difference path, which evaluates F alone and shares no formula
+with the polynomials, is the independent check.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from .tensors import CubicForm
 
 FD_STEP = 1e-4
 ROUNDTRIP_COND_LIMIT = 1e6
-SECOND_FORM_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -125,53 +121,41 @@ def lagrangian_check(f: CubicPotential, x) -> float:
     return float(np.max(np.abs(point.tangents.T @ jt)))
 
 
-def _check_conditioning(metric: np.ndarray, limit: float):
-    cond = float(np.linalg.cond(metric))
-    if not np.isfinite(cond) or cond > limit:
-        raise SingularMetric(f"induced metric condition number {cond:.3e}")
-
-
 def _fd_derivatives(f: CubicPotential, x):
     """(F_A (2n, n), F_AB (2n, n, n)) from evaluations of F alone.
 
-    Central differences at steps h and h/2, Richardson-extrapolated once;
-    F_AA is the same four-point difference as F_AB with both steps along A.
+    One central difference at FD_STEP.  F is quadratic in x, so the
+    differences carry rounding but no truncation error.  F_AA is the same
+    four-point difference as F_AB with both steps along A.
     """
-    n = f.n
-
-    def central(h):
-        E = h * np.eye(n)
-        first = np.stack(
-            [_position(f, x + e) - _position(f, x - e) for e in E], axis=1
-        ) / (2 * h)
-        second = np.empty((2 * n, n, n))
-        for a, b in itertools.combinations_with_replacement(range(n), 2):
-            p, m = x + E[a], x - E[a]
-            second[:, a, b] = second[:, b, a] = (
-                _position(f, p + E[b]) - _position(f, p - E[b])
-                - _position(f, m + E[b]) + _position(f, m - E[b])
-            ) / (4 * h * h)
-        return first, second
-
-    (t1, s1), (t2, s2) = central(FD_STEP), central(FD_STEP / 2)
-    return (4.0 * t2 - t1) / 3.0, (4.0 * s2 - s1) / 3.0
+    n, h = f.n, FD_STEP
+    E = h * np.eye(n)
+    first = np.stack(
+        [_position(f, x + e) - _position(f, x - e) for e in E], axis=1
+    ) / (2 * h)
+    second = np.empty((2 * n, n, n))
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        p, m = x + E[a], x - E[a]
+        second[:, a, b] = second[:, b, a] = (
+            _position(f, p + E[b]) - _position(f, p - E[b])
+            - _position(f, m + E[b]) + _position(f, m - E[b])
+        ) / (4 * h * h)
+    return first, second
 
 
 def second_fundamental_form_numeric(
     f: CubicPotential, x, fd: bool = False
 ) -> np.ndarray:
-    """Recover <h(e_A, e_B), J F_* e_C> by the full geometric pipeline.
+    """Recover <h(e_A, e_B), J F_* e_C> as the pairing <F_AB, J F_* e_C>.
 
-    From the tangents F_A and second derivatives F_AB of F: the induced
-    metric g = F_*^T F_*, its derivative dg[C, A, B] = F_CA.F_B + F_A.F_CB,
-    the Christoffel symbols, the normal part F_AB - Gamma^E_AB F_E and its
-    pairing with J F_* e_C.  The components refer to the coordinate frame
-    F_* e_C, which is orthonormal only where the Hessian of f vanishes (in
-    particular at the origin).
+    J F_* e_C is normal on the Lagrangian image, so the tangential part of
+    F_AB pairs to zero with it and no projection is taken.  The components
+    refer to the coordinate frame F_* e_C, which is orthonormal only where
+    the Hessian of f vanishes (in particular at the origin).
 
-    The pair (F_A, F_AB) is exact polynomial data by default; with
-    ``fd=True`` it comes from Richardson-extrapolated central differences
-    of evaluations of F alone, and every later step is shared.
+    The pair (F_A, F_AB) is exact polynomial data by default, which makes
+    the pairing return the coefficients by construction; with ``fd=True``
+    it comes from central differences of evaluations of F alone.
     """
     x = f._point(x)
     if fd:
@@ -180,18 +164,7 @@ def second_fundamental_form_numeric(
         tangents = immerse(f, x).tangents
         second = np.zeros((2 * f.n, f.n, f.n))
         second[f.n:] = f.third_derivatives()  # f_{x_j x_A x_B} in slot j
-
-    metric = tangents.T @ tangents
-    _check_conditioning(metric, SECOND_FORM_COND_LIMIT)
-    ginv = np.linalg.inv(metric)
-    half = np.einsum("ica,ib->cab", second, tangents)
-    dg = half + half.transpose(0, 2, 1)
-
-    # Gamma^E_{AB} = (1/2) g^{ED} (dg[A,D,B] + dg[B,D,A] - dg[D,A,B])
-    brackets = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(2, 0, 1) - dg)  # [D, A, B]
-    gamma = np.einsum("ed,dab->eab", ginv, brackets)
-    normal = second - np.einsum("ie,eab->iab", tangents, gamma)
-    return np.einsum("iab,ic->abc", normal, _apply_j(tangents))
+    return np.einsum("iab,ic->abc", second, _apply_j(tangents))
 
 
 def lemma1_roundtrip(a: CubicForm, x=None) -> float:
@@ -204,6 +177,8 @@ def lemma1_roundtrip(a: CubicForm, x=None) -> float:
     """
     f = potential_from_tensor(a)
     x = np.zeros(a.n) if x is None else x
-    _check_conditioning(immerse(f, x).metric, ROUNDTRIP_COND_LIMIT)
+    cond = float(np.linalg.cond(immerse(f, x).metric))
+    if not np.isfinite(cond) or cond > ROUNDTRIP_COND_LIMIT:
+        raise SingularMetric(f"induced metric condition number {cond:.3e}")
     recovered = second_fundamental_form_numeric(f, x)
     return float(np.max(np.abs(recovered - a.dense_view)))

@@ -439,31 +439,35 @@ def test_cli_overflow_prints_strict_json(tmp_path, capsys, command, exit_code):
 
 
 @pytest.mark.parametrize(
-    "entries, exit_code",
-    [
-        # the finite-difference derivatives stay finite at the origin
-        ([{"idx": [1, 2, 3], "value": 1e200}, {"idx": [1, 1, 1], "value": 1e200}], 0),
-        # 4 * F_AB at step h/2 overflows in the Richardson step
-        ([{"idx": [1, 2, 3], "value": 1.5e308}, {"idx": [1, 1, 1], "value": 1.5e308}], 1),
-    ],
+    "value",
+    # one central difference of F keeps F_AB at the size of the entries, so
+    # it stays finite up to the largest float
+    [1e200, 1.5e308],
     ids=["1e200", "1.5e308"],
 )
-def test_cli_immersion_check_huge_entries_print_strict_json(
-    tmp_path, capsys, entries, exit_code
-):
+def test_cli_immersion_check_huge_entries_print_strict_json(tmp_path, capsys, value):
     path = tmp_path / "big.json"
+    entries = [{"idx": [1, 2, 3], "value": value}, {"idx": [1, 1, 1], "value": value}]
     path.write_text(json.dumps({"n": 3, "entries": entries}))
     code, out, err = run_cli(
         capsys, "immersion-check", "--tensor", str(path), "--fd-crosscheck"
     )
-    assert code == exit_code and err == ""
+    assert code == 0 and err == ""
     data = json.loads(out, parse_constant=_reject_constant)
     assert data["roundtrip_error"] == 0.0
     cross = data["fd_crosscheck"]
-    if exit_code:
-        assert cross == {"roundtrip_error": None, "max_difference_vs_exact": None}
-    else:
-        assert cross["roundtrip_error"] == cross["max_difference_vs_exact"] == 0.0
+    assert cross["roundtrip_error"] == cross["max_difference_vs_exact"] == 0.0
+
+
+def test_cli_immersion_check_non_finite_error_exits_1(tensor_file, capsys, monkeypatch):
+    monkeypatch.setattr("deltainv.cli.lemma1_roundtrip", lambda a, x: float("nan"))
+    code, out, err = run_cli(
+        capsys, "immersion-check", "--tensor", tensor_file, "--fd-crosscheck"
+    )
+    assert code == 1 and err == ""
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["roundtrip_error"] is None
+    assert data["fd_crosscheck"]["max_difference_vs_exact"] <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -520,3 +524,23 @@ def test_cli_matrix_coefficient_with_overflowing_entries_is_input_error(capsys, 
     code, out, err = run_cli(capsys, "matrix", "--n", "4", "--partition", "2", f"--C={C}")
     assert code == 2 and out == ""
     assert _single_json_error(err)["error"] == "FormatError"
+
+
+def test_cli_matrix_infinite_eigenvalue_prints_null(capsys):
+    # the entries -1.6e308 are finite, but the eigen-solve overflows
+    code, out, err = run_cli(capsys, "matrix", "--n", "4", "--partition", "2", "--C=-8e307")
+    assert code == 1 and err == ""
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["min_eigenvalue"] is None and data["psd"] is False
+    assert all(isinstance(d, float) for d in data["minors"])
+
+
+def test_cli_matrix_overflowing_minor_prints_null(capsys):
+    # the exact minors divide by 2C - 1 = 10^-300 and overflow a float
+    C = f"{10**300 + 1}/{2 * 10**300}"
+    code, out, err = run_cli(capsys, "matrix", "--n", "4", "--partition", "2", f"--C={C}")
+    assert code == 1 and err == ""
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert None in data["minors"]
+    assert all(d is None or isinstance(d, float) for d in data["minors"])
+    assert data["min_eigenvalue"] is not None

@@ -240,13 +240,18 @@ def _reference_derivatives(f, x, fd, step=FD_STEP):
     return tangents, second, tangents.T @ tangents, dg
 
 
-def _reference_second_form(f, x, fd=False):
+def _reference_parts(f, x, fd=False):
+    """(F_AB, its tangential part Gamma^E_AB F_E, J F_*) of the former pipeline."""
     tangents, second, metric, dg = _reference_derivatives(f, x, fd)
     ginv = np.linalg.inv(metric)
     brackets = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(2, 0, 1) - dg)
     gamma = np.einsum("ed,dab->eab", ginv, brackets)
-    normal = second - np.einsum("ie,eab->iab", tangents, gamma)
-    return np.einsum("iab,ic->abc", normal, _apply_j(tangents))
+    return second, np.einsum("ie,eab->iab", tangents, gamma), _apply_j(tangents)
+
+
+def _reference_second_form(f, x, fd=False):
+    second, tangential, jt = _reference_parts(f, x, fd)
+    return np.einsum("iab,ic->abc", second - tangential, jt)
 
 
 def test_second_form_matches_reference_pipeline():
@@ -269,6 +274,31 @@ def test_second_form_matches_reference_pipeline():
             worst_reference_fd, float(np.max(np.abs(reference_fd - reference)))
         )
     assert 0.0 < worst_fd <= worst_reference_fd
+
+
+def _seeded_cases(n_max, count=120):
+    """The (potential, point, scale) cases of the reference comparison above."""
+    rng = np.random.default_rng(127)
+    for _ in range(count):
+        n = int(rng.integers(2, n_max + 1))
+        a = random_cubic_form(n, float(rng.uniform(0.5, 5.0)), rng)
+        x = rng.standard_normal(n)
+        x *= float(rng.uniform(0.0, 0.25)) / float(np.linalg.norm(x))
+        yield potential_from_tensor(a), x, max(1.0, float(np.max(np.abs(a.dense_view))))
+
+
+def test_tangential_part_pairs_to_zero_with_j_tangents():
+    # J F_* is normal, so dropping the Christoffel projection changes nothing
+    for f, x, scale in _seeded_cases(n_max=8):
+        _, tangential, jt = _reference_parts(f, x)
+        assert np.max(np.abs(np.einsum("iab,ic->abc", tangential, jt))) <= 1e-14 * scale
+
+
+def test_second_form_fd_path_agrees_up_to_n12():
+    for f, x, _ in _seeded_cases(n_max=12):
+        exact = second_fundamental_form_numeric(f, x)
+        fd = second_fundamental_form_numeric(f, x, fd=True)
+        assert np.max(np.abs(fd - exact)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
