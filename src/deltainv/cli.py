@@ -60,9 +60,12 @@ def _default_seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise FormatError(f"{SEED_ENV} must be an integer, got {raw!r}")
+    if seed < 0:
+        raise FormatError(f"{SEED_ENV} must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_partition(raw: str) -> tuple[int, ...]:
@@ -97,11 +100,24 @@ def _optimizer_options(args) -> OptimizerOptions:
 
 
 def _add_optimizer_flags(parser):
-    parser.add_argument("--restarts", type=int, default=_OPTIMIZER_DEFAULTS.restarts)
-    parser.add_argument("--max-iters", type=int, default=_OPTIMIZER_DEFAULTS.max_iters)
-    parser.add_argument("--tol", type=float, default=_OPTIMIZER_DEFAULTS.tol)
+    parser.add_argument(
+        "--restarts", type=int, default=_OPTIMIZER_DEFAULTS.restarts,
+        help="descent starts: identity, oracle permutation, then seeded "
+        "random frames (default %(default)s)",
+    )
+    parser.add_argument(
+        "--max-iters", type=int, default=_OPTIMIZER_DEFAULTS.max_iters,
+        help="most accepted steps per start (default %(default)s)",
+    )
+    parser.add_argument(
+        "--tol", type=float, default=_OPTIMIZER_DEFAULTS.tol,
+        help="a start stops, converged, once its skew-gradient norm is below "
+        "TOL; a start that stalls counts as converged below max(TOL, 1e-7) "
+        "(default %(default)s)",
+    )
     parser.add_argument("--seed", type=int, default=None,
-                        help=f"defaults to ${SEED_ENV} or {DEFAULT_SEED}")
+                        help=f"seed >= 0 of the random starts; defaults to "
+                        f"${SEED_ENV} or {DEFAULT_SEED}")
 
 
 def _all_finite(*values: float) -> bool:

@@ -23,7 +23,13 @@ with the prescribed dimensions.  Two estimators are provided:
   optimization with orthogonality constraints", Math. Program. 2013):
   batched Cayley solves, and per-restart Barzilai-Borwein steps and
   backtracking under an active mask.  Each restart takes the steps a
-  descent from its start alone would take, up to float rounding.
+  descent from its start alone would take, up to float rounding.  A
+  restart stops at |A| < tol for its skew gradient A, after ``max_iters``
+  accepted steps, when its step halves to 1e-15 without an Armijo
+  decrease, or after a run of accepted steps that leave f unchanged to
+  1e-15 relative: three once |A| < max(tol, 1e-7), ten otherwise.  It is
+  reported converged when it stops at |A| < tol, or stops early by either
+  of the last two rules with |A| < max(tol, 1e-7).
 
 Both read the single Gauss-sum kernel, the sectional-curvature matrix K of
 ``tensors``.  The descent weighs K with the 0/1 block mask M (M_ij = 1 when
@@ -67,10 +73,28 @@ _TIE_RTOL = 1e-12
 # most starts descended in one stack; memory does not grow with --restarts
 _STACK = 64
 
+# accepted steps in a row that leave f unchanged to 1e-15 relative before a
+# restart stops; fewer once |A| is below the stationarity level, where the
+# restart is reported converged anyway and flat steps only add rounding
+_FLAT_STEPS = 10
+_FLAT_STEPS_STATIONARY = 3
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for the multi-start frame search."""
+    """Knobs for the multi-start frame search.
+
+    ``restarts`` starts in all (at least the identity and the oracle
+    permutation, then seeded Haar-random frames), each descending for at
+    most ``max_iters`` accepted steps.  A restart stops once its skew
+    gradient has norm below ``tol``; before that it may stop as numerically
+    stationary, when its step halves to 1e-15 without an Armijo decrease or
+    when accepted steps in a row leave f unchanged to 1e-15 relative: three
+    such steps once the gradient norm is below max(tol, 1e-7), ten
+    otherwise.  A restart stopped that way counts as converged only if its
+    gradient norm is below max(tol, 1e-7).  ``seed`` (>= 0) seeds the random
+    starts.
+    """
 
     restarts: int = 16
     max_iters: int = 500
@@ -84,6 +108,8 @@ class OptimizerOptions:
             raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -274,8 +300,11 @@ def _stacked_descent(T, starts, M, max_iters, tol):
     the start), Armijo backtracking by halving, at most ``max_iters``
     accepted steps.  A restart is converged when |A| < tol, or when it is
     numerically stationary with |A| < max(tol, 1e-7): its step halved to
-    1e-15 without an Armijo decrease, or ten accepted steps in a row left f
-    unchanged to 1e-15 relative.
+    1e-15 without an Armijo decrease, or accepted steps in a row left f
+    unchanged to 1e-15 relative, three of them when |A| < max(tol, 1e-7)
+    and ten otherwise.  |A| is read at the iterate each step leaves, as the
+    verdict reads it, so a restart stopped by the three-step run is always
+    converged.
 
     One round makes one stacked Armijo trial for every active restart and
     one stacked gradient for the restarts whose trial was accepted, so a
@@ -345,7 +374,10 @@ def _stacked_descent(T, starts, M, max_iters, tol):
         R[moved], H[moved], f[moved] = Rt[ok], Ht[ok], ft
         prev_A[moved], prev_t[moved] = A[moved], t[moved]
         iters[moved] += 1
-        stalled = moved[stagnant[moved] >= 10]
+        window = np.where(
+            gnorm[moved] < stationary_tol, _FLAT_STEPS_STATIONARY, _FLAT_STEPS
+        )
+        stalled = moved[stagnant[moved] >= window]
         converged[stalled] = gnorm[stalled] < stationary_tol
         active[stalled] = False
         active[moved[iters[moved] >= max_iters]] = False

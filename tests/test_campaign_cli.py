@@ -344,6 +344,19 @@ def test_cli_non_finite_or_negative_tol_is_input_error(tensor_file, capsys, tol)
     assert _single_json_error(err)["error"] == "FormatError"
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["delta", "verify"])
+def test_cli_negative_seed_is_input_error(tensor_file, capsys, monkeypatch, command, source):
+    argv = [command, tensor_file, "--partition", "2"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("DELTAINV_SEED", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"
+
+
 def test_cli_verify_reports_violations_with_exit_1(tensor_file, capsys, monkeypatch):
     import deltainv.cli as cli_mod
     from deltainv.bounds import BoundRow, InequalityReport

@@ -243,9 +243,14 @@ def test_cayley_step_is_orthogonal():
 # ---------------------------------------------------------------------------
 
 
-def _reference_descend(T, R0, M, max_iters, tol):
+def _reference_descend(T, R0, M, max_iters, tol, stationary_window=3):
     """One start at a time: gradient descent with Barzilai-Borwein steps and
     Armijo backtracking along R(t) = cay(-t A) R; (f_min, frame, converged).
+
+    A run of accepted steps that leave f unchanged to 1e-15 relative ends
+    the descent: ``stationary_window`` of them once |A| < max(tol, 1e-7),
+    ten otherwise.  ``stationary_window=10`` is the ten-step rule, kept as
+    an oracle for the short window.
     """
     R = np.array(R0, dtype=float)
     H = _rotate_dense(T, R)
@@ -284,7 +289,8 @@ def _reference_descend(T, R0, M, max_iters, tol):
             break
         if f - ft <= 1e-15 * max(1.0, abs(f)):
             stagnant += 1
-            if stagnant >= 10:
+            window = stationary_window if gnorm < max(tol, 1e-7) else 10
+            if stagnant >= window:
                 R, H, f = Rt, Ht, ft
                 converged = gnorm < max(tol, 1e-7)
                 break
@@ -327,16 +333,15 @@ def test_start_stacks_are_the_per_start_frames(monkeypatch, restarts):
     assert np.array_equal(got, _reference_starts(P, assignment, restarts, 11))
 
 
-@pytest.mark.parametrize("max_iters", [500, 7])
-@pytest.mark.parametrize("n", range(3, 9))
-@pytest.mark.parametrize("kind", ["witness", "random"])
-def test_stacked_descent_matches_single_start_reference(kind, n, max_iters):
+def _assert_stacked_matches_reference(kind, n, max_iters, window=3):
     for seed in range(2):
         h, P, starts = _descent_case(kind, n, seed)
         T, M = h.dense_view, _block_mask(P)
         f, R, converged = _stacked_descent(T, np.stack(starts), M, max_iters, 1e-9)
         for i, R0 in enumerate(starts):
-            ref_f, _, ref_converged = _reference_descend(T, R0, M, max_iters, 1e-9)
+            ref_f, _, ref_converged = _reference_descend(
+                T, R0, M, max_iters, 1e-9, window
+            )
             assert abs(f[i] - ref_f) <= 1e-10 * max(1.0, abs(ref_f)), (P, seed, i)
             assert f[i] == pytest.approx(
                 _block_tau_h(_rotate_dense(T, R[i]), M), rel=1e-12, abs=1e-12
@@ -344,6 +349,21 @@ def test_stacked_descent_matches_single_start_reference(kind, n, max_iters):
             # the verdict may flip only where |A| ends between 1e-9 and 1e-6
             if kind == "witness":
                 assert converged[i] == ref_converged, (P, seed, i)
+
+
+@pytest.mark.parametrize("max_iters", [500, 7])
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("kind", ["witness", "random"])
+def test_stacked_descent_matches_single_start_reference(kind, n, max_iters):
+    _assert_stacked_matches_reference(kind, n, max_iters)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("kind", ["witness", "random"])
+def test_ten_step_rule_matches_its_single_start_reference(monkeypatch, kind, n):
+    # the ten-step rule that the oracle tests below run through delta_invariant
+    monkeypatch.setattr(delta_mod, "_FLAT_STEPS_STATIONARY", 10)
+    _assert_stacked_matches_reference(kind, n, 500, window=10)
 
 
 def test_earliest_best_keeps_the_first_of_float_noise_ties():
@@ -364,6 +384,54 @@ def test_restarts_give_the_best_of_the_first_starts(monkeypatch, kind):
         res = delta_invariant(h, 0.0, P, OptimizerOptions(restarts=restarts, seed=4))
         best = min(ref[: max(restarts, 2)])
         assert res.value == pytest.approx(res.tau_total - best, abs=1e-9)
+
+
+def _sweep(cases, opts=None):
+    """delta_invariant on every (h, P) at c = 0."""
+    return [delta_invariant(h, 0.0, P, opts) for h, P in cases]
+
+
+def test_short_flat_window_keeps_witness_values_with_fewer_steps(monkeypatch):
+    # the 18 partitions with n <= 6, three witnesses each
+    witnesses = [
+        (random_witness(2 if P.saturating else 1, P, seed=seed), P)
+        for n in range(3, 7)
+        for P in enumerate_partitions(n)
+        for seed in range(3)
+    ]
+    rows = []
+    grad_skew = delta_mod._grad_skew
+
+    def counted(H, M):
+        rows.append(len(H))
+        return grad_skew(H, M)
+
+    monkeypatch.setattr(delta_mod, "_grad_skew", counted)
+    short = _sweep(witnesses)
+    short_rows = sum(rows)
+    rows.clear()
+    monkeypatch.setattr(delta_mod, "_FLAT_STEPS_STATIONARY", 10)
+    ten = _sweep(witnesses)
+    for a, b in zip(short, ten):
+        assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(b.value))
+        assert a.converged and b.converged
+    # one gradient row per start and per accepted step that does not end it
+    assert short_rows < sum(rows)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_short_flat_window_never_unconverges_a_winner(monkeypatch, n):
+    parts = enumerate_partitions(n)
+    cases = [
+        (random_cubic_form(n, 1.0, np.random.default_rng([n, seed])),
+         parts[seed % len(parts)])
+        for seed in range(18 if n <= 8 else 2)
+    ]
+    short = _sweep(cases)
+    monkeypatch.setattr(delta_mod, "_FLAT_STEPS_STATIONARY", 10)
+    ten = _sweep(cases)
+    for (_, P), a, b in zip(cases, short, ten):
+        assert a.converged or not b.converged, P
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +524,8 @@ def test_optimizer_options_validation():
         OptimizerOptions(restarts=0)
     with pytest.raises(ValueError):
         OptimizerOptions(max_iters=0)
+    with pytest.raises(ValueError):
+        OptimizerOptions(seed=-1)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
