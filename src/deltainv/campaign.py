@@ -7,6 +7,14 @@ a campaign with master seed s draws from its own generator seeded by the
 seed sequence (s, i), so any sample can be reproduced in isolation and
 identical configurations produce byte-identical CSV output.
 
+The generators of a chunk are seeded together.  ``_seed_words`` runs
+NumPy's ``SeedSequence`` hash (``mix_entropy`` over the entropy words of
+seed and i, then ``generate_state(4, np.uint64)``) on the whole chunk in
+one pass of uint32 array arithmetic, and each sample's PCG64 takes its
+four words through an ``ISeedSequence`` adapter.  The words are those
+``SeedSequence((s, i))`` generates, so every stream, row and CSV byte is
+the one ``default_rng(SeedSequence((s, i)))`` gives.
+
 Samples are drawn ``_CHUNK`` at a time.  Each sample's tensor comes from
 ``random_cubic_form`` and its gap from ``universal_check``, the functions
 a single sample is reproduced with; the frames of a chunk's samples of
@@ -22,6 +30,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -46,6 +55,17 @@ SAMPLE_CSV_COLUMNS = ["index", "seed", "n", "partition", "c", "gap"]
 # Samples drawn together, whose frames are orthonormalized by stacked QRs;
 # a chunk's draws are what a campaign holds at any sample count.
 _CHUNK = 1024
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): the entropy
+# words are mixed into a pool of four uint32 words, which are hashed out
+# into the state words a bit generator asks for; PCG64 asks for four uint64.
+_POOL = 4
+_PCG64_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -190,9 +210,115 @@ class _Draw(NamedTuple):
     gauss: np.ndarray
 
 
-def _draw(config: CampaignConfig, pool, i: int) -> _Draw:
-    """Sample i's draws, in this order, from its own seeded generator."""
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, i)))
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init and its count successive products by mult, modulo 2**32.  They
+    are evolved as Python ints, so no numpy scalar can warn on overflow."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    out = np.array(consts, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row of values (or per constant,
+    for one row): row r takes consts[r] and consts[r + 1]."""
+    v = (values ^ consts[:-1, None]) * consts[1:, None]
+    return v ^ (v >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _pcg64_state_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for each column of an
+    (E, m) uint32 entropy array: mix_entropy into the pool, then hash it
+    out into eight uint32 words, read in little-endian pairs."""
+    n_entropy, m = entropy.shape
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(_POOL, n_entropy))
+    mixer = np.zeros((_POOL, m), dtype=np.uint32)
+    mixer[:n_entropy] = entropy[:_POOL]
+    mixer = _hashmix(mixer, consts[: _POOL + 1])
+    k = _POOL
+    # mix every pool word into the others, and then the entropy past the pool
+    # into every pool word; the hash constant advances once per hashmix
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], consts[k : k + _POOL]))
+        k += _POOL - 1
+    for src in range(_POOL, n_entropy):
+        mixer = _mix(mixer, _hashmix(entropy[src], consts[k : k + _POOL + 1]))
+        k += _POOL
+    n_state = 2 * _PCG64_WORDS
+    state = _hashmix(
+        mixer[np.arange(n_state) % _POOL], _hash_constants(_INIT_B, _MULT_B, n_state)
+    )
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _word_count(value: int) -> int:
+    """How many uint32 entropy words SeedSequence makes of a nonnegative int
+    (one for 0)."""
+    return (value.bit_length() + 31) // 32 or 1
+
+
+def _seed_words(seed: int, indices: Sequence[int]) -> np.ndarray:
+    """Row j is ``SeedSequence((seed, indices[j])).generate_state(4,
+    np.uint64)``, PCG64's seed words.  The entropy is seed's words followed
+    by the index's, so the indices are hashed in one pass per word count."""
+    # an int's entropy words come least significant first
+    seed_words = [seed >> 32 * k & _MASK32 for k in range(_word_count(seed))]
+    by_width: dict[int, list[int]] = {}
+    for j, i in enumerate(indices):
+        by_width.setdefault(_word_count(i), []).append(j)
+    out = np.empty((len(indices), _PCG64_WORDS), dtype=np.uint64)
+    for width, rows in by_width.items():
+        entropy = np.empty((len(seed_words) + width, len(rows)), dtype=np.uint32)
+        entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+        for w in range(width):
+            entropy[len(seed_words) + w] = [indices[j] >> 32 * w & _MASK32 for j in rows]
+        out[rows] = _pcg64_state_words(entropy)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _seeded_generator():
+    """A function from four PCG64 seed words to a Generator.  It is built on
+    first use, so that importing the package does not load numpy.random."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """The state words a SeedSequence would generate for PCG64."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == _PCG64_WORDS and (
+                dtype is np.uint64 or np.dtype(dtype) == np.uint64
+            ):
+                return self.words
+            raise ValueError(
+                f"only the {_PCG64_WORDS} uint64 words of a PCG64 seed are held"
+            )
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
+
+
+def _generators(seed: int, indices: Sequence[int]) -> list:
+    """Sample i's generator, bit for bit ``default_rng(SeedSequence((seed, i)))``,
+    for each listed i."""
+    make = _seeded_generator()
+    return [make(words) for words in _seed_words(seed, indices)]
+
+
+def _draw(config: CampaignConfig, pool, rng) -> _Draw:
+    """One sample's draws, in this order, from its own seeded generator."""
     lo, hi = config.n_range
     n = int(rng.integers(lo, hi + 1))
     p = int(rng.integers(len(pool[n])))
@@ -203,7 +329,7 @@ def _draw(config: CampaignConfig, pool, i: int) -> _Draw:
 
 def _chunk_rows(config: CampaignConfig, pool, indices) -> Iterable[SampleResult]:
     """The rows of the listed samples, in order."""
-    draws = [_draw(config, pool, i) for i in indices]
+    draws = [_draw(config, pool, rng) for rng in _generators(config.seed, indices)]
     frames = [None] * len(draws)
     for n in {d.n for d in draws}:
         group = [j for j, d in enumerate(draws) if d.n == n]

@@ -39,8 +39,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InadmissiblePartition, InvariantViolation
-from .tensors import CubicForm, PartitionSpec, _symmetrize_dense
+from .errors import FormatError, InadmissiblePartition, InvariantViolation
+from .tensors import CubicForm, PartitionSpec, _as_integer, _symmetrize_dense
 
 TRACE_TOL = 1e-10
 CHECK_TOL = 1e-10
@@ -335,8 +335,12 @@ def _random_traceless_block(size: int, scale: float, rng: np.random.Generator):
 def random_witness(
     theorem: int, P: PartitionSpec, seed: int, scale: float = 1.0
 ) -> CubicForm:
-    """Seeded random equality witness with nonzero mean curvature."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), theorem)))
+    """Seeded random equality witness with nonzero mean curvature.  The
+    seed must be an integer >= 0 (FormatError otherwise)."""
+    seed = _as_integer(seed, "seed")
+    if seed < 0:
+        raise FormatError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, theorem)))
     if theorem == 1:
         signs = rng.choice([-1.0, 1.0], size=P.residual)
         lambdas = signs * rng.uniform(0.5 * scale, 2.0 * scale, size=P.residual)

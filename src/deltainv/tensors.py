@@ -63,7 +63,10 @@ def _check_dimension(n: int) -> int:
 
 
 def _as_integer(value, what: str) -> int:
-    """An integral input value (3, or 3.0 from JSON) as an int, else FormatError."""
+    """An integral input value (3, or 3.0 from JSON) as an int, else FormatError.
+    JSON true and false are not integers here, though bool subclasses int."""
+    if isinstance(value, bool):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
     if isinstance(value, float) and value.is_integer():
         return int(value)
     try:

@@ -5,10 +5,18 @@ same order as the loop below, and orthonormalizes the Gaussian draws of a
 chunk's samples of one dimension by one stacked QR.  The loop builds one
 ``Frame.random`` per sample.  Both call ``random_cubic_form`` and
 ``universal_check``, so their rows agree bit for bit, NaN gaps included.
+
+The chunk seeds its generators from ``_seed_words``, a vectorized copy of
+NumPy's ``SeedSequence`` hash; the loop and the tests below keep the real
+``SeedSequence`` as the oracle.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +29,9 @@ from deltainv.campaign import (
     SampleResult,
     _chunk_rows,
     _draw,
+    _generators,
     _partition_pool,
+    _seed_words,
     run_campaign,
 )
 
@@ -78,6 +88,10 @@ def _assert_rows_match(rows, ref):
         dict(seed=8, samples=300, n_range=(3, 4), tensor_scale=1e200),
         dict(seed=9, samples=_CHUNK + 37, n_range=(3, 5)),
         dict(seed=10, samples=2 * _CHUNK, n_range=(3, 5)),
+        # seeds of three and four entropy words; with the index, four words
+        # fill SeedSequence's pool and five overflow it
+        dict(seed=2**64 + 5, samples=300, n_range=(3, 8)),
+        dict(seed=10**30, samples=300, n_range=(3, 8)),
     ],
     ids=[
         "acceptance05-3000",
@@ -89,6 +103,8 @@ def _assert_rows_match(rows, ref):
         "scale-1e200",
         "chunk+37",
         "2chunks",
+        "seed-2**64+5",
+        "seed-10**30",
     ],
 )
 def test_chunked_campaign_matches_per_sample_loop(config):
@@ -104,10 +120,55 @@ def test_nearly_singular_gaussian_draw_still_gives_a_row():
     Its Q is orthonormal all the same, so the row must not be refused."""
     config = CampaignConfig(seed=1, samples=166_391, n_range=(3, 6))
     pool = _partition_pool(config)
-    d = _draw(config, pool, 166_390)
+    d = _draw(config, pool, np.random.default_rng(np.random.SeedSequence((1, 166_390))))
     assert np.min(np.abs(np.diag(np.linalg.qr(d.gauss)[1]))) < 1e-6
     (row,) = _chunk_rows(config, pool, [166_390])
     assert row == _per_sample_row(config, pool, 166_390)
+
+
+_WORD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30]
+_WORD_INDICES = [0, 1, 1023, 2**31, 2**32 - 1, 2**32, 2**40]
+
+
+@pytest.mark.parametrize("seed", _WORD_SEEDS)
+def test_seed_words_match_seed_sequence(seed):
+    """Word for word what SeedSequence((seed, i)) generates for PCG64, with
+    indices of one and two words in one chunk and each index alone."""
+    want = [
+        np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+        for i in _WORD_INDICES
+    ]
+    got = _seed_words(seed, _WORD_INDICES)
+    assert got.dtype == np.uint64 and got.shape == (len(_WORD_INDICES), 4)
+    for i, row, ref in zip(_WORD_INDICES, got, want):
+        assert row.tolist() == ref.tolist(), i
+        assert _seed_words(seed, [i])[0].tolist() == ref.tolist(), i
+
+
+@pytest.mark.parametrize("seed", _WORD_SEEDS)
+def test_generators_match_default_rng(seed):
+    """The seeded generators give default_rng(SeedSequence((seed, i)))'s
+    stream: raw words, then the draws a campaign sample makes."""
+    for i, rng in zip(_WORD_INDICES, _generators(seed, _WORD_INDICES)):
+        ref = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        assert rng.bit_generator.random_raw(3).tolist() == ref.bit_generator.random_raw(3).tolist()
+        assert rng.integers(3, 13) == ref.integers(3, 13)
+        assert rng.uniform(-1.0, 1.0, 5).tolist() == ref.uniform(-1.0, 1.0, 5).tolist()
+        assert rng.standard_normal((3, 3)).tolist() == ref.standard_normal((3, 3)).tolist()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """The generators' seed adapter is built on first use: importing the
+    package and its CLI must not load numpy.random, which costs start-up."""
+    import deltainv
+
+    env = dict(os.environ, PYTHONPATH=str(Path(deltainv.__file__).parents[1]))
+    code = "import sys, deltainv.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("seed", [9, 12])

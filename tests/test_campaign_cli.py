@@ -299,6 +299,34 @@ def test_cli_sample_bad_config_is_input_error(tmp_path, capsys, config):
     assert _single_json_error(err)["error"] == "FormatError"
 
 
+@pytest.mark.parametrize(
+    "command, data, what",
+    [
+        ("sample", {"seed": True, "samples": 3, "n_range": [3, 4]}, "seed"),
+        ("sample", {"seed": 1, "samples": True, "n_range": [3, 4]}, "samples"),
+        ("sample", {"seed": 1, "samples": 3, "n_range": [3, True]}, "n_range"),
+        ("sample", {"seed": 1, "samples": 3, "n_range": [4, 4], "partitions": [[True]]},
+         "partition block"),
+        ("verify", {"n": True, "entries": []}, "dimension"),
+    ],
+    ids=["seed", "samples", "n_range", "partition-block", "tensor-n"],
+)
+def test_cli_json_boolean_is_not_an_integer(tmp_path, capsys, command, data, what):
+    """JSON true is a bool, which Python counts as the int 1; it must be
+    refused as an input error, not run as 1."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if command == "sample":
+        code, out, err = run_cli(capsys, "sample", "--config", str(path))
+    else:
+        code, out, err = run_cli(capsys, "verify", str(path), "--partition", "2")
+    assert code == 2 and out == ""
+    assert _single_json_error(err) == {
+        "error": "FormatError",
+        "message": f"{what} must be an integer, got True",
+    }
+
+
 def test_cli_sample_integral_float_partition_block(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"seed": 1, "samples": 3, "n_range": [4, 4], "partitions": [[2.0]]}')

@@ -8,6 +8,7 @@ import pytest
 from deltainv import (
     EqualityParamsT1,
     EqualityParamsT2,
+    FormatError,
     InadmissiblePartition,
     InvariantViolation,
     LEGACY_CDVV,
@@ -532,6 +533,19 @@ def test_random_witness_deterministic():
     c = random_witness(2, P, seed=8)
     assert a.entries == b.entries
     assert a.entries != c.entries
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, 1.5, True, "1"], ids=["negative", "fractional", "bool", "str"]
+)
+def test_random_witness_rejects_a_bad_seed(seed):
+    with pytest.raises(FormatError, match="seed"):
+        random_witness(1, PartitionSpec(3, (2,)), seed=seed)
+
+
+def test_random_witness_takes_an_integral_float_seed():
+    P = PartitionSpec(3, (2,))
+    assert random_witness(1, P, seed=2.0).entries == random_witness(1, P, seed=2).entries
 
 
 def test_t2_inblock_three_distinct_indices_free():
