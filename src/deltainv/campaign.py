@@ -45,6 +45,7 @@ from .tensors import (
     Frame,
     PartitionSpec,
     _as_integer,
+    _as_real,
     _haar_rows,
     enumerate_partitions,
     random_cubic_form,
@@ -93,7 +94,8 @@ class CampaignConfig:
                 f"got {self.n_range}"
             )
         object.__setattr__(self, "n_range", (lo, hi))
-        object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
+        c_values = tuple(_as_real(c, "c_values") for c in self.c_values)
+        object.__setattr__(self, "c_values", c_values)
         if not self.c_values:
             raise FormatError("c_values must be nonempty")
         if self.partitions != "ALL":
@@ -111,6 +113,8 @@ class CampaignConfig:
                     )
             object.__setattr__(self, "partitions", partitions)
         # uniform draws on [-scale, scale] need the width 2 * scale finite
+        scale = _as_real(self.tensor_scale, "tensor_scale")
+        object.__setattr__(self, "tensor_scale", scale)
         if not (self.tensor_scale > 0 and math.isfinite(2.0 * self.tensor_scale)):
             raise FormatError(
                 "tensor_scale must be positive with 2 * tensor_scale finite, "

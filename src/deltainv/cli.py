@@ -112,8 +112,8 @@ def _add_optimizer_flags(parser):
     parser.add_argument(
         "--tol", type=float, default=_OPTIMIZER_DEFAULTS.tol,
         help="a start stops, converged, once its skew-gradient norm is below "
-        "TOL; a start that stalls counts as converged below max(TOL, 1e-7) "
-        "(default %(default)s)",
+        "TOL, or below max(TOL, 1e-7) once it stalls or its next step is "
+        "below the objective's resolution (default %(default)s)",
     )
     parser.add_argument("--seed", type=int, default=None,
                         help=f"seed >= 0 of the random starts; defaults to "

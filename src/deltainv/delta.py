@@ -26,10 +26,11 @@ with the prescribed dimensions.  Two estimators are provided:
   descent from its start alone would take, up to float rounding.  A
   restart stops at |A| < tol for its skew gradient A, after ``max_iters``
   accepted steps, when its step halves to 1e-15 without an Armijo
-  decrease, or after a run of accepted steps that leave f unchanged to
-  1e-15 relative: three once |A| < max(tol, 1e-7), ten otherwise.  It is
-  reported converged when it stops at |A| < tol, or stops early by either
-  of the last two rules with |A| < max(tol, 1e-7).
+  decrease, after ten accepted steps in a row that leave f unchanged to
+  1e-15 relative, or once |A| < max(tol, 1e-7) and its Armijo test asks
+  for a decrease of at most 1e-15 max(1, |f|), which f cannot resolve.
+  It is reported converged when it stops at |A| < tol, or early by any of
+  the last three rules with |A| < max(tol, 1e-7).
 
 Both read the single Gauss-sum kernel, the sectional-curvature matrix K of
 ``tensors``.  The descent weighs K with the 0/1 block mask M (M_ij = 1 when
@@ -74,10 +75,8 @@ _TIE_RTOL = 1e-12
 _STACK = 64
 
 # accepted steps in a row that leave f unchanged to 1e-15 relative before a
-# restart stops; fewer once |A| is below the stationarity level, where the
-# restart is reported converged anyway and flat steps only add rounding
+# restart stops
 _FLAT_STEPS = 10
-_FLAT_STEPS_STATIONARY = 3
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,10 @@ class OptimizerOptions:
     ``restarts`` starts in all (at least the identity and the oracle
     permutation, then seeded Haar-random frames), each descending for at
     most ``max_iters`` accepted steps.  A restart stops once its skew
-    gradient has norm below ``tol``; before that it may stop as numerically
-    stationary, when its step halves to 1e-15 without an Armijo decrease or
-    when accepted steps in a row leave f unchanged to 1e-15 relative: three
-    such steps once the gradient norm is below max(tol, 1e-7), ten
-    otherwise.  A restart stopped that way counts as converged only if its
-    gradient norm is below max(tol, 1e-7).  ``seed`` (>= 0) seeds the random
-    starts.
+    gradient has norm below ``tol``, or earlier as numerically stationary:
+    its step halved to 1e-15, ten flat steps, or an Armijo test asking for
+    less than f resolves.  Stopped that way, it counts as converged only if
+    that norm is below max(tol, 1e-7).  ``seed`` (>= 0) seeds the random starts.
     """
 
     restarts: int = 16
@@ -300,11 +296,10 @@ def _stacked_descent(T, starts, M, max_iters, tol):
     the start), Armijo backtracking by halving, at most ``max_iters``
     accepted steps.  A restart is converged when |A| < tol, or when it is
     numerically stationary with |A| < max(tol, 1e-7): its step halved to
-    1e-15 without an Armijo decrease, or accepted steps in a row left f
-    unchanged to 1e-15 relative, three of them when |A| < max(tol, 1e-7)
-    and ten otherwise.  |A| is read at the iterate each step leaves, as the
-    verdict reads it, so a restart stopped by the three-step run is always
-    converged.
+    1e-15 without an Armijo decrease, ten accepted steps in a row left f
+    unchanged to 1e-15 relative, or, before a trial, the decrease
+    1e-4 t |A|^2 / 2 that its Armijo test asks for is at most
+    1e-15 max(1, |f|), the level at which the flat test calls f unchanged.
 
     One round makes one stacked Armijo trial for every active restart and
     one stacked gradient for the restarts whose trial was accepted, so a
@@ -347,18 +342,19 @@ def _stacked_descent(T, starts, M, max_iters, tol):
             converged[done] = True
             active[done] = False
 
-        # a step halved to 1e-15 without a decrease, or a NaN step, ends
-        # its restart
+        # a NaN step, a step halved to 1e-15 without a decrease, or a stationary
+        # restart's Armijo test asking for less than f resolves ends the restart
         trial = np.flatnonzero(active)
-        live = t[trial] > 1e-15
+        steps = t[trial]
+        tiny = 1e-4 * steps * slope[trial] <= 1e-15 * np.maximum(1.0, abs(f[trial]))
+        live = (steps > 1e-15) & ~(tiny & (gnorm[trial] < stationary_tol))
         if not live.all():
             spent = trial[~live]
             converged[spent] = gnorm[spent] < stationary_tol
             active[spent] = False
-            trial = trial[live]
+            trial, steps = trial[live], steps[live]
         if not trial.size:
             return f, R, converged
-        steps = t[trial]
         Rt = _cayley_step(R[trial], -A[trial], steps)
         Ht = _rotate_dense(T, Rt)
         ft = _block_tau_h(Ht, M)
@@ -374,10 +370,7 @@ def _stacked_descent(T, starts, M, max_iters, tol):
         R[moved], H[moved], f[moved] = Rt[ok], Ht[ok], ft
         prev_A[moved], prev_t[moved] = A[moved], t[moved]
         iters[moved] += 1
-        window = np.where(
-            gnorm[moved] < stationary_tol, _FLAT_STEPS_STATIONARY, _FLAT_STEPS
-        )
-        stalled = moved[stagnant[moved] >= window]
+        stalled = moved[stagnant[moved] >= _FLAT_STEPS]
         converged[stalled] = gnorm[stalled] < stationary_tol
         active[stalled] = False
         active[moved[iters[moved] >= max_iters]] = False

@@ -29,6 +29,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -73,6 +74,16 @@ def _as_integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise FormatError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_real(value, what: str) -> float:
+    """A JSON number (not true, false or a string) as a float, else FormatError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{what} is an integer beyond float range")
 
 
 @lru_cache(maxsize=None)
@@ -264,10 +275,7 @@ class CubicForm:
                 raise ConflictingEntry(
                     f"duplicate or permutation-conflicting triple {idx!r}"
                 )
-            try:
-                entries[triple] = float(item["value"])
-            except (TypeError, ValueError):
-                raise FormatError(f"non-numeric value {item['value']!r}")
+            entries[triple] = _as_real(item["value"], "entry value")
         return cls(n, entries)
 
 

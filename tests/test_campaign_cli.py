@@ -327,6 +327,58 @@ def test_cli_json_boolean_is_not_an_integer(tmp_path, capsys, command, data, wha
     }
 
 
+def _entry(value):
+    return {"n": 3, "entries": [{"idx": [1, 1, 1], "value": value}]}
+
+
+@pytest.mark.parametrize(
+    "command, data, what, value",
+    [
+        ("sample", {"seed": 1, "samples": 3, "n_range": [3, 4], "c_values": [True]},
+         "c_values", True),
+        ("sample", {"seed": 1, "samples": 3, "n_range": [3, 4], "tensor_scale": True},
+         "tensor_scale", True),
+        ("delta", _entry(True), "entry value", True),
+        ("verify", _entry(True), "entry value", True),
+        ("delta", _entry("1e3"), "entry value", "1e3"),
+    ],
+    ids=["c_values", "tensor_scale", "delta-entry-value", "verify-entry-value",
+         "entry-value-string"],
+)
+def test_cli_json_boolean_or_string_is_not_a_number(
+    tmp_path, capsys, command, data, what, value
+):
+    """float(True) is 1.0 and float("1e3") is 1000.0; JSON true and strings
+    must be refused, not run as numbers."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if command == "sample":
+        code, out, err = run_cli(capsys, "sample", "--config", str(path))
+    else:
+        code, out, err = run_cli(capsys, command, str(path), "--partition", "2")
+    assert code == 2 and out == ""
+    assert _single_json_error(err) == {
+        "error": "FormatError",
+        "message": f"{what} must be a number, got {value!r}",
+    }
+
+
+@pytest.mark.parametrize("command", ["sample", "delta"])
+def test_cli_integer_beyond_float_range_is_input_error(tmp_path, capsys, command):
+    # an integer literal is exact in JSON, but float() of it overflows
+    path = tmp_path / "input.json"
+    if command == "sample":
+        path.write_text('{"seed": 1, "samples": 3, "c_values": [1' + "0" * 400 + "]}")
+        code, out, err = run_cli(capsys, "sample", "--config", str(path))
+    else:
+        path.write_text(
+            '{"n": 3, "entries": [{"idx": [1, 1, 1], "value": 1' + "0" * 400 + "}]}"
+        )
+        code, out, err = run_cli(capsys, "delta", str(path), "--partition", "2")
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"
+
+
 def test_cli_sample_integral_float_partition_block(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"seed": 1, "samples": 3, "n_range": [4, 4], "partitions": [[2.0]]}')

@@ -1,6 +1,7 @@
 """Coordinate oracle, continuous optimizer, and the universal gap check."""
 
 import itertools
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -243,14 +244,17 @@ def test_cayley_step_is_orthogonal():
 # ---------------------------------------------------------------------------
 
 
-def _reference_descend(T, R0, M, max_iters, tol, stationary_window=3):
+def _reference_descend(T, R0, M, max_iters, tol, stationary_window=None):
     """One start at a time: gradient descent with Barzilai-Borwein steps and
     Armijo backtracking along R(t) = cay(-t A) R; (f_min, frame, converged).
 
-    A run of accepted steps that leave f unchanged to 1e-15 relative ends
-    the descent: ``stationary_window`` of them once |A| < max(tol, 1e-7),
-    ten otherwise.  ``stationary_window=10`` is the ten-step rule, kept as
-    an oracle for the short window.
+    With ``stationary_window=None`` this is the rule that ships: once
+    |A| < max(tol, 1e-7), a trial whose Armijo test asks for a decrease of
+    at most 1e-15 max(1, |f|) is not made and the descent stops, converged;
+    ten accepted steps in a row that leave f unchanged to 1e-15 relative
+    end it at any |A|.  An integer gives the former rule instead, kept as an
+    oracle: no such stop, and ``stationary_window`` flat steps end the
+    descent once |A| < max(tol, 1e-7) (3 in the former loop, 10 before it).
     """
     R = np.array(R0, dtype=float)
     H = _rotate_dense(T, R)
@@ -275,8 +279,15 @@ def _reference_descend(T, R0, M, max_iters, tol, stationary_window=3):
                 t0 = 2.0 * prev_t
         t = float(min(max(t0, 1e-12), 1e4))
         slope = gnorm * gnorm / 2.0
+        stationary = gnorm < max(tol, 1e-7)
         accepted = False
         while t > 1e-15:
+            if (
+                stationary_window is None
+                and stationary
+                and 1e-4 * t * slope <= 1e-15 * max(1.0, abs(f))
+            ):
+                break
             Rt = _cayley_step(R, -A, t)
             Ht = _rotate_dense(T, Rt)
             ft = float(_block_tau_h(Ht, M))
@@ -285,20 +296,93 @@ def _reference_descend(T, R0, M, max_iters, tol, stationary_window=3):
                 break
             t *= 0.5
         if not accepted:
-            converged = gnorm < max(tol, 1e-7)
+            converged = stationary
             break
         if f - ft <= 1e-15 * max(1.0, abs(f)):
             stagnant += 1
-            window = stationary_window if gnorm < max(tol, 1e-7) else 10
+            window = stationary_window if stationary and stationary_window else 10
             if stagnant >= window:
                 R, H, f = Rt, Ht, ft
-                converged = gnorm < max(tol, 1e-7)
+                converged = stationary
                 break
         else:
             stagnant = 0
         prev_A, prev_t = A, t
         R, H, f = Rt, Ht, ft
     return f, R, converged
+
+
+def _former_stacked_descent(T, starts, M, max_iters, tol, stationary_window=3):
+    """The stacked loop before the resolution stop, kept as an oracle.
+
+    A stationary restart (|A| < max(tol, 1e-7)) goes on with trials until
+    its step halves to 1e-15 or ``stationary_window`` accepted steps in a
+    row leave f unchanged to 1e-15 relative; others stop after ten such
+    steps.  Its trials go through ``delta_mod._cayley_step``, so a test
+    that counts them there counts this loop's too.
+    """
+    R = np.array(starts, dtype=float)
+    r = len(R)
+    H = _rotate_dense(T, R)
+    f = _block_tau_h(H, M)
+    A = np.empty_like(R)
+    prev_A = np.zeros_like(R)
+    gnorm, slope, t = (np.empty(r) for _ in range(3))
+    prev_t = np.zeros(r)
+    iters = np.zeros(r, dtype=int)
+    stagnant = np.zeros(r, dtype=int)
+    active = np.ones(r, dtype=bool)
+    converged = np.zeros(r, dtype=bool)
+    stationary_tol = max(tol, 1e-7)
+    moved = np.arange(r)
+    while True:
+        if moved.size:
+            G = _grad_skew(H[moved], M)
+            g = np.linalg.norm(G, axis=(-2, -1))
+            last_A, last_t = prev_A[moved], prev_t[moved]
+            num = np.einsum("kij,kij->k", last_A, last_A)
+            denom = np.einsum("kij,kij->k", last_A, last_A - G)
+            bb = 2.0 * last_t
+            np.divide(last_t * num, denom, out=bb, where=denom > 1e-30)
+            t0 = np.where(iters[moved] > 0, bb, 1.0 / np.maximum(g, 1.0))
+            A[moved], gnorm[moved] = G, g
+            t[moved] = np.minimum(np.maximum(t0, 1e-12), 1e4)
+            slope[moved] = g * g / 2.0
+            done = moved[g < tol]
+            converged[done] = True
+            active[done] = False
+
+        trial = np.flatnonzero(active)
+        live = t[trial] > 1e-15
+        if not live.all():
+            spent = trial[~live]
+            converged[spent] = gnorm[spent] < stationary_tol
+            active[spent] = False
+            trial = trial[live]
+        if not trial.size:
+            return f, R, converged
+        steps = t[trial]
+        Rt = delta_mod._cayley_step(R[trial], -A[trial], steps)
+        Ht = _rotate_dense(T, Rt)
+        ft = _block_tau_h(Ht, M)
+        ok = ft <= f[trial] - 1e-4 * steps * slope[trial]
+        t[trial[~ok]] *= 0.5
+
+        moved = trial[ok]
+        if not moved.size:
+            continue
+        ft, f_old = ft[ok], f[moved]
+        flat = f_old - ft <= 1e-15 * np.maximum(1.0, np.abs(f_old))
+        stagnant[moved] = np.where(flat, stagnant[moved] + 1, 0)
+        R[moved], H[moved], f[moved] = Rt[ok], Ht[ok], ft
+        prev_A[moved], prev_t[moved] = A[moved], t[moved]
+        iters[moved] += 1
+        window = np.where(gnorm[moved] < stationary_tol, stationary_window, 10)
+        stalled = moved[stagnant[moved] >= window]
+        converged[stalled] = gnorm[stalled] < stationary_tol
+        active[stalled] = False
+        active[moved[iters[moved] >= max_iters]] = False
+        moved = moved[active[moved]]
 
 
 def _reference_starts(P, assignment, restarts, seed):
@@ -333,11 +417,13 @@ def test_start_stacks_are_the_per_start_frames(monkeypatch, restarts):
     assert np.array_equal(got, _reference_starts(P, assignment, restarts, 11))
 
 
-def _assert_stacked_matches_reference(kind, n, max_iters, window=3):
+def _assert_stacked_matches_reference(
+    kind, n, max_iters, descent=_stacked_descent, window=None
+):
     for seed in range(2):
         h, P, starts = _descent_case(kind, n, seed)
         T, M = h.dense_view, _block_mask(P)
-        f, R, converged = _stacked_descent(T, np.stack(starts), M, max_iters, 1e-9)
+        f, R, converged = descent(T, np.stack(starts), M, max_iters, 1e-9)
         for i, R0 in enumerate(starts):
             ref_f, _, ref_converged = _reference_descend(
                 T, R0, M, max_iters, 1e-9, window
@@ -360,10 +446,14 @@ def test_stacked_descent_matches_single_start_reference(kind, n, max_iters):
 
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("kind", ["witness", "random"])
-def test_ten_step_rule_matches_its_single_start_reference(monkeypatch, kind, n):
-    # the ten-step rule that the oracle tests below run through delta_invariant
-    monkeypatch.setattr(delta_mod, "_FLAT_STEPS_STATIONARY", 10)
-    _assert_stacked_matches_reference(kind, n, 500, window=10)
+def test_ten_step_rule_matches_its_single_start_reference(kind, n):
+    # the former loop that the oracle tests below run through delta_invariant,
+    # with its three-step stationary window and with the ten-step rule
+    for window in (3, 10):
+        _assert_stacked_matches_reference(
+            kind, n, 500, partial(_former_stacked_descent, stationary_window=window),
+            window,
+        )
 
 
 def test_earliest_best_keeps_the_first_of_float_noise_ties():
@@ -391,32 +481,49 @@ def _sweep(cases, opts=None):
     return [delta_invariant(h, 0.0, P, opts) for h, P in cases]
 
 
-def test_short_flat_window_keeps_witness_values_with_fewer_steps(monkeypatch):
-    # the 18 partitions with n <= 6, three witnesses each
-    witnesses = [
+@lru_cache(maxsize=None)
+def _witnesses():
+    """The 18 partitions with n <= 6, three seeded witnesses each."""
+    return tuple(
         (random_witness(2 if P.saturating else 1, P, seed=seed), P)
         for n in range(3, 7)
         for P in enumerate_partitions(n)
         for seed in range(3)
-    ]
-    rows = []
-    grad_skew = delta_mod._grad_skew
+    )
 
-    def counted(H, M):
-        rows.append(len(H))
-        return grad_skew(H, M)
 
-    monkeypatch.setattr(delta_mod, "_grad_skew", counted)
-    short = _sweep(witnesses)
-    short_rows = sum(rows)
-    rows.clear()
-    monkeypatch.setattr(delta_mod, "_FLAT_STEPS_STATIONARY", 10)
-    ten = _sweep(witnesses)
-    for a, b in zip(short, ten):
+def _counted_sweep(monkeypatch, cases):
+    """``_sweep`` with the count of ``_cayley_step`` calls and of the frames
+    they pass, one per Armijo trial."""
+    calls = []
+    cayley_step = delta_mod._cayley_step
+
+    def counted(R, S, t):
+        calls.append(len(R))
+        return cayley_step(R, S, t)
+
+    monkeypatch.setattr(delta_mod, "_cayley_step", counted)
+    results = _sweep(cases)
+    monkeypatch.setattr(delta_mod, "_cayley_step", cayley_step)
+    return results, len(calls), sum(calls)
+
+
+def test_short_flat_window_keeps_witness_values_with_fewer_steps(monkeypatch):
+    # the resolution stop against the former loop on the 54 witnesses
+    new, _, new_trials = _counted_sweep(monkeypatch, _witnesses())
+    monkeypatch.setattr(delta_mod, "_stacked_descent", _former_stacked_descent)
+    former, _, former_trials = _counted_sweep(monkeypatch, _witnesses())
+    for a, b in zip(new, former):
         assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(b.value))
         assert a.converged and b.converged
-    # one gradient row per start and per accepted step that does not end it
-    assert short_rows < sum(rows)
+    assert new_trials < former_trials
+
+
+def test_witness_descent_rounds_stay_few(monkeypatch):
+    # a round is one stacked Armijo trial, one _cayley_step call; the former
+    # loop made 50.9 per witness, mostly trials f could not resolve
+    _, rounds, _ = _counted_sweep(monkeypatch, _witnesses())
+    assert rounds / len(_witnesses()) <= 36
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -427,11 +534,13 @@ def test_short_flat_window_never_unconverges_a_winner(monkeypatch, n):
          parts[seed % len(parts)])
         for seed in range(18 if n <= 8 else 2)
     ]
-    short = _sweep(cases)
-    monkeypatch.setattr(delta_mod, "_FLAT_STEPS_STATIONARY", 10)
-    ten = _sweep(cases)
-    for (_, P), a, b in zip(cases, short, ten):
+    new = _sweep(cases)
+    monkeypatch.setattr(delta_mod, "_stacked_descent", _former_stacked_descent)
+    former = _sweep(cases)
+    for (_, P), a, b in zip(cases, new, former):
         assert a.converged or not b.converged, P
+        # a higher winner f is a lower value
+        assert a.value >= b.value - 1e-12 * max(1.0, abs(b.value)), P
 
 
 # ---------------------------------------------------------------------------
