@@ -48,7 +48,7 @@ from .quadforms import (
     psd_verdict,
     psd_verdict_minors,
 )
-from .tensors import CubicForm, PartitionSpec, finite_or_none
+from .tensors import CubicForm, PartitionSpec, _as_real_array, finite_or_none
 
 SEED_ENV = "DELTAINV_SEED"
 
@@ -234,10 +234,7 @@ def cmd_construct_equality(args) -> int:
 def cmd_immersion_check(args) -> int:
     a = _load_tensor(args.tensor)
     if args.at is not None:
-        try:
-            x = np.asarray(_load_json(args.at), dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise FormatError(f"{args.at} must hold a list of numbers")
+        x = _as_real_array(_load_json(args.at), "the point")
         if not np.all(np.isfinite(x)):
             raise FormatError(f"{args.at} holds a non-finite coordinate")
     else:
@@ -270,8 +267,11 @@ def cmd_sample(args) -> int:
     summary = CampaignSummary()
     text = campaign_csv(run_campaign(config), summary)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     print(json.dumps(summary.to_json_dict(), allow_nan=False), file=sys.stderr)

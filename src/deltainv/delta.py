@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import optimal_coefficients
+from .quadforms import optimal_coefficients
 from .errors import DimensionMismatch, InadmissiblePartition
 from .tensors import (
     CubicForm,

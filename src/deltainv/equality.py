@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import FormatError, InadmissiblePartition, InvariantViolation
 from .tensors import CubicForm, PartitionSpec, _as_integer, _symmetrize_dense
+from .tensors import _as_real_array
 
 TRACE_TOL = 1e-10
 CHECK_TOL = 1e-10
@@ -60,9 +61,9 @@ class Violation:
 
 def _float_array(values, what: str) -> np.ndarray:
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvariantViolation(f"{what} must hold numbers, got {values!r}")
+        return _as_real_array(values, what)
+    except FormatError as exc:
+        raise InvariantViolation(str(exc))
 
 
 def _per_block(values, k: int, what: str) -> Sequence:

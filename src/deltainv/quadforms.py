@@ -14,6 +14,10 @@ of the all-ones-off-diagonal matrix.  The smallest C making every such
 form positive semidefinite is the optimal coefficient of ||H||^2, divided
 by n^2.
 
+The coefficients live here too: ``_threshold`` is that C in closed form,
+and THEOREM1, THEOREM2 and LEGACY_CD are n^2 times it (LEGACY_CDVV has its
+own closed form); ``bounds`` re-exports them and evaluates right-hand sides.
+
 Exact rational arithmetic is used whenever C is supplied as a Fraction;
 sign decisions near thresholds are then exact.
 """
@@ -26,11 +30,18 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bounds import THEOREM2
-from .errors import BadBlockIndex, CaseMismatch, EmptyList
+from .errors import BadBlockIndex, CaseMismatch, EmptyList, NotApplicable
 from .tensors import PartitionSpec
 
-# Cases for critical_C; the saturating case shares the bounds' THEOREM2
+# Bound sources; THEOREM2 is also the saturating case of critical_C
+THEOREM1 = "THEOREM1"
+THEOREM2 = "THEOREM2"
+LEGACY_CDVV = "LEGACY_CDVV"
+LEGACY_CD = "LEGACY_CD"
+
+ALL_SOURCES = (THEOREM1, THEOREM2, LEGACY_CDVV, LEGACY_CD)
+
+# The other cases of critical_C
 STATEMENT_I = "STATEMENT_I"
 STATEMENT_II = "STATEMENT_II"
 
@@ -88,7 +99,7 @@ def det_recursive(values: Sequence[Number]) -> Number:
 
 
 # ---------------------------------------------------------------------------
-# Critical coefficients
+# Critical coefficients and the bound coefficients built from them
 # ---------------------------------------------------------------------------
 
 
@@ -96,6 +107,14 @@ def _check_ell(P: PartitionSpec, ell: int) -> int:
     if not 1 <= int(ell) <= P.k:
         raise BadBlockIndex(f"ell={ell} outside 1..{P.k}")
     return int(ell)
+
+
+def _threshold(P: PartitionSpec, m: int) -> Fraction:
+    """x / (2(x + 3)), x the sum of 3 m_j / (m_j + 2) over every block but one
+    distinguished block of size m; each residual index is a block of size 1."""
+    x = sum(Fraction(3 * mj, mj + 2) for mj in P.blocks) + P.residual
+    x -= Fraction(3 * m, m + 2)
+    return x / (2 * (x + 3))
 
 
 def critical_C(P: PartitionSpec, ell: int, case: str) -> Fraction:
@@ -112,27 +131,77 @@ def critical_C(P: PartitionSpec, ell: int, case: str) -> Fraction:
                     optimal coefficient.
     """
     ell = _check_ell(P, ell)
-    r = P.residual
-    k = P.k
-    if case == STATEMENT_I:
-        s = sum(Fraction(1, ni + 2) for i, ni in enumerate(P.blocks, 1) if i != ell)
-        num = r + 3 * k - 3 - 6 * s
-        den = r + 3 * k - 6 * s
-    elif case == STATEMENT_II:
-        if r < 1:
+    if case == STATEMENT_II:
+        if P.residual < 1:
             raise CaseMismatch("STATEMENT_II needs a nonempty residual block")
-        s = sum(Fraction(1, ni + 2) for ni in P.blocks)
-        num = r + 3 * k - 1 - 6 * s
-        den = r + 3 * k + 2 - 6 * s
-    elif case == THEOREM2:
-        if r != 0:
-            raise CaseMismatch("THEOREM2 needs sum(n_i) = n")
-        s = sum(Fraction(1, ni + 2) for i, ni in enumerate(P.blocks, 1) if i != ell)
-        num = k - 1 - 2 * s
-        den = k - 2 * s
-    else:
+        return _threshold(P, 1)
+    if case == THEOREM2 and P.residual != 0:
+        raise CaseMismatch("THEOREM2 needs sum(n_i) = n")
+    if case not in (STATEMENT_I, THEOREM2):
         raise CaseMismatch(f"unknown case {case!r}")
-    return Fraction(num) / (2 * Fraction(den))
+    return _threshold(P, P.blocks[ell - 1])
+
+
+@dataclass(frozen=True)
+class BoundCoefficients:
+    """Exact multipliers of ||H||^2 and of c for one bound."""
+
+    a: Fraction
+    b: Fraction
+    source: str
+    applicable: bool
+    reason: str = ""
+
+
+def shared_b(P: PartitionSpec) -> Fraction:
+    """Multiplier of c in all four bounds: (n(n-1) - sum n_i(n_i-1)) / 2."""
+    return Fraction(P.n * (P.n - 1) - sum(ni * (ni - 1) for ni in P.blocks), 2)
+
+
+def coeff_theorem1(P: PartitionSpec) -> BoundCoefficients:
+    """Optimal coefficient for non-saturating partitions (sum n_i < n)."""
+    if P.saturating:
+        raise NotApplicable(
+            f"partition {P} saturates the dimension; use the saturating bound"
+        )
+    return BoundCoefficients(P.n**2 * _threshold(P, 1), shared_b(P), THEOREM1, True)
+
+
+def coeff_theorem2(P: PartitionSpec) -> BoundCoefficients:
+    """Optimal coefficient for saturating partitions (sum n_i = n); the first
+    (minimal) block is the distinguished one."""
+    if not P.saturating:
+        raise NotApplicable(
+            f"partition {P} does not saturate the dimension; "
+            f"use the non-saturating bound"
+        )
+    a = P.n**2 * _threshold(P, P.blocks[0])
+    return BoundCoefficients(a, shared_b(P), THEOREM2, True)
+
+
+def coeff_legacy_cdvv(P: PartitionSpec) -> BoundCoefficients:
+    """The older universal coefficient n^2 (n+k+1-sum) / (2 (n+k-sum))."""
+    total = sum(P.blocks)
+    a = Fraction(P.n**2 * (P.n + P.k + 1 - total), 2 * (P.n + P.k - total))
+    return BoundCoefficients(a, shared_b(P), LEGACY_CDVV, True)
+
+
+def coeff_legacy_cd(P: PartitionSpec) -> BoundCoefficients:
+    """Historical bound with the THEOREM1 closed form, for every partition.
+
+    Carries a caveat flag when sum 1/(n_i+2) > 1/3, the regime where the
+    original derivation breaks down (the value itself still holds, being
+    dominated by the optimal bounds).
+    """
+    caveat = sum(Fraction(1, 2 + ni) for ni in P.blocks) > Fraction(1, 3)
+    reason = "derivation invalid: sum 1/(n_i+2) exceeds 1/3" if caveat else ""
+    a = P.n**2 * _threshold(P, 1)
+    return BoundCoefficients(a, shared_b(P), LEGACY_CD, not caveat, reason)
+
+
+def optimal_coefficients(P: PartitionSpec) -> BoundCoefficients:
+    """The applicable optimal bound for this partition type."""
+    return coeff_theorem2(P) if P.saturating else coeff_theorem1(P)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,21 @@ def _as_real(value, what: str) -> float:
         raise FormatError(f"{what} is an integer beyond float range")
 
 
+def _as_real_array(values, what: str) -> np.ndarray:
+    """Nested lists of numbers, each as in ``_as_real``, as a float array; a
+    numpy array of integers or floats passes whole.  FormatError otherwise."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iuf":
+            return values.astype(float, copy=False)
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)):
+        return np.array(_as_real(values, f"an entry of {what}"))
+    rows = [_as_real_array(v, what) for v in values]
+    if len({row.shape for row in rows}) > 1:
+        raise FormatError(f"the entries of {what} do not form a regular array")
+    return np.array(rows, dtype=float)
+
+
 @lru_cache(maxsize=None)
 def _canonical_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """All 1-based triples with A <= B <= C."""

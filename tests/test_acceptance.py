@@ -19,6 +19,7 @@ from deltainv import (
     THEOREM1,
     THEOREM2,
     build_M,
+    coeff_legacy_cd,
     coeff_legacy_cdvv,
     coeff_theorem1,
     coeff_theorem2,
@@ -39,7 +40,6 @@ from deltainv import (
     random_witness,
     shared_b,
 )
-from deltainv.bounds import _theorem1_closed_form
 from deltainv.campaign import CampaignConfig, CampaignSummary, campaign_csv, run_campaign
 from deltainv.quadforms import THEOREM2 as CASE_THEOREM2
 from deltainv.quadforms import block_average_vectors
@@ -193,9 +193,9 @@ def test_criterion_07_saturating_improvement_sweep():
         for P in enumerate_partitions(n):
             if not P.saturating:
                 continue
-            ok = ok and _theorem1_closed_form(P) > coeff_theorem2(P).a
+            ok = ok and coeff_legacy_cd(P).a > coeff_theorem2(P).a
             count += 1
-    ok = ok and _theorem1_closed_form(PartitionSpec(4, (2, 2))) == Fraction(16, 5)
+    ok = ok and coeff_legacy_cd(PartitionSpec(4, (2, 2))).a == Fraction(16, 5)
     _verdict(
         7,
         "extended non-saturating coefficient strictly exceeds saturating one",

@@ -24,7 +24,6 @@ from deltainv import (
     optimal_coefficients,
     shared_b,
 )
-from deltainv.bounds import _theorem1_closed_form
 
 OPTS = OptimizerOptions(restarts=6, max_iters=300, seed=5)
 
@@ -145,14 +144,14 @@ def test_theorem2_improves_extended_theorem1():
         for P in enumerate_partitions(n):
             if not P.saturating:
                 continue
-            assert _theorem1_closed_form(P) > coeff_theorem2(P).a
+            assert coeff_legacy_cd(P).a > coeff_theorem2(P).a
             count += 1
     assert count > 20
 
 
 def test_extended_theorem1_example_value():
     # the formally extended non-saturating formula at n=4, (2,2) is 3.2
-    assert _theorem1_closed_form(PartitionSpec(4, (2, 2))) == Fraction(16, 5)
+    assert coeff_legacy_cd(PartitionSpec(4, (2, 2))).a == Fraction(16, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,20 @@ def test_cli_immersion_check_at_point(tensor_file, tmp_path, capsys):
     assert json.loads(out)["roundtrip_error"] <= 1e-6
 
 
+@pytest.mark.parametrize("target", ["missing/gaps.csv", ""], ids=["missing-dir", "dir"])
+def test_cli_sample_unwritable_out_is_input_error(tmp_path, capsys, target):
+    # exit 1 means a bound violation; a path that cannot be written is an
+    # input error, as an unreadable config is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "samples": 3, "n_range": [3, 4]}))
+    out_path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "sample", "--config", str(cfg), "--out", out_path)
+    assert code == 2 and out == ""
+    error = _single_json_error(err)
+    assert error["error"] == "FormatError"
+    assert error["message"].startswith(f"cannot write {out_path}: ")
+
+
 def test_cli_sample_deterministic(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 42, "samples": 40, "n_range": [3, 4]}))
@@ -341,24 +355,39 @@ def _entry(value):
         ("delta", _entry(True), "entry value", True),
         ("verify", _entry(True), "entry value", True),
         ("delta", _entry("1e3"), "entry value", "1e3"),
+        ("immersion-check", ["0.1", 0, 0], "an entry of the point", "0.1"),
+        ("immersion-check", [0.1, True, 0], "an entry of the point", True),
+        ("theorem-1", {"lambdas": [True]}, "an entry of lambdas", True),
+        ("theorem-1", {"lambdas": ["1e3"]}, "an entry of lambdas", "1e3"),
+        ("theorem-2", {"inblock": [[[[True, 0], [0, 0]], [[0, 0], [0, 0]]], None]},
+         "an entry of in-block array 1", True),
+        ("theorem-2", {"traces": [["0", 0], None]},
+         "an entry of declared traces for block 1", "0"),
     ],
     ids=["c_values", "tensor_scale", "delta-entry-value", "verify-entry-value",
-         "entry-value-string"],
+         "entry-value-string", "at-string", "at-boolean", "lambdas-boolean",
+         "lambdas-string", "inblock-boolean", "traces-string"],
 )
 def test_cli_json_boolean_or_string_is_not_a_number(
-    tmp_path, capsys, command, data, what, value
+    tmp_path, capsys, tensor_file, command, data, what, value
 ):
     """float(True) is 1.0 and float("1e3") is 1000.0; JSON true and strings
     must be refused, not run as numbers."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    if command == "sample":
-        code, out, err = run_cli(capsys, "sample", "--config", str(path))
-    else:
-        code, out, err = run_cli(capsys, command, str(path), "--partition", "2")
+    equality = ("construct-equality", "--params", str(path), "--theorem")
+    argv = {
+        "sample": ("sample", "--config", str(path)),
+        "immersion-check": ("immersion-check", "--tensor", tensor_file, "--at", str(path)),
+        "theorem-1": (*equality, "1", "--n", "3", "--partition", "2"),
+        "theorem-2": (*equality, "2", "--n", "4", "--partition", "2,2"),
+    }.get(command, (command, str(path), "--partition", "2"))
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
+    # equality parameters report every bad value as an InvariantViolation
+    error = "InvariantViolation" if command.startswith("theorem") else "FormatError"
     assert _single_json_error(err) == {
-        "error": "FormatError",
+        "error": error,
         "message": f"{what} must be a number, got {value!r}",
     }
 

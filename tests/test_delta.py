@@ -425,7 +425,7 @@ def _assert_stacked_matches_reference(
         T, M = h.dense_view, _block_mask(P)
         f, R, converged = descent(T, np.stack(starts), M, max_iters, 1e-9)
         for i, R0 in enumerate(starts):
-            ref_f, _, ref_converged = _reference_descend(
+            ref_f, ref_R, ref_converged = _reference_descend(
                 T, R0, M, max_iters, 1e-9, window
             )
             assert abs(f[i] - ref_f) <= 1e-10 * max(1.0, abs(ref_f)), (P, seed, i)
@@ -435,6 +435,13 @@ def _assert_stacked_matches_reference(
             # the verdict may flip only where |A| ends between 1e-9 and 1e-6
             if kind == "witness":
                 assert converged[i] == ref_converged, (P, seed, i)
+            # under the shipped rule a witness restart ends on the reference's
+            # frame (2.6e-15 apart), and the former three-step window ends 6e-8
+            # away.  Random tensors stop on flat ground, where frames part by
+            # up to 4e-9; so do the former rules against their own reference,
+            # whose trials below f's resolution let rounding pick the frame.
+            if kind == "witness" and window is None:
+                assert np.max(np.abs(R[i] - ref_R)) <= 1e-10, (P, seed, i)
 
 
 @pytest.mark.parametrize("max_iters", [500, 7])

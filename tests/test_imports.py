@@ -1,0 +1,63 @@
+"""The package's own import graph."""
+
+import ast
+from pathlib import Path
+
+import deltainv
+
+PACKAGE = Path(deltainv.__file__).resolve().parent
+
+
+def _relative_imports() -> dict[str, set[str]]:
+    """Module -> the package modules it imports with ``from .x import``,
+    anywhere in the file, function bodies included; ``from . import name``
+    counts as an import of ``name`` when that is a module, else of
+    ``__init__``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for name in modules:
+        edges = set()
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            if node.module:
+                edges.add(node.module.split(".")[0])
+            else:
+                edges.update(
+                    a.name if a.name in modules else "__init__" for a in node.names
+                )
+        graph[name] = edges
+    return graph
+
+
+def _find_cycle(graph):
+    """One import cycle as a list of modules, or None."""
+    state = {}
+
+    def visit(node, path):
+        state[node] = "open"
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state:
+                cycle = visit(nxt, path + [nxt])
+                if cycle:
+                    return cycle
+        state[node] = "done"
+        return None
+
+    for start in sorted(graph):
+        if start not in state:
+            cycle = visit(start, [start])
+            if cycle:
+                return cycle
+    return None
+
+
+def test_package_import_graph_is_acyclic():
+    # the search finds a cycle, and the graph sees the package's imports
+    assert _find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    graph = _relative_imports()
+    assert "delta" in graph["bounds"]
+    assert _find_cycle(graph) is None

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,7 @@ from deltainv import (
     reduce_M,
 )
 from deltainv.quadforms import THEOREM2 as CASE_THEOREM2
-from deltainv.quadforms import block_average_vectors
+from deltainv.quadforms import _reduced_diagonal, block_average_vectors
 
 
 def statement1_gap(P, ell, C, x):
@@ -450,6 +451,46 @@ def test_statement2_matrix_tight_at_optimal_coefficient():
             eigs = np.linalg.eigvalsh(M)
             assert eigs[0] >= -1e-9
             assert abs(eigs[0]) < 1e-9  # the coefficient is tight
+
+
+def test_reduced_determinant_is_exactly_zero_at_every_threshold():
+    # C* from the matrix, not from the threshold formula: det M'' vanishes
+    # exactly at C* for every block ell of the 248 partitions with n <= 12
+    pairs = 0
+    for n in range(3, 13):
+        for P in enumerate_partitions(n):
+            for ell in range(1, P.k + 1):
+                cstar = critical_C(P, ell, STATEMENT_I)
+                diag = _reduced_diagonal(P, ell, cstar)
+                assert det_closed([d / (2 * cstar - 1) for d in diag]) == 0, (P, ell)
+                pairs += 1
+    assert pairs == 582
+
+
+def test_statement2_matrix_is_exactly_singular_at_its_threshold():
+    # build_statement2_matrix's recipe in rationals, with sympy's exact
+    # determinant: 2C within a leading block, 2C - 1 elsewhere, 2(C + 1) on
+    # the diagonal but 2C at the residual position t
+    count = 0
+    for n in range(3, 9):
+        for P in enumerate_partitions(n):
+            if P.residual < 1:
+                continue
+            cstar = critical_C(P, 1, STATEMENT_II)
+            C = sympy.Rational(cstar.numerator, cstar.denominator)
+            own, t = P.owner.tolist(), P.index_blocks[P.k][0] - 1
+
+            def entry(i, j):
+                if i == j:
+                    return 2 * C if i == t else 2 * (C + 1)
+                return 2 * C if own[i] == own[j] < P.k else 2 * C - 1
+
+            M = sympy.Matrix(P.n, P.n, entry)
+            shipped = build_statement2_matrix(P, t + 1, cstar)
+            assert np.max(np.abs(np.array(M.tolist(), dtype=float) - shipped)) < 1e-14
+            assert M.det() == 0, P
+            count += 1
+    assert count == 37
 
 
 # ---------------------------------------------------------------------------
