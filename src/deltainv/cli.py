@@ -112,8 +112,9 @@ def _add_optimizer_flags(parser):
     parser.add_argument(
         "--tol", type=float, default=_OPTIMIZER_DEFAULTS.tol,
         help="a start stops, converged, once its skew-gradient norm is below "
-        "TOL, or below max(TOL, 1e-7) once it stalls or its next step is "
-        "below the objective's resolution (default %(default)s)",
+        "TOL, or below max(TOL, 1e-7) once its step halves to 1e-15 or its "
+        "next Armijo test asks for less than the objective resolves "
+        "(default %(default)s)",
     )
     parser.add_argument("--seed", type=int, default=None,
                         help=f"seed >= 0 of the random starts; defaults to "
@@ -265,15 +266,15 @@ def cmd_sample(args) -> int:
         data["seed"] = _default_seed()
     config = CampaignConfig.from_json_dict(data)
     summary = CampaignSummary()
-    text = campaign_csv(run_campaign(config), summary)
     if args.out:
+        # opened before the run, so an unwritable path fails at once
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(campaign_csv(run_campaign(config), summary))
         except OSError as exc:
             raise FormatError(f"cannot write {args.out}: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(campaign_csv(run_campaign(config), summary))
     print(json.dumps(summary.to_json_dict(), allow_nan=False), file=sys.stderr)
     return 1 if summary.violations else 0
 

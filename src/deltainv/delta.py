@@ -25,12 +25,11 @@ with the prescribed dimensions.  Two estimators are provided:
   backtracking under an active mask.  Each restart takes the steps a
   descent from its start alone would take, up to float rounding.  A
   restart stops at |A| < tol for its skew gradient A, after ``max_iters``
-  accepted steps, when its step halves to 1e-15 without an Armijo
-  decrease, after ten accepted steps in a row that leave f unchanged to
-  1e-15 relative, or once |A| < max(tol, 1e-7) and its Armijo test asks
+  accepted steps, when its step is NaN or halves to 1e-15 without an
+  Armijo decrease, or once |A| < max(tol, 1e-7) and its Armijo test asks
   for a decrease of at most 1e-15 max(1, |f|), which f cannot resolve.
-  It is reported converged when it stops at |A| < tol, or early by any of
-  the last three rules with |A| < max(tol, 1e-7).
+  It is reported converged when it stops at |A| < tol, or by either of
+  the last two rules with |A| < max(tol, 1e-7).
 
 Both read the single Gauss-sum kernel, the sectional-curvature matrix K of
 ``tensors``.  The descent weighs K with the 0/1 block mask M (M_ij = 1 when
@@ -56,6 +55,7 @@ from .tensors import (
     CubicForm,
     Frame,
     PartitionSpec,
+    _as_integer,
     _haar_rows,
     _rotate_dense,
     _sectional_matrix,
@@ -74,10 +74,6 @@ _TIE_RTOL = 1e-12
 # most starts descended in one stack; memory does not grow with --restarts
 _STACK = 64
 
-# accepted steps in a row that leave f unchanged to 1e-15 relative before a
-# restart stops
-_FLAT_STEPS = 10
-
 
 @dataclass(frozen=True)
 class OptimizerOptions:
@@ -86,10 +82,12 @@ class OptimizerOptions:
     ``restarts`` starts in all (at least the identity and the oracle
     permutation, then seeded Haar-random frames), each descending for at
     most ``max_iters`` accepted steps.  A restart stops once its skew
-    gradient has norm below ``tol``, or earlier as numerically stationary:
-    its step halved to 1e-15, ten flat steps, or an Armijo test asking for
-    less than f resolves.  Stopped that way, it counts as converged only if
-    that norm is below max(tol, 1e-7).  ``seed`` (>= 0) seeds the random starts.
+    gradient has norm below ``tol``, or earlier when its step is NaN or
+    halves to 1e-15 without an Armijo decrease, or when that norm is below
+    max(tol, 1e-7) and its Armijo test asks for less than f resolves.
+    Stopped by either of the last two rules, it counts as converged only if
+    that norm is below max(tol, 1e-7).  ``restarts``, ``max_iters`` and
+    ``seed`` (>= 0, seeding the random starts) are integers, not booleans.
     """
 
     restarts: int = 16
@@ -98,6 +96,9 @@ class OptimizerOptions:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            value = _as_integer(getattr(self, name), name, ValueError)
+            object.__setattr__(self, name, value)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
@@ -293,20 +294,19 @@ def _stacked_descent(T, starts, M, max_iters, tol):
 
     Each restart is a gradient descent along R(t) = cay(-t A) R for the
     skew gradient A: a Barzilai-Borwein first trial step (1/max(|A|, 1) at
-    the start), Armijo backtracking by halving, at most ``max_iters``
-    accepted steps.  A restart is converged when |A| < tol, or when it is
-    numerically stationary with |A| < max(tol, 1e-7): its step halved to
-    1e-15 without an Armijo decrease, ten accepted steps in a row left f
-    unchanged to 1e-15 relative, or, before a trial, the decrease
-    1e-4 t |A|^2 / 2 that its Armijo test asks for is at most
-    1e-15 max(1, |f|), the level at which the flat test calls f unchanged.
+    the start) and Armijo backtracking by halving.  A restart stops at
+    |A| < tol, converged; after ``max_iters`` accepted steps, not
+    converged; when its step is NaN or halved to 1e-15 without an Armijo
+    decrease; or, once |A| < max(tol, 1e-7), before a trial whose Armijo
+    test asks for a decrease 1e-4 t |A|^2 / 2 of at most 1e-15 max(1, |f|),
+    which f cannot resolve.  Stopped by either of the last two rules, it is
+    converged when |A| < max(tol, 1e-7).  Non-finite input ends the loop,
+    through NaN steps or steps halved away.
 
     One round makes one stacked Armijo trial for every active restart and
     one stacked gradient for the restarts whose trial was accepted, so a
-    restart that is still backtracking does not hold the others back.  A
-    step that is not > 1e-15, NaN included, ends its restart, so non-finite
-    input ends the loop.  Returns (f, frames, converged), one entry per
-    start.
+    restart that is still backtracking does not hold the others back.
+    Returns (f, frames, converged), one entry per start.
     """
     R = np.array(starts, dtype=float)
     r = len(R)
@@ -317,7 +317,6 @@ def _stacked_descent(T, starts, M, max_iters, tol):
     gnorm, slope, t = (np.empty(r) for _ in range(3))
     prev_t = np.zeros(r)
     iters = np.zeros(r, dtype=int)
-    stagnant = np.zeros(r, dtype=int)
     active = np.ones(r, dtype=bool)
     converged = np.zeros(r, dtype=bool)
     stationary_tol = max(tol, 1e-7)
@@ -364,15 +363,9 @@ def _stacked_descent(T, starts, M, max_iters, tol):
         moved = trial[ok]
         if not moved.size:
             continue
-        ft, f_old = ft[ok], f[moved]
-        flat = f_old - ft <= 1e-15 * np.maximum(1.0, np.abs(f_old))
-        stagnant[moved] = np.where(flat, stagnant[moved] + 1, 0)
-        R[moved], H[moved], f[moved] = Rt[ok], Ht[ok], ft
+        R[moved], H[moved], f[moved] = Rt[ok], Ht[ok], ft[ok]
         prev_A[moved], prev_t[moved] = A[moved], t[moved]
         iters[moved] += 1
-        stalled = moved[stagnant[moved] >= _FLAT_STEPS]
-        converged[stalled] = gnorm[stalled] < stationary_tol
-        active[stalled] = False
         active[moved[iters[moved] >= max_iters]] = False
         moved = moved[active[moved]]
 

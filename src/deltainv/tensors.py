@@ -63,17 +63,17 @@ def _check_dimension(n: int) -> int:
     return n
 
 
-def _as_integer(value, what: str) -> int:
-    """An integral input value (3, or 3.0 from JSON) as an int, else FormatError.
+def _as_integer(value, what: str, error=FormatError) -> int:
+    """An integral input value (3, or 3.0 from JSON) as an int, else ``error``.
     JSON true and false are not integers here, though bool subclasses int."""
     if isinstance(value, bool):
-        raise FormatError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
     if isinstance(value, float) and value.is_integer():
         return int(value)
     try:
         return operator.index(value)
     except TypeError:
-        raise FormatError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _as_real(value, what: str) -> float:
@@ -113,13 +113,17 @@ def _canonical_triples(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _validated_triple(key, n: int) -> tuple[int, int, int]:
+    """Three indices in 1..n, each read as ``_as_integer`` reads it, sorted;
+    IndexOutOfRange otherwise."""
     try:
         raw = tuple(key)
-        if len(raw) != 3 or any(float(v) != int(v) for v in raw):
-            raise ValueError
-        a, b, c = (int(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):
+    except TypeError:
+        raw = ()
+    if len(raw) != 3:
         raise IndexOutOfRange(f"index triple {key!r} is not three integers")
+    a, b, c = (
+        _as_integer(v, f"an index of triple {key!r}", IndexOutOfRange) for v in raw
+    )
     for v in (a, b, c):
         if not 1 <= v <= n:
             raise IndexOutOfRange(f"index {v} outside 1..{n} in triple {key!r}")

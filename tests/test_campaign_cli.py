@@ -212,9 +212,11 @@ def test_cli_immersion_check_at_point(tensor_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target", ["missing/gaps.csv", ""], ids=["missing-dir", "dir"])
-def test_cli_sample_unwritable_out_is_input_error(tmp_path, capsys, target):
+def test_cli_sample_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch, target):
     # exit 1 means a bound violation; a path that cannot be written is an
-    # input error, as an unreadable config is
+    # input error, as an unreadable config is, and it is found before the run
+    calls = []
+    monkeypatch.setattr("deltainv.cli.run_campaign", lambda config: calls.append(config))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 1, "samples": 3, "n_range": [3, 4]}))
     out_path = str(tmp_path / target)
@@ -223,6 +225,7 @@ def test_cli_sample_unwritable_out_is_input_error(tmp_path, capsys, target):
     error = _single_json_error(err)
     assert error["error"] == "FormatError"
     assert error["message"].startswith(f"cannot write {out_path}: ")
+    assert calls == []
 
 
 def test_cli_sample_deterministic(tmp_path, capsys):
@@ -345,6 +348,10 @@ def _entry(value):
     return {"n": 3, "entries": [{"idx": [1, 1, 1], "value": value}]}
 
 
+def _indexed(idx):
+    return {"n": 3, "entries": [{"idx": idx, "value": 0.5}]}
+
+
 @pytest.mark.parametrize(
     "command, data, what, value",
     [
@@ -363,16 +370,19 @@ def _entry(value):
          "an entry of in-block array 1", True),
         ("theorem-2", {"traces": [["0", 0], None]},
          "an entry of declared traces for block 1", "0"),
+        ("delta", _indexed([True, 2, 3]), "an index of triple [True, 2, 3]", True),
+        ("verify", _indexed([1, "2", 3]), "an index of triple [1, '2', 3]", "2"),
     ],
     ids=["c_values", "tensor_scale", "delta-entry-value", "verify-entry-value",
          "entry-value-string", "at-string", "at-boolean", "lambdas-boolean",
-         "lambdas-string", "inblock-boolean", "traces-string"],
+         "lambdas-string", "inblock-boolean", "traces-string",
+         "delta-index-boolean", "verify-index-string"],
 )
 def test_cli_json_boolean_or_string_is_not_a_number(
     tmp_path, capsys, tensor_file, command, data, what, value
 ):
     """float(True) is 1.0 and float("1e3") is 1000.0; JSON true and strings
-    must be refused, not run as numbers."""
+    must be refused, not run as numbers, and neither may stand for an index."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     equality = ("construct-equality", "--params", str(path), "--theorem")
@@ -386,9 +396,12 @@ def test_cli_json_boolean_or_string_is_not_a_number(
     assert code == 2 and out == ""
     # equality parameters report every bad value as an InvariantViolation
     error = "InvariantViolation" if command.startswith("theorem") else "FormatError"
+    kind = "a number"
+    if what.startswith("an index"):
+        error, kind = "IndexOutOfRange", "an integer"
     assert _single_json_error(err) == {
         "error": error,
-        "message": f"{what} must be a number, got {value!r}",
+        "message": f"{what} must be {kind}, got {value!r}",
     }
 
 

@@ -87,6 +87,19 @@ def test_symmetrize_fractional_index_rejected():
         symmetrize({(1.5, 2, 3): 1.0}, 3)
 
 
+@pytest.mark.parametrize("index", [True, "2", 1.5, float("inf")])
+def test_index_must_be_an_integer_everywhere(index):
+    # the constructor, lookup and the JSON loader read indices one way
+    h = CubicForm(3, {(1.0, 2, 3): 0.5})
+    assert h.lookup(np.int64(3), 2.0, 1) == 0.5
+    with pytest.raises(IndexOutOfRange):
+        CubicForm(3, {(index, 2, 3): 0.5})
+    with pytest.raises(IndexOutOfRange):
+        h.lookup(index, 2, 3)
+    with pytest.raises(IndexOutOfRange):
+        CubicForm.from_json_dict({"n": 3, "entries": [{"idx": [index, 2, 3], "value": 0.5}]})
+
+
 def test_symmetrize_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         symmetrize({(0, 1, 1): 1.0}, 3)
