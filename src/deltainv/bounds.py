@@ -68,7 +68,14 @@ class BoundRow:
     coeffs: Optional[BoundCoefficients]
     rhs: Optional[float]
     gap: Optional[float]
-    verdict: str
+
+    @property
+    def verdict(self) -> str:
+        """The row's verdict: not_applicable without a gap, ok for a gap of
+        at least -GAP_TOL, violated otherwise (a NaN gap included)."""
+        if self.gap is None:
+            return "not_applicable"
+        return "ok" if self.gap >= -GAP_TOL else "violated"
 
 
 @dataclass(frozen=True)
@@ -80,11 +87,19 @@ class InequalityReport:
     hsq: float
     delta: DeltaResult
     rows: tuple[BoundRow, ...]
-    sharp: bool
 
     @property
     def violated(self) -> bool:
-        return any(_verdict(row.gap) == "violated" for row in self.rows)
+        return any(row.verdict == "violated" for row in self.rows)
+
+    @property
+    def sharp(self) -> bool:
+        """True when a theorem row's bound is attained within SHARP_TOL."""
+        return any(
+            r.source in (THEOREM1, THEOREM2) and r.gap is not None
+            and abs(r.gap) <= SHARP_TOL
+            for r in self.rows
+        )
 
     def row(self, source: str) -> BoundRow:
         for r in self.rows:
@@ -148,38 +163,27 @@ class InequalityReport:
         return json.dumps(self.to_json_dict(), indent=2, allow_nan=False)
 
 
-def _verdict(gap: Optional[float]) -> str:
-    if gap is None:
-        return "not_applicable"
-    return "ok" if gap >= -GAP_TOL else "violated"
-
-
 def evaluate(h: CubicForm, c, P: PartitionSpec, opts=None) -> InequalityReport:
     """Full verdict report: delta via the optimizer, all four bound rows.
 
     The theorem row matching the partition type carries the optimal bound;
     the other theorem row is marked not applicable.  Both legacy rows are
-    always present.  ``sharp`` is set when the applicable optimal bound is
-    attained within SHARP_TOL.
+    always present.
     """
     cval = ambient_value(c)
     result = delta_invariant(h, cval, P, opts)
     hsq = mean_curvature_sq(h)
 
     rows = []
-    sharp = False
     coefficients = (coeff_theorem1, coeff_theorem2, coeff_legacy_cdvv, coeff_legacy_cd)
     for source, coeff in zip(ALL_SOURCES, coefficients):
         try:
             coeffs = coeff(P)
         except NotApplicable:
-            rows.append(BoundRow(source, None, None, None, _verdict(None)))
+            rows.append(BoundRow(source, None, None, None))
             continue
         rhs = rhs_value(coeffs, hsq, cval)
-        gap = rhs - result.value
-        rows.append(BoundRow(source, coeffs, rhs, gap, _verdict(gap)))
-        if source in (THEOREM1, THEOREM2) and abs(gap) <= SHARP_TOL:
-            sharp = True
+        rows.append(BoundRow(source, coeffs, rhs, rhs - result.value))
     return InequalityReport(
-        partition=P, c=cval, hsq=hsq, delta=result, rows=tuple(rows), sharp=sharp
+        partition=P, c=cval, hsq=hsq, delta=result, rows=tuple(rows)
     )

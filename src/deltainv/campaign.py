@@ -103,8 +103,8 @@ class CampaignConfig:
                 tuple(_as_integer(b, "partition block") for b in p)
                 for p in self.partitions
             )
-            # PartitionSpec's rules that hold whatever n; the fit to each n
-            # is left to the pool
+            # PartitionSpec's rules that hold whatever n; the pool below
+            # keeps, for each n, the partitions admissible there
             for p in partitions:
                 if not p or p[0] < 2 or list(p) != sorted(p):
                     raise FormatError(
@@ -120,6 +120,7 @@ class CampaignConfig:
                 "tensor_scale must be positive with 2 * tensor_scale finite, "
                 f"got {self.tensor_scale!r}"
             )
+        _partition_pool(self)  # a dimension with no partition fails here
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CampaignConfig":
@@ -183,18 +184,21 @@ class CampaignSummary:
         }
 
 
-def _partition_pool(config: CampaignConfig) -> dict[int, list[PartitionSpec]]:
+@lru_cache(maxsize=None)
+def _admissible(n: int) -> tuple[PartitionSpec, ...]:
+    """``enumerate_partitions(n)``, built once per n."""
+    return tuple(enumerate_partitions(n))
+
+
+def _partition_pool(config: CampaignConfig) -> dict[int, Sequence[PartitionSpec]]:
+    """Per n, the partitions a sample draws from: every admissible one, or
+    the configured ones admissible for n, in config order."""
     lo, hi = config.n_range
-    pool: dict[int, list[PartitionSpec]] = {}
+    pool: dict[int, Sequence[PartitionSpec]] = {}
     for n in range(lo, hi + 1):
-        if config.partitions == "ALL":
-            specs = enumerate_partitions(n)
-        else:
-            specs = [
-                PartitionSpec(n, tuple(p))
-                for p in config.partitions
-                if sum(p) <= n and p[-1] <= n - 1
-            ]
+        specs = table = _admissible(n)
+        if config.partitions != "ALL":
+            specs = [P for p in config.partitions for P in table if P.blocks == p]
         if not specs:
             raise InadmissiblePartition(
                 f"no admissible partition available for n={n}"

@@ -32,7 +32,7 @@ from .bounds import evaluate
 from .campaign import CampaignConfig, CampaignSummary, campaign_csv, run_campaign
 from .delta import DEFAULT_SEED, OptimizerOptions, delta_invariant
 from .equality import EqualityParamsT1, EqualityParamsT2, build_t1, build_t2
-from .errors import DeltainvError, FormatError
+from .errors import CaseMismatch, DeltainvError, FormatError
 from .immersion import (
     lagrangian_check,
     lemma1_roundtrip,
@@ -111,9 +111,8 @@ def _add_optimizer_flags(parser):
     )
     parser.add_argument(
         "--tol", type=float, default=_OPTIMIZER_DEFAULTS.tol,
-        help="a start stops, converged, once its skew-gradient norm is below "
-        "TOL, or below max(TOL, 1e-7) once its step halves to 1e-15 or its "
-        "next Armijo test asks for less than the objective resolves "
+        help="skew-gradient norm below which a start stops, converged; the "
+        "README's `converged` paragraph gives every stopping rule "
         "(default %(default)s)",
     )
     parser.add_argument("--seed", type=int, default=None,
@@ -178,6 +177,12 @@ def cmd_matrix(args) -> int:
     bundle = build_M(P, args.ell, C)
     psd, eig_min = psd_verdict(bundle)
     minors = [_float_or_none(d) for d in bundle.minors]
+    thresholds = {}
+    for case in (STATEMENT_I, STATEMENT_II, THEOREM2):
+        try:
+            thresholds[case] = _fraction_json(critical_C(P, bundle.ell, case))
+        except CaseMismatch:  # the case does not fit the partition
+            thresholds[case] = None
     out = {
         "n": P.n,
         "partition": list(P.blocks),
@@ -187,19 +192,7 @@ def cmd_matrix(args) -> int:
         "Mprime": bundle.Mprime.tolist(),
         "minors": minors,
         "critical_C": _fraction_json(bundle.critical_C),
-        "thresholds": {
-            "STATEMENT_I": _fraction_json(critical_C(P, args.ell, STATEMENT_I)),
-            "STATEMENT_II": (
-                _fraction_json(critical_C(P, args.ell, STATEMENT_II))
-                if P.residual >= 1
-                else None
-            ),
-            "THEOREM2": (
-                _fraction_json(critical_C(P, args.ell, THEOREM2))
-                if P.residual == 0
-                else None
-            ),
-        },
+        "thresholds": thresholds,
         "psd": psd,
         "psd_by_minors": psd_verdict_minors(bundle),
         "min_eigenvalue": finite_or_none(eig_min),

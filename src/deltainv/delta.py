@@ -23,13 +23,8 @@ with the prescribed dimensions.  Two estimators are provided:
   optimization with orthogonality constraints", Math. Program. 2013):
   batched Cayley solves, and per-restart Barzilai-Borwein steps and
   backtracking under an active mask.  Each restart takes the steps a
-  descent from its start alone would take, up to float rounding.  A
-  restart stops at |A| < tol for its skew gradient A, after ``max_iters``
-  accepted steps, when its step is NaN or halves to 1e-15 without an
-  Armijo decrease, or once |A| < max(tol, 1e-7) and its Armijo test asks
-  for a decrease of at most 1e-15 max(1, |f|), which f cannot resolve.
-  It is reported converged when it stops at |A| < tol, or by either of
-  the last two rules with |A| < max(tol, 1e-7).
+  descent from its start alone would take, up to float rounding;
+  ``_stacked_descent`` states when a restart stops and counts as converged.
 
 Both read the single Gauss-sum kernel, the sectional-curvature matrix K of
 ``tensors``.  The descent weighs K with the 0/1 block mask M (M_ij = 1 when
@@ -50,12 +45,13 @@ from functools import lru_cache
 import numpy as np
 
 from .quadforms import optimal_coefficients
-from .errors import DimensionMismatch, InadmissiblePartition
+from .errors import DimensionMismatch
 from .tensors import (
     CubicForm,
     Frame,
     PartitionSpec,
     _as_integer,
+    _check_partition,
     _haar_rows,
     _rotate_dense,
     _sectional_matrix,
@@ -81,13 +77,10 @@ class OptimizerOptions:
 
     ``restarts`` starts in all (at least the identity and the oracle
     permutation, then seeded Haar-random frames), each descending for at
-    most ``max_iters`` accepted steps.  A restart stops once its skew
-    gradient has norm below ``tol``, or earlier when its step is NaN or
-    halves to 1e-15 without an Armijo decrease, or when that norm is below
-    max(tol, 1e-7) and its Armijo test asks for less than f resolves.
-    Stopped by either of the last two rules, it counts as converged only if
-    that norm is below max(tol, 1e-7).  ``restarts``, ``max_iters`` and
-    ``seed`` (>= 0, seeding the random starts) are integers, not booleans.
+    most ``max_iters`` accepted steps; ``_stacked_descent`` states how
+    ``tol`` and its other rules stop a restart and when it has converged.
+    ``restarts``, ``max_iters`` and ``seed`` (>= 0, seeding the random
+    starts) are integers, not booleans.
     """
 
     restarts: int = 16
@@ -113,19 +106,22 @@ class OptimizerOptions:
 class DeltaResult:
     """A delta estimate together with the witnessing frame and blocks.
 
-    ``value`` equals ``tau_total - sum(tau_blocks)``; ``assignment`` lists
-    the 1-based row indices of ``frame`` spanning each subspace;
-    ``certified_lower`` is the exact coordinate-restricted value, a lower
-    bound for the true invariant.
+    ``assignment`` lists the 1-based row indices of ``frame`` spanning each
+    subspace; ``certified_lower`` is the exact coordinate-restricted value,
+    a lower bound for the true invariant.
     """
 
-    value: float
     frame: Frame
     assignment: tuple[tuple[int, ...], ...]
     tau_total: float
     tau_blocks: tuple[float, ...]
     certified_lower: float
     converged: bool = True
+
+    @property
+    def value(self) -> float:
+        """The delta estimate, ``tau_total - sum(tau_blocks)``."""
+        return self.tau_total - sum(self.tau_blocks)
 
     def to_json_dict(self) -> dict:
         """Strict JSON: a number that is not finite is written as null."""
@@ -138,13 +134,6 @@ class DeltaResult:
             "frame": self.frame.matrix.tolist(),
             "converged": self.converged,
         }
-
-
-def _check_partition(h: CubicForm, P: PartitionSpec):
-    if P.n != h.n:
-        raise InadmissiblePartition(
-            f"partition is for n={P.n} but the tensor has n={h.n}"
-        )
 
 
 @lru_cache(maxsize=32)
@@ -230,14 +219,12 @@ def delta_coordinate_oracle(h: CubicForm, c, P: PartitionSpec) -> DeltaResult:
     taus = tuple(
         _tau_dense(T, [v - 1 for v in block], cval) for block in assignment
     )
-    value = tau_total - sum(taus)
     return DeltaResult(
-        value=value,
         frame=Frame.identity(P.n),
         assignment=assignment,
         tau_total=tau_total,
         tau_blocks=taus,
-        certified_lower=value,
+        certified_lower=tau_total - sum(taus),
         converged=True,
     )
 
@@ -314,7 +301,7 @@ def _stacked_descent(T, starts, M, max_iters, tol):
     f = _block_tau_h(H, M)
     A = np.empty_like(R)
     prev_A = np.zeros_like(R)
-    gnorm, slope, t = (np.empty(r) for _ in range(3))
+    gnorm, t = np.empty(r), np.empty(r)
     prev_t = np.zeros(r)
     iters = np.zeros(r, dtype=int)
     active = np.ones(r, dtype=bool)
@@ -336,7 +323,6 @@ def _stacked_descent(T, starts, M, max_iters, tol):
             t0 = np.where(iters[moved] > 0, bb, 1.0 / np.maximum(g, 1.0))
             A[moved], gnorm[moved] = G, g
             t[moved] = np.minimum(np.maximum(t0, 1e-12), 1e4)
-            slope[moved] = g * g / 2.0
             done = moved[g < tol]
             converged[done] = True
             active[done] = False
@@ -344,20 +330,22 @@ def _stacked_descent(T, starts, M, max_iters, tol):
         # a NaN step, a step halved to 1e-15 without a decrease, or a stationary
         # restart's Armijo test asking for less than f resolves ends the restart
         trial = np.flatnonzero(active)
-        steps = t[trial]
-        tiny = 1e-4 * steps * slope[trial] <= 1e-15 * np.maximum(1.0, abs(f[trial]))
-        live = (steps > 1e-15) & ~(tiny & (gnorm[trial] < stationary_tol))
+        steps, norms = t[trial], gnorm[trial]
+        # the decrease each Armijo test asks for, 1e-4 t |A|^2 / 2
+        armijo = 1e-4 * steps * (norms * norms / 2.0)
+        tiny = armijo <= 1e-15 * np.maximum(1.0, abs(f[trial]))
+        live = (steps > 1e-15) & ~(tiny & (norms < stationary_tol))
         if not live.all():
             spent = trial[~live]
             converged[spent] = gnorm[spent] < stationary_tol
             active[spent] = False
-            trial, steps = trial[live], steps[live]
+            trial, steps, armijo = trial[live], steps[live], armijo[live]
         if not trial.size:
             return f, R, converged
         Rt = _cayley_step(R[trial], -A[trial], steps)
         Ht = _rotate_dense(T, Rt)
         ft = _block_tau_h(Ht, M)
-        ok = ft <= f[trial] - 1e-4 * steps * slope[trial]
+        ok = ft <= f[trial] - armijo
         t[trial[~ok]] *= 0.5
 
         moved = trial[ok]
@@ -452,13 +440,10 @@ def delta_invariant(
     tau_blocks = tuple(
         _tau_dense(rotated, [v - 1 for v in block], cval) for block in assignment
     )
-    tau_total = oracle.tau_total
-    value = tau_total - sum(tau_blocks)
     return DeltaResult(
-        value=value,
         frame=frame,
         assignment=assignment,
-        tau_total=tau_total,
+        tau_total=oracle.tau_total,
         tau_blocks=tau_blocks,
         certified_lower=oracle.value,
         converged=converged,

@@ -40,8 +40,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, InadmissiblePartition, InvariantViolation
-from .tensors import CubicForm, PartitionSpec, _as_integer, _symmetrize_dense
-from .tensors import _as_real_array
+from .tensors import CubicForm, PartitionSpec, _as_integer, _check_partition
+from .tensors import _as_real_array, _symmetrize_dense
 
 TRACE_TOL = 1e-10
 CHECK_TOL = 1e-10
@@ -76,9 +76,10 @@ def _per_block(values, k: int, what: str) -> Sequence:
 
 
 def _as_block_array(values, size: int, what: str):
+    """A validated symmetric (size, size, size) copy of ``values``."""
     if values is None:
         return np.zeros((size, size, size))
-    arr = _float_array(values, what)
+    arr = np.array(_float_array(values, what))
     if arr.shape != (size, size, size):
         raise InvariantViolation(
             f"{what} must have shape {(size, size, size)}, got {arr.shape}"
@@ -92,8 +93,9 @@ def _as_block_array(values, size: int, what: str):
 
 
 def _block_arrays(P: PartitionSpec, values, free_trace):
-    """Validated in-block arrays, one per leading block, and their partial
-    traces; a block whose size is not in ``free_trace`` must be traceless."""
+    """Validated read-only in-block arrays, one per leading block, and their
+    read-only partial traces; a block whose size is not in ``free_trace``
+    must be traceless."""
     arrays, traces = [], []
     raw = _per_block(values, P.k, "in-block arrays")
     for i, (size, value) in enumerate(zip(P.blocks, raw), start=1):
@@ -104,6 +106,7 @@ def _block_arrays(P: PartitionSpec, values, free_trace):
                 f"in-block array {i} (block size {size}) must be traceless, "
                 f"got partial traces {tr}"
             )
+        arr.flags.writeable = tr.flags.writeable = False
         arrays.append(arr)
         traces.append(tr)
     return tuple(arrays), tuple(traces)
@@ -249,8 +252,7 @@ def _flag(out: list, bullet: str, idx0, v, tol: float):
 
 def check_t1(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Violation]:
     """All broken non-saturating equality conditions, empty iff equality holds."""
-    if P.n != h.n:
-        raise InadmissiblePartition(f"partition n={P.n} vs tensor n={h.n}")
+    _check_partition(h, P)
     if P.residual < 1:
         raise InadmissiblePartition("checker needs a nonempty residual block")
     own = P.owner
@@ -290,8 +292,7 @@ def check_t1(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Vio
 
 def check_t2(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Violation]:
     """All broken saturating equality conditions, empty iff equality holds."""
-    if P.n != h.n:
-        raise InadmissiblePartition(f"partition n={P.n} vs tensor n={h.n}")
+    _check_partition(h, P)
     if P.residual != 0:
         raise InadmissiblePartition("checker needs sum(n_i) = n")
     own = P.owner

@@ -24,7 +24,7 @@ sign decisions near thresholds are then exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -209,27 +209,45 @@ def optimal_coefficients(P: PartitionSpec) -> BoundCoefficients:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticFormBundle:
-    """Matrix data of the block quadratic form for one (partition, ell, C).
-
-    ``M`` is twice the matrix of the form in the diagonal variables x_A.
-    ``Mprime`` is its compression onto the block-average vectors, ``minors``
-    are the leading principal minors of M'/(2C-1) (empty when 2C = 1), and
-    ``critical_C`` is the exact PSD threshold of this very matrix.
-    """
+    """The block quadratic form for one (partition, ell, C), ell in 1..k;
+    its matrices, minors and threshold are worked out from these when read."""
 
     P: PartitionSpec
     ell: int
     C: Number
-    M: np.ndarray
-    Mprime: np.ndarray = field(repr=False, default=None)
-    minors: list = field(default_factory=list)
-    critical_C: Fraction = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "ell", _check_ell(self.P, self.ell))
 
     @property
     def exact(self) -> bool:
         return isinstance(self.C, Fraction)
+
+    @property
+    def M(self) -> np.ndarray:
+        """Twice the matrix of the form in the diagonal variables x_A."""
+        return _fill_blocks(self.P, float(self.C), distinguished=self.ell)
+
+    @property
+    def Mprime(self) -> np.ndarray:
+        """Compression of M onto the block-average vectors (``reduce_M``)."""
+        return reduce_M(self)
+
+    @property
+    def minors(self) -> list:
+        """Leading principal minors of M'' = M'/(2C-1); empty when 2C = 1."""
+        two_c_minus_1 = 2 * self.C - 1
+        if two_c_minus_1 == 0:
+            return []
+        diag = [d / two_c_minus_1 for d in _reduced_diagonal(self.P, self.ell, self.C)]
+        return [det_closed(diag[: j + 1]) for j in range(len(diag))]
+
+    @property
+    def critical_C(self) -> Fraction:
+        """The exact PSD threshold of this very matrix."""
+        return critical_C(self.P, self.ell, STATEMENT_I)
 
 
 def _fill_blocks(P: PartitionSpec, C: float, distinguished: int):
@@ -243,21 +261,14 @@ def _fill_blocks(P: PartitionSpec, C: float, distinguished: int):
 
 
 def build_M(P: PartitionSpec, ell: int, C: Number) -> QuadraticFormBundle:
-    """Assemble M_ell together with its reduction, minors and threshold.
+    """M_ell together with its reduction, minors and threshold.
 
     Blocks: the ell-th diagonal block is constant 2C; other leading blocks
     have diagonal 2(C+1) and off-diagonal 2C; the residual block has
     diagonal 2(C+1) and off-diagonal 2C-1; every cross block is 2C-1.
     When the partition saturates n the residual block is absent.
     """
-    ell = _check_ell(P, ell)
-    Cf = float(C)
-    M = _fill_blocks(P, Cf, distinguished=ell)
-    bundle = QuadraticFormBundle(P=P, ell=ell, C=C, M=M)
-    bundle.Mprime = reduce_M(bundle)
-    bundle.critical_C = critical_C(P, ell, STATEMENT_I)
-    bundle.minors = _reduced_minors(P, ell, C)
-    return bundle
+    return QuadraticFormBundle(P, ell, C)
 
 
 def build_statement2_matrix(P: PartitionSpec, t: int, C: Number) -> np.ndarray:
@@ -315,15 +326,6 @@ def reduce_M(bundle: QuadraticFormBundle) -> np.ndarray:
     return out
 
 
-def _reduced_minors(P: PartitionSpec, ell: int, C: Number) -> list:
-    """Leading principal minors of M'' = M'/(2C-1); empty when 2C = 1."""
-    two_c_minus_1 = 2 * C - 1
-    if two_c_minus_1 == 0:
-        return []
-    diag = [d / two_c_minus_1 for d in _reduced_diagonal(P, ell, C)]
-    return [det_closed(diag[: j + 1]) for j in range(len(diag))]
-
-
 def psd_verdict(bundle: QuadraticFormBundle) -> tuple[bool, float]:
     """PSD verdict by dense symmetric eigen-solve; returns (verdict, min eig)."""
     eig_min = float(np.linalg.eigvalsh(bundle.M)[0])
@@ -339,12 +341,11 @@ def psd_verdict_minors(bundle: QuadraticFormBundle) -> bool:
     certifies M' positive definite; for 2C < 1 the minors must alternate
     as (-1)^j (zeros allowed at the threshold).
     """
-    C = bundle.C
-    exact = isinstance(C, Fraction)
-    two_c_minus_1 = 2 * C - 1
+    exact = bundle.exact
+    two_c_minus_1 = 2 * bundle.C - 1
     if (two_c_minus_1 == 0) if exact else (abs(two_c_minus_1) < 1e-14):
         return True
-    minors = bundle.minors or _reduced_minors(bundle.P, bundle.ell, C)
+    minors = bundle.minors
     zero_tol = 0 if exact else 1e-12
     if two_c_minus_1 > 0:
         return all(d > zero_tol for d in minors)

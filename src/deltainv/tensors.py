@@ -112,22 +112,25 @@ def _canonical_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
+def _as_index(value, n: int, where: str) -> int:
+    """A 1-based index in 1..n, read as ``_as_integer`` reads it (so not
+    1.5, true or "2"); IndexOutOfRange naming ``where`` otherwise."""
+    v = _as_integer(value, f"an index of {where}", IndexOutOfRange)
+    if not 1 <= v <= n:
+        raise IndexOutOfRange(f"index {v} outside 1..{n} in {where}")
+    return v
+
+
 def _validated_triple(key, n: int) -> tuple[int, int, int]:
-    """Three indices in 1..n, each read as ``_as_integer`` reads it, sorted;
-    IndexOutOfRange otherwise."""
+    """Three indices, each read by ``_as_index``, sorted; IndexOutOfRange
+    otherwise."""
     try:
         raw = tuple(key)
     except TypeError:
         raw = ()
     if len(raw) != 3:
         raise IndexOutOfRange(f"index triple {key!r} is not three integers")
-    a, b, c = (
-        _as_integer(v, f"an index of triple {key!r}", IndexOutOfRange) for v in raw
-    )
-    for v in (a, b, c):
-        if not 1 <= v <= n:
-            raise IndexOutOfRange(f"index {v} outside 1..{n} in triple {key!r}")
-    return tuple(sorted((a, b, c)))
+    return tuple(sorted(_as_index(v, n, f"triple {key!r}") for v in raw))
 
 
 @lru_cache(maxsize=None)
@@ -416,6 +419,14 @@ class PartitionSpec:
         return f"({', '.join(str(b) for b in self.blocks)}) on n={self.n}"
 
 
+def _check_partition(h: CubicForm, P: PartitionSpec):
+    """InadmissiblePartition unless P partitions the dimension of h."""
+    if P.n != h.n:
+        raise InadmissiblePartition(
+            f"partition is for n={P.n} but the tensor has n={h.n}"
+        )
+
+
 def enumerate_partitions(n: int) -> list[PartitionSpec]:
     """Every admissible partition for dimension n, lexicographically ordered."""
     _check_dimension(n)
@@ -588,9 +599,7 @@ def _sectional_matrix(T, cval):
 def sectional_curvature(h: CubicForm, c, i: int, j: int) -> float:
     """Gauss-equation sectional curvature of the coordinate plane (e_i, e_j)."""
     cval = ambient_value(c)
-    for v in (i, j):
-        if not 1 <= int(v) <= h.n:
-            raise IndexOutOfRange(f"index {v} outside 1..{h.n}")
+    i, j = (_as_index(v, h.n, "the plane") for v in (i, j))
     if i == j:
         raise EqualIndices(f"sectional curvature needs two distinct indices, got {i}")
     idx0 = [i - 1, j - 1]
@@ -609,10 +618,7 @@ def tau_subspace(h: CubicForm, c, indices: Iterable[int]) -> float:
     Sets with fewer than two elements return 0 by the empty-sum convention.
     """
     cval = ambient_value(c)
-    idx = sorted({int(v) for v in indices})
-    for v in idx:
-        if not 1 <= v <= h.n:
-            raise IndexOutOfRange(f"index {v} outside 1..{h.n}")
+    idx = sorted({_as_index(v, h.n, "the subspace") for v in indices})
     return _tau_dense(h.dense_view, [v - 1 for v in idx], cval)
 
 

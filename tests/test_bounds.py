@@ -236,14 +236,13 @@ def test_violated_property_on_synthetic_rows(t1_witness_n3):
 
     h, P = t1_witness_n3
     base = evaluate(h, 0.0, P, OPTS)
-    bad_row = BoundRow(THEOREM1, base.row(THEOREM1).coeffs, 1.0, -1.0, "violated")
+    bad_row = BoundRow(THEOREM1, base.row(THEOREM1).coeffs, 1.0, -1.0)
     doctored = InequalityReport(
         partition=P,
         c=0.0,
         hsq=base.hsq,
         delta=base.delta,
         rows=(bad_row,),
-        sharp=False,
     )
     assert doctored.violated
     assert not base.violated

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltainv import CubicForm, FormatError
+from deltainv import CubicForm, FormatError, InadmissiblePartition
 from deltainv.campaign import (
     CampaignConfig,
     CampaignSummary,
@@ -76,9 +76,8 @@ def test_campaign_pool_drops_partitions_that_do_not_fit_n():
 
 
 def test_campaign_rejects_dimension_without_partitions():
-    config = CampaignConfig(seed=5, samples=5, n_range=(2, 3))
-    with pytest.raises(Exception):
-        list(run_campaign(config))
+    with pytest.raises(InadmissiblePartition):
+        CampaignConfig(seed=5, samples=5, n_range=(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +225,20 @@ def test_cli_sample_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch,
     assert error["error"] == "FormatError"
     assert error["message"].startswith(f"cannot write {out_path}: ")
     assert calls == []
+
+
+def test_cli_sample_pool_error_leaves_out_file_alone(tmp_path, capsys):
+    # [4] fits no n of [3, 4]: the config is refused before --out is opened
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"seed": 1, "samples": 3, "n_range": [3, 4], "partitions": [[4]]}
+    ))
+    out_path = tmp_path / "gaps.csv"
+    out_path.write_bytes(b"keep")
+    code, out, err = run_cli(capsys, "sample", "--config", str(cfg), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "InadmissiblePartition"
+    assert out_path.read_bytes() == b"keep"
 
 
 def test_cli_sample_deterministic(tmp_path, capsys):
@@ -489,10 +502,8 @@ def test_cli_verify_reports_violations_with_exit_1(tensor_file, capsys, monkeypa
     delta = delta_coordinate_oracle(h, 0.0, P)
 
     def fake_evaluate(*args, **kwargs):
-        row = BoundRow("THEOREM1", None, 0.0, -1.0, "violated")
-        return InequalityReport(
-            partition=P, c=0.0, hsq=1.0, delta=delta, rows=(row,), sharp=False
-        )
+        row = BoundRow("THEOREM1", None, 0.0, -1.0)
+        return InequalityReport(partition=P, c=0.0, hsq=1.0, delta=delta, rows=(row,))
 
     monkeypatch.setattr(cli_mod, "evaluate", fake_evaluate)
     code, _, _ = run_cli(capsys, "verify", tensor_file, "--partition", "2")

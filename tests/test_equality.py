@@ -377,6 +377,20 @@ def test_t2_params_validation():
     assert params.traces[0][0] == 4.0
 
 
+def test_params_keep_their_own_read_only_arrays():
+    # writing to the caller's array after validation must not reach the
+    # builders, so the tensor still meets the conditions it was checked for
+    arr = np.zeros((2, 2, 2))
+    params1 = EqualityParamsT1(PartitionSpec(3, (2,)), [2.0], [arr])
+    params2 = EqualityParamsT2(PartitionSpec(4, (2, 2)), [arr, None])
+    arr[0, 0, 0] = 5.0
+    assert check_t1(build_t1(params1), params1.P) == []
+    assert check_t2(build_t2(params2), params2.P) == []
+    for stored in (params1.inblock[0], params2.inblock[0], params2.traces[0]):
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+
+
 def test_t1_nonsymmetric_inblock_rejected():
     P = PartitionSpec(5, (3,))
     arr = np.zeros((3, 3, 3))

@@ -259,6 +259,19 @@ def test_sectional_curvature_errors():
         sectional_curvature(h, 0.0, 1, 4)
 
 
+@pytest.mark.parametrize("index", [1.5, True, "a", 0, 4],
+                         ids=["fraction", "bool", "string", "zero", "n+1"])
+def test_curvature_indices_read_like_triple_indices(index):
+    # 1.5 was truncated to 1, True counted as 1, and "a" escaped as ValueError
+    h = random_cubic_form(3, 1.0, np.random.default_rng(0))
+    with pytest.raises(IndexOutOfRange):
+        tau_subspace(h, 0.0, [index, 2, 3])
+    with pytest.raises(IndexOutOfRange):
+        sectional_curvature(h, 0.0, index, 2)
+    with pytest.raises(IndexOutOfRange):
+        sectional_curvature(h, 0.0, 2, index)
+
+
 def test_sectional_agrees_with_full_curvature_oracle():
     rng = np.random.default_rng(17)
     for n in (3, 4, 5):
