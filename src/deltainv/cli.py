@@ -191,7 +191,7 @@ def cmd_matrix(args) -> int:
         "M": bundle.M.tolist(),
         "Mprime": bundle.Mprime.tolist(),
         "minors": minors,
-        "critical_C": _fraction_json(bundle.critical_C),
+        "critical_C": thresholds[STATEMENT_I],
         "thresholds": thresholds,
         "psd": psd,
         "psd_by_minors": psd_verdict_minors(bundle),

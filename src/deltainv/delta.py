@@ -106,22 +106,19 @@ class OptimizerOptions:
 class DeltaResult:
     """A delta estimate together with the witnessing frame and blocks.
 
-    ``assignment`` lists the 1-based row indices of ``frame`` spanning each
-    subspace; ``certified_lower`` is the exact coordinate-restricted value,
-    a lower bound for the true invariant.
+    ``value`` equals ``tau_total - sum(tau_blocks)``; ``assignment`` lists
+    the 1-based row indices of ``frame`` spanning each subspace;
+    ``certified_lower`` is the exact coordinate-restricted value, a lower
+    bound for the true invariant.
     """
 
+    value: float
     frame: Frame
     assignment: tuple[tuple[int, ...], ...]
     tau_total: float
     tau_blocks: tuple[float, ...]
     certified_lower: float
     converged: bool = True
-
-    @property
-    def value(self) -> float:
-        """The delta estimate, ``tau_total - sum(tau_blocks)``."""
-        return self.tau_total - sum(self.tau_blocks)
 
     def to_json_dict(self) -> dict:
         """Strict JSON: a number that is not finite is written as null."""
@@ -219,12 +216,14 @@ def delta_coordinate_oracle(h: CubicForm, c, P: PartitionSpec) -> DeltaResult:
     taus = tuple(
         _tau_dense(T, [v - 1 for v in block], cval) for block in assignment
     )
+    value = tau_total - sum(taus)
     return DeltaResult(
+        value=value,
         frame=Frame.identity(P.n),
         assignment=assignment,
         tau_total=tau_total,
         tau_blocks=taus,
-        certified_lower=tau_total - sum(taus),
+        certified_lower=value,
         converged=True,
     )
 
@@ -441,6 +440,7 @@ def delta_invariant(
         _tau_dense(rotated, [v - 1 for v in block], cval) for block in assignment
     )
     return DeltaResult(
+        value=oracle.tau_total - sum(tau_blocks),
         frame=frame,
         assignment=assignment,
         tau_total=oracle.tau_total,

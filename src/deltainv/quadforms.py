@@ -24,7 +24,7 @@ sign decisions near thresholds are then exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -211,43 +211,37 @@ def optimal_coefficients(P: PartitionSpec) -> BoundCoefficients:
 
 @dataclass(frozen=True)
 class QuadraticFormBundle:
-    """The block quadratic form for one (partition, ell, C), ell in 1..k;
-    its matrices, minors and threshold are worked out from these when read."""
+    """Matrix data of the block quadratic form for one (partition, ell, C).
+
+    Built from P, ell (checked to lie in 1..k) and C alone.  ``M`` is twice
+    the matrix of the form in the diagonal variables x_A.  ``Mprime`` is its
+    compression onto the block-average vectors, and ``minors`` are the
+    leading principal minors of M'' = M'/(2C-1) (empty when 2C = 1).
+    """
 
     P: PartitionSpec
     ell: int
     C: Number
+    M: np.ndarray = field(init=False)
+    Mprime: np.ndarray = field(init=False, repr=False)
+    minors: list = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ell", _check_ell(self.P, self.ell))
+        P, C = self.P, self.C
+        ell = _check_ell(P, self.ell)
+        two_c_minus_1 = 2 * C - 1
+        diag = [] if two_c_minus_1 == 0 else [
+            d / two_c_minus_1 for d in _reduced_diagonal(P, ell, C)
+        ]
+        minors = [det_closed(diag[: j + 1]) for j in range(len(diag))]
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "M", _fill_blocks(P, float(C), distinguished=ell))
+        object.__setattr__(self, "Mprime", reduce_M(self))
+        object.__setattr__(self, "minors", minors)
 
     @property
     def exact(self) -> bool:
         return isinstance(self.C, Fraction)
-
-    @property
-    def M(self) -> np.ndarray:
-        """Twice the matrix of the form in the diagonal variables x_A."""
-        return _fill_blocks(self.P, float(self.C), distinguished=self.ell)
-
-    @property
-    def Mprime(self) -> np.ndarray:
-        """Compression of M onto the block-average vectors (``reduce_M``)."""
-        return reduce_M(self)
-
-    @property
-    def minors(self) -> list:
-        """Leading principal minors of M'' = M'/(2C-1); empty when 2C = 1."""
-        two_c_minus_1 = 2 * self.C - 1
-        if two_c_minus_1 == 0:
-            return []
-        diag = [d / two_c_minus_1 for d in _reduced_diagonal(self.P, self.ell, self.C)]
-        return [det_closed(diag[: j + 1]) for j in range(len(diag))]
-
-    @property
-    def critical_C(self) -> Fraction:
-        """The exact PSD threshold of this very matrix."""
-        return critical_C(self.P, self.ell, STATEMENT_I)
 
 
 def _fill_blocks(P: PartitionSpec, C: float, distinguished: int):
@@ -261,7 +255,7 @@ def _fill_blocks(P: PartitionSpec, C: float, distinguished: int):
 
 
 def build_M(P: PartitionSpec, ell: int, C: Number) -> QuadraticFormBundle:
-    """M_ell together with its reduction, minors and threshold.
+    """Assemble M_ell together with its reduction and minors.
 
     Blocks: the ell-th diagonal block is constant 2C; other leading blocks
     have diagonal 2(C+1) and off-diagonal 2C; the residual block has

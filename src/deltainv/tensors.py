@@ -624,4 +624,4 @@ def tau_subspace(h: CubicForm, c, indices: Iterable[int]) -> float:
 
 def scalar_curvature(h: CubicForm, c) -> float:
     """tau of the full tangent space."""
-    return tau_subspace(h, c, range(1, h.n + 1))
+    return _tau_dense(h.dense_view, list(range(h.n)), ambient_value(c))
