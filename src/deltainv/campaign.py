@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -45,6 +45,7 @@ from .tensors import (
     Frame,
     PartitionSpec,
     _as_integer,
+    _as_object,
     _as_real,
     _haar_rows,
     enumerate_partitions,
@@ -103,8 +104,8 @@ class CampaignConfig:
                 tuple(_as_integer(b, "partition block") for b in p)
                 for p in self.partitions
             )
-            # PartitionSpec's rules that hold whatever n; the pool below
-            # keeps, for each n, the partitions admissible there
+            # PartitionSpec's rules that hold whatever n; the pool checks
+            # the rest against n_range
             for p in partitions:
                 if not p or p[0] < 2 or list(p) != sorted(p):
                     raise FormatError(
@@ -120,22 +121,20 @@ class CampaignConfig:
                 "tensor_scale must be positive with 2 * tensor_scale finite, "
                 f"got {self.tensor_scale!r}"
             )
-        _partition_pool(self)  # a dimension with no partition fails here
+        _partition_pool(self)  # an n or a partition that fits nothing fails here
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CampaignConfig":
-        if not isinstance(data, dict):
-            raise FormatError("campaign config must be a JSON object")
-        known = {"seed", "samples", "n_range", "partitions", "c_values", "tensor_scale"}
-        unknown = set(data) - known
-        if unknown:
-            raise FormatError(f"unknown campaign config fields: {sorted(unknown)}")
+    def from_json_dict(cls, data, default_seed=None) -> "CampaignConfig":
+        """The config of a JSON object keyed by field names.  Without a
+        "seed" key the seed is ``default_seed()``, when that is given."""
+        names = [f.name for f in fields(cls)]
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        if default_seed is not None:
+            required.remove("seed")
+        kwargs = dict(_as_object(data, "campaign config", required, names))
+        if "seed" not in kwargs:
+            kwargs["seed"] = default_seed()
         try:
-            kwargs = dict(data)
-            if "n_range" in kwargs:
-                kwargs["n_range"] = tuple(kwargs["n_range"])
-            if "partitions" in kwargs and kwargs["partitions"] != "ALL":
-                kwargs["partitions"] = [tuple(p) for p in kwargs["partitions"]]
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"bad campaign config: {exc}")
@@ -192,7 +191,8 @@ def _admissible(n: int) -> tuple[PartitionSpec, ...]:
 
 def _partition_pool(config: CampaignConfig) -> dict[int, Sequence[PartitionSpec]]:
     """Per n, the partitions a sample draws from: every admissible one, or
-    the configured ones admissible for n, in config order."""
+    the configured ones admissible for n, in config order.  A dimension
+    with none, or a configured partition no dimension admits, is an error."""
     lo, hi = config.n_range
     pool: dict[int, Sequence[PartitionSpec]] = {}
     for n in range(lo, hi + 1):
@@ -204,6 +204,13 @@ def _partition_pool(config: CampaignConfig) -> dict[int, Sequence[PartitionSpec]
                 f"no admissible partition available for n={n}"
             )
         pool[n] = specs
+    if config.partitions != "ALL":
+        drawn = {P.blocks for specs in pool.values() for P in specs}
+        unused = [list(p) for p in config.partitions if p not in drawn]
+        if unused:
+            raise InadmissiblePartition(
+                f"no n in n_range {list(config.n_range)} admits partitions {unused}"
+            )
     return pool
 
 

@@ -11,7 +11,9 @@ sample              randomized verification campaign, CSV output
 
 Exit codes: 0 success, 1 verification failure (a gap below -1e-9 or not
 finite, a delta or round-trip error that is not finite, a matrix minor or
-least eigenvalue that is not finite as a float), 2 input error.
+least eigenvalue that is not finite as a float), 2 input error, which
+includes a JSON input object (tensor file or entry, params file, campaign
+config) with a missing or unknown key.
 Errors are reported as one JSON object on stderr.
 The environment variable DELTAINV_SEED supplies the default seed.
 """
@@ -48,7 +50,7 @@ from .quadforms import (
     psd_verdict,
     psd_verdict_minors,
 )
-from .tensors import CubicForm, PartitionSpec, _as_real_array, finite_or_none
+from .tensors import CubicForm, PartitionSpec, _as_object, _as_real_array, finite_or_none
 
 SEED_ENV = "DELTAINV_SEED"
 
@@ -201,26 +203,15 @@ def cmd_matrix(args) -> int:
     return 0 if None not in minors and math.isfinite(eig_min) else 1
 
 
-def _params_t1(P: PartitionSpec, data: dict) -> EqualityParamsT1:
-    lambdas = data.get("lambdas")
-    if lambdas is None:
-        raise FormatError("params file needs a 'lambdas' list for theorem 1")
-    return EqualityParamsT1(P, lambdas, data.get("inblock"))
-
-
-def _params_t2(P: PartitionSpec, data: dict) -> EqualityParamsT2:
-    return EqualityParamsT2(P, data.get("inblock"), data.get("traces"))
-
-
 def cmd_construct_equality(args) -> int:
     P = PartitionSpec(args.n, _parse_partition(args.partition))
     data = _load_json(args.params)
-    if not isinstance(data, dict):
-        raise FormatError("params file must hold a JSON object")
     if args.theorem == 1:
-        h = build_t1(_params_t1(P, data))
+        data = _as_object(data, "params", required=("lambdas",), optional=("inblock",))
+        h = build_t1(EqualityParamsT1(P, **data))
     else:
-        h = build_t2(_params_t2(P, data))
+        data = _as_object(data, "params", optional=("inblock", "traces"))
+        h = build_t2(EqualityParamsT2(P, **data))
     print(json.dumps(h.to_json_dict(), indent=2))
     return 0
 
@@ -254,10 +245,7 @@ def cmd_immersion_check(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    data = _load_json(args.config)
-    if isinstance(data, dict) and "seed" not in data:
-        data["seed"] = _default_seed()
-    config = CampaignConfig.from_json_dict(data)
+    config = CampaignConfig.from_json_dict(_load_json(args.config), _default_seed)
     summary = CampaignSummary()
     if args.out:
         # opened before the run, so an unwritable path fails at once

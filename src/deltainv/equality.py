@@ -244,13 +244,13 @@ def build_t2(params: EqualityParamsT2) -> CubicForm:
 # ---------------------------------------------------------------------------
 
 
-def _flag(out: list, bullet: str, idx0, v, tol: float):
-    """Record a violation at the 0-based indices idx0 when |v| > tol."""
-    if abs(v) > tol:
+def _flag(out: list, bullet: str, idx0, v):
+    """Record a violation at the 0-based indices idx0 when |v| > CHECK_TOL."""
+    if abs(v) > CHECK_TOL:
         out.append(Violation(bullet, tuple(i + 1 for i in idx0), abs(v)))
 
 
-def check_t1(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Violation]:
+def check_t1(h: CubicForm, P: PartitionSpec) -> list[Violation]:
     """All broken non-saturating equality conditions, empty iff equality holds."""
     _check_partition(h, P)
     if P.residual < 1:
@@ -264,7 +264,7 @@ def check_t1(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Vio
     # bullet 1: three mutually different indices, not all in one leading block
     for a, b, c in itertools.combinations(range(P.n), 3):
         if not own[a] == own[b] == own[c] != k:
-            _flag(out, "bullet1", (a, b, c), T[a, b, c], tol)
+            _flag(out, "bullet1", (a, b, c), T[a, b, c])
 
     leading = [a for a in range(P.n) if own[a] < k]
     residual = [r for r in range(P.n) if own[r] == k]
@@ -275,9 +275,9 @@ def check_t1(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Vio
         for b in range(P.n):
             if own[b] != own[a]:
                 kind = "bullet2-residual" if own[b] == k else "bullet2-cross"
-                _flag(out, kind, (a, b, b), T[a, b, b], tol)
+                _flag(out, kind, (a, b, b), T[a, b, b])
         trace = sum(T[a, b, b] for b in range(P.n) if own[b] == own[a])
-        _flag(out, "bullet2-trace", (a,), trace, tol)
+        _flag(out, "bullet2-trace", (a,), trace)
 
     # bullet 3: the residual chain h^r_{rr} = 3 h^r_{ss} = (n_i+2) h^r_{aa},
     # residual s first, then the leading indices a
@@ -286,11 +286,11 @@ def check_t1(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Vio
         for b in residual + leading:
             if b != r:
                 kind = "bullet3-residual" if own[b] == k else "bullet3-block"
-                _flag(out, kind, (r, b, b), top - m[b] * T[r, b, b], tol)
+                _flag(out, kind, (r, b, b), top - m[b] * T[r, b, b])
     return out
 
 
-def check_t2(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Violation]:
+def check_t2(h: CubicForm, P: PartitionSpec) -> list[Violation]:
     """All broken saturating equality conditions, empty iff equality holds."""
     _check_partition(h, P)
     if P.residual != 0:
@@ -306,20 +306,20 @@ def check_t2(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Vio
         if own[a] != own[b]:
             for A in range(P.n):
                 if A not in (a, b):
-                    _flag(out, "bullet1", (A, a, b), T[A, a, b], tol)
+                    _flag(out, "bullet1", (A, a, b), T[A, a, b])
 
     for b in range(P.n):
         others = [a for a in range(P.n) if own[a] != own[b]]
         trace = sum(T[b, a, a] for a in range(P.n) if own[a] == own[b])
         if P.blocks[own[b]] != minimal:
             # non-minimal: traceless and decoupled
-            _flag(out, "nonminimal-trace", (b,), trace, tol)
+            _flag(out, "nonminimal-trace", (b,), trace)
             for a in others:
-                _flag(out, "nonminimal-cross", (b, a, a), T[b, a, a], tol)
+                _flag(out, "nonminimal-cross", (b, a, a), T[b, a, a])
         else:
             # minimal: the trace spreads as t/(n_i+2) over other blocks
             for a in others:
-                _flag(out, "minimal-spread", (b, a, a), trace - m[a] * T[b, a, a], tol)
+                _flag(out, "minimal-spread", (b, a, a), trace - m[a] * T[b, a, a])
     return out
 
 
@@ -328,15 +328,14 @@ def check_t2(h: CubicForm, P: PartitionSpec, tol: float = CHECK_TOL) -> list[Vio
 # ---------------------------------------------------------------------------
 
 
-def _random_traceless_block(size: int, scale: float, rng: np.random.Generator):
-    """Random symmetric in-block array projected to zero partial traces."""
-    arr = _symmetrize_dense(rng.uniform(-scale, scale, size=(size, size, size)))
+def _random_traceless_block(size: int, rng: np.random.Generator):
+    """Random symmetric in-block array, entries drawn on [-1, 1], projected
+    to zero partial traces."""
+    arr = _symmetrize_dense(rng.uniform(-1.0, 1.0, size=(size, size, size)))
     return arr - _with_partial_traces(_partial_traces(arr))
 
 
-def random_witness(
-    theorem: int, P: PartitionSpec, seed: int, scale: float = 1.0
-) -> CubicForm:
+def random_witness(theorem: int, P: PartitionSpec, seed: int) -> CubicForm:
     """Seeded random equality witness with nonzero mean curvature.  The
     seed must be an integer >= 0 (FormatError otherwise)."""
     seed = _as_integer(seed, "seed")
@@ -345,20 +344,20 @@ def random_witness(
     rng = np.random.default_rng(np.random.SeedSequence((seed, theorem)))
     if theorem == 1:
         signs = rng.choice([-1.0, 1.0], size=P.residual)
-        lambdas = signs * rng.uniform(0.5 * scale, 2.0 * scale, size=P.residual)
+        lambdas = signs * rng.uniform(0.5, 2.0, size=P.residual)
         inblock = [
-            _random_traceless_block(size, scale, rng) for size in P.blocks
+            _random_traceless_block(size, rng) for size in P.blocks
         ]
         return build_t1(EqualityParamsT1(P, lambdas, inblock))
     if theorem == 2:
         minimal = min(P.blocks)
         inblock = []
         for size in P.blocks:
-            arr = _random_traceless_block(size, scale, rng)
+            arr = _random_traceless_block(size, rng)
             if size == minimal:
                 # plant a definite trace on each index of the block
                 signs = rng.choice([-1.0, 1.0], size=size)
-                t = signs * rng.uniform(0.5 * scale, 2.0 * scale, size=size)
+                t = signs * rng.uniform(0.5, 2.0, size=size)
                 arr = arr + _with_partial_traces(t)
             inblock.append(arr)
         return build_t2(EqualityParamsT2(P, inblock))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMetric
+from .errors import ConflictingEntry, DimensionMismatch, SingularMetric
 from .tensors import CubicForm
 
 FD_STEP = 1e-4
@@ -35,18 +35,21 @@ ROUNDTRIP_COND_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class CubicPotential:
-    """The cubic polynomial f(x) = (1/6) sum a_{ABC} x_A x_B x_C."""
+    """The cubic polynomial f(x) = (1/6) sum a_{ABC} x_A x_B x_C, with
+    exactly symmetric coefficients a (ConflictingEntry otherwise)."""
 
     n: int
     coefficients: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=float)
+        arr = np.array(self.coefficients, dtype=float)
         if arr.shape != (self.n, self.n, self.n):
             raise DimensionMismatch(
                 f"coefficients must be ({self.n},)*3, got {arr.shape}"
             )
-        arr = arr.copy()
+        # two transpositions generate every permutation of the indices
+        if any((arr != arr.transpose(p)).any() for p in ((1, 0, 2), (0, 2, 1))):
+            raise ConflictingEntry("coefficients are not symmetric in their indices")
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
 
@@ -80,12 +83,19 @@ def potential_from_tensor(a: CubicForm) -> CubicPotential:
 
 @dataclass(frozen=True)
 class ImmersionPoint:
-    """The immersion data at one point: position, tangents, induced metric."""
+    """The immersion data at one point: position, tangents, induced metric.
+    Every array is a read-only array of its own."""
 
     x: np.ndarray
     position: np.ndarray      # F(x) in R^2n, ordered (x, grad f)
     tangents: np.ndarray      # (2n, n), column A is F_* e_A
     metric: np.ndarray        # (n, n), g = F_*^T F_* = I + Hess^2
+
+    def __post_init__(self):
+        for name in ("x", "position", "tangents", "metric"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def _apply_j(vectors: np.ndarray) -> np.ndarray:

@@ -216,7 +216,8 @@ class QuadraticFormBundle:
     Built from P, ell (checked to lie in 1..k) and C alone.  ``M`` is twice
     the matrix of the form in the diagonal variables x_A.  ``Mprime`` is its
     compression onto the block-average vectors, and ``minors`` are the
-    leading principal minors of M'' = M'/(2C-1) (empty when 2C = 1).
+    leading principal minors of M'' = M'/(2C-1) (empty when 2C = 1).  The
+    matrices are read-only.
     """
 
     P: PartitionSpec
@@ -238,6 +239,7 @@ class QuadraticFormBundle:
         object.__setattr__(self, "M", _fill_blocks(P, float(C), distinguished=ell))
         object.__setattr__(self, "Mprime", reduce_M(self))
         object.__setattr__(self, "minors", minors)
+        self.M.flags.writeable = self.Mprime.flags.writeable = False
 
     @property
     def exact(self) -> bool:

@@ -101,6 +101,20 @@ def _as_real_array(values, what: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _as_object(data, what: str, required=(), optional=()) -> dict:
+    """A JSON object holding every ``required`` key and no key outside
+    ``required`` and ``optional``, else FormatError."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise FormatError(f"missing {what} fields: {missing}")
+    unknown = set(data).difference(required, optional)
+    if unknown:
+        raise FormatError(f"unknown {what} fields: {sorted(unknown)}")
+    return data
+
+
 @lru_cache(maxsize=None)
 def _canonical_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """All 1-based triples with A <= B <= C."""
@@ -112,9 +126,13 @@ def _canonical_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _as_index(value, n: int, where: str) -> int:
+def _as_index(value, n: int, where: str, *args) -> int:
     """A 1-based index in 1..n, read as ``_as_integer`` reads it (so not
-    1.5, true or "2"); IndexOutOfRange naming ``where`` otherwise."""
+    1.5, true or "2"); IndexOutOfRange naming ``where.format(*args)``
+    otherwise, a text built on the error path only."""
+    if type(value) is int and 1 <= value <= n:
+        return value
+    where = where.format(*args)
     v = _as_integer(value, f"an index of {where}", IndexOutOfRange)
     if not 1 <= v <= n:
         raise IndexOutOfRange(f"index {v} outside 1..{n} in {where}")
@@ -130,7 +148,7 @@ def _validated_triple(key, n: int) -> tuple[int, int, int]:
         raw = ()
     if len(raw) != 3:
         raise IndexOutOfRange(f"index triple {key!r} is not three integers")
-    return tuple(sorted(_as_index(v, n, f"triple {key!r}") for v in raw))
+    return tuple(sorted(_as_index(v, n, "triple {!r}", key) for v in raw))
 
 
 @lru_cache(maxsize=None)
@@ -278,20 +296,14 @@ class CubicForm:
     @classmethod
     def from_json_dict(cls, data) -> "CubicForm":
         """Load the JSON wire format; duplicate triples are a load error."""
-        if not isinstance(data, dict) or "n" not in data:
-            raise FormatError("tensor JSON must be an object with an 'n' field")
-        n = _as_integer(data["n"], "dimension")
+        data = _as_object(data, "tensor", required=("n",), optional=("entries",))
+        n = _check_dimension(_as_integer(data["n"], "dimension"))
         raw_entries = data.get("entries", [])
         if not isinstance(raw_entries, list):
             raise FormatError("'entries' must be a list")
         entries: dict[tuple[int, int, int], float] = {}
-        _check_dimension(n)
         for item in raw_entries:
-            if not isinstance(item, dict) or "idx" not in item or "value" not in item:
-                raise FormatError(f"malformed entry {item!r}")
-            idx = item["idx"]
-            if not isinstance(idx, (list, tuple)) or len(idx) != 3:
-                raise FormatError(f"'idx' must hold three indices, got {idx!r}")
+            idx = _as_object(item, "tensor entry", required=("idx", "value"))["idx"]
             triple = _validated_triple(idx, n)
             if triple in entries:
                 raise ConflictingEntry(

@@ -35,6 +35,10 @@ def test_config_validation():
         CampaignConfig(seed=1, samples=10, tensor_scale=0.0)
     with pytest.raises(FormatError):
         CampaignConfig.from_json_dict({"seed": 1, "samples": 5, "bogus": 1})
+    with pytest.raises(FormatError, match=r"missing campaign config fields: \['samples'\]"):
+        CampaignConfig.from_json_dict({"seed": 1})
+    with pytest.raises(FormatError, match="campaign config must be a JSON object"):
+        CampaignConfig.from_json_dict([1, 2])
 
 
 def test_campaign_rows_deterministic():
@@ -238,6 +242,23 @@ def test_cli_sample_pool_error_leaves_out_file_alone(tmp_path, capsys):
     code, out, err = run_cli(capsys, "sample", "--config", str(cfg), "--out", str(out_path))
     assert code == 2 and out == ""
     assert _single_json_error(err)["error"] == "InadmissiblePartition"
+    assert out_path.read_bytes() == b"keep"
+
+
+def test_cli_sample_partition_no_n_admits_leaves_out_file_alone(tmp_path, capsys):
+    # (2) fits n = 3 and 4, but (5) fits neither, so it could never be drawn
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"seed": 1, "samples": 3, "n_range": [3, 4], "partitions": [[2], [5]]}
+    ))
+    out_path = tmp_path / "gaps.csv"
+    out_path.write_bytes(b"keep")
+    code, out, err = run_cli(capsys, "sample", "--config", str(cfg), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert _single_json_error(err) == {
+        "error": "InadmissiblePartition",
+        "message": "no n in n_range [3, 4] admits partitions [[5]]",
+    }
     assert out_path.read_bytes() == b"keep"
 
 
@@ -523,6 +544,22 @@ def test_cli_seed_env_default(tensor_file, capsys, monkeypatch):
     assert code == 2
 
 
+def test_cli_sample_seed_env_default(tmp_path, capsys, monkeypatch):
+    # a config without "seed" takes DELTAINV_SEED; one with it never reads it
+    unseeded, seeded = tmp_path / "unseeded.json", tmp_path / "seeded.json"
+    unseeded.write_text(json.dumps({"samples": 5, "n_range": [3, 4]}))
+    seeded.write_text(json.dumps({"seed": 17, "samples": 5, "n_range": [3, 4]}))
+    monkeypatch.setenv("DELTAINV_SEED", "17")
+    code, from_env, _ = run_cli(capsys, "sample", "--config", str(unseeded))
+    assert code == 0
+    monkeypatch.setenv("DELTAINV_SEED", "not-an-int")
+    code, from_file, _ = run_cli(capsys, "sample", "--config", str(seeded))
+    assert code == 0 and from_file == from_env
+    code, out, err = run_cli(capsys, "sample", "--config", str(unseeded))
+    assert code == 2 and out == ""
+    assert _single_json_error(err)["error"] == "FormatError"
+
+
 def run_cli_process(*argv):
     """The CLI in a fresh interpreter, so warnings reach its real stderr."""
     import deltainv
@@ -621,12 +658,13 @@ def test_cli_immersion_check_non_finite_error_exits_1(tensor_file, capsys, monke
     [
         (1, "2", {"lambdas": 5}),
         (1, "2", {"lambdas": "ab"}),
+        (1, "2", {"lambdas": None}),
         (1, "2", {"lambdas": [1], "inblock": 7}),
         (1, "2", {"lambdas": [1], "inblock": [[["a"]]]}),
         (2, "2,2", {"traces": [[1, "x"], None]}),
         (2, "2,2", {"traces": [[float("nan"), 0], None]}),
     ],
-    ids=["scalar-lambdas", "string-lambdas", "scalar-inblock",
+    ids=["scalar-lambdas", "string-lambdas", "null-lambdas", "scalar-inblock",
          "string-inblock-entry", "string-trace", "nan-trace"],
 )
 def test_cli_construct_equality_bad_params_is_input_error(
@@ -641,6 +679,55 @@ def test_cli_construct_equality_bad_params_is_input_error(
     )
     assert code == 2 and out == ""
     assert _single_json_error(err)["error"] == "InvariantViolation"
+
+
+@pytest.mark.parametrize(
+    "theorem, params, message",
+    [
+        (1, {"lambda": [2.0]}, "missing params fields: ['lambdas']"),
+        (1, {"lambdas": [2.0], "traces": None}, "unknown params fields: ['traces']"),
+        (2, {"inblocks": None}, "unknown params fields: ['inblocks']"),
+        (2, {"lambdas": [2.0]}, "unknown params fields: ['lambdas']"),
+    ],
+    ids=["t1-missing", "t1-extra", "t2-misspelled", "t2-extra"],
+)
+def test_cli_construct_equality_params_keys_are_checked(
+    tmp_path, capsys, theorem, params, message
+):
+    """A key the theorem does not read is refused, not ignored."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    n, partition = ("3", "2") if theorem == 1 else ("4", "2,2")
+    code, out, err = run_cli(
+        capsys, "construct-equality", "--theorem", str(theorem), "--n", n,
+        "--partition", partition, "--params", str(path),
+    )
+    assert code == 2 and out == ""
+    assert _single_json_error(err) == {"error": "FormatError", "message": message}
+
+
+_ENTRY = {"idx": [3, 3, 3], "value": 2.0}
+
+
+@pytest.mark.parametrize("command", ["verify", "delta"])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 3, "entires": [_ENTRY]}, "unknown tensor fields: ['entires']"),
+        ({"n": 3, "entries": [{**_ENTRY, "weight": 1}]},
+         "unknown tensor entry fields: ['weight']"),
+        ({"n": 3, "entries": [{"idx": [3, 3, 3], "val": 2.0}]},
+         "missing tensor entry fields: ['value']"),
+    ],
+    ids=["misspelled-entries", "extra-entry-key", "misspelled-value"],
+)
+def test_cli_tensor_keys_are_checked(tmp_path, capsys, command, data, message):
+    """A misspelled "entries" must not load as the zero tensor."""
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, command, str(path), "--partition", "2")
+    assert code == 2 and out == ""
+    assert _single_json_error(err) == {"error": "FormatError", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from deltainv import (
+    ConflictingEntry,
     CubicForm,
     CubicPotential,
     PartitionSpec,
@@ -84,6 +85,25 @@ def test_potential_gradient_hessian_consistent():
 # ---------------------------------------------------------------------------
 # immersion geometry
 # ---------------------------------------------------------------------------
+
+
+def test_potential_rejects_non_symmetric_coefficients():
+    # only a[0, 0, 1] set: the gradient formula would disagree with value()
+    a = np.zeros((2, 2, 2))
+    a[0, 0, 1] = 6.0
+    with pytest.raises(ConflictingEntry):
+        CubicPotential(2, a)
+
+
+def test_immersion_point_owns_read_only_arrays():
+    f = potential_from_tensor(symmetrize({(1, 2, 3): 1.0, (3, 3, 3): 0.5}, 3))
+    x = np.array([0.1, 0.2, 0.3])
+    p = immerse(f, x)
+    x[0] = 9.0
+    assert p.x.tolist() == [0.1, 0.2, 0.3] and p.position[0] == 0.1
+    for arr in (p.x, p.position, p.tangents, p.metric, f.coefficients):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
 
 
 def test_metric_identity_at_origin():

@@ -100,6 +100,19 @@ def test_index_must_be_an_integer_everywhere(index):
         CubicForm.from_json_dict({"n": 3, "entries": [{"idx": [index, 2, 3], "value": 0.5}]})
 
 
+class _UnprintableKey(tuple):
+    def __repr__(self):
+        raise AssertionError("an error message was built for a valid triple")
+
+
+def test_valid_triples_build_no_error_text():
+    h = CubicForm(3, {_UnprintableKey((1, 2, 3)): 0.5})
+    assert h.lookup(3, 2, 1) == 0.5
+    # the text is still there for a real error
+    with pytest.raises(IndexOutOfRange, match=r"index 4 outside 1\.\.3 in triple \(1, 2, 4\)"):
+        CubicForm(3, {(1, 2, 4): 0.5})
+
+
 def test_symmetrize_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         symmetrize({(0, 1, 1): 1.0}, 3)

@@ -1,9 +1,23 @@
 """Every value type of the package is immutable, as the README says."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 import deltainv
+from deltainv import (
+    CubicForm,
+    EqualityParamsT1,
+    EqualityParamsT2,
+    Frame,
+    PartitionSpec,
+    delta_invariant,
+    immerse,
+    potential_from_tensor,
+)
+from deltainv.quadforms import build_M
 
 PACKAGE = Path(deltainv.__file__).resolve().parent
 
@@ -39,3 +53,38 @@ def test_every_dataclass_is_frozen():
     assert ("campaign", "CampaignSummary", False) in found
     thawed = [(m, c) for m, c, frozen in found if not frozen and c not in MUTABLE]
     assert thawed == []
+
+
+def _arrays(value):
+    """Every ndarray reachable from value through the attributes of package
+    objects (slotted or not) and through tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif type(value).__module__.startswith("deltainv."):
+        names = getattr(type(value), "__slots__", None) or vars(value)
+        for name in names:
+            yield from _arrays(getattr(value, name))
+
+
+def test_every_array_of_a_value_type_is_read_only():
+    P1, P2 = PartitionSpec(3, (2,)), PartitionSpec(4, (2, 2))
+    h = CubicForm(3, {(1, 2, 3): 1.0, (3, 3, 3): 2.0})
+    f = potential_from_tensor(h)
+    values = {
+        "CubicForm": h,
+        "Frame": Frame.identity(3),
+        "DeltaResult": delta_invariant(h, 0.0, P1),
+        "EqualityParamsT1": EqualityParamsT1(P1, [2.0]),
+        "EqualityParamsT2": EqualityParamsT2(P2),
+        "CubicPotential": f,
+        "ImmersionPoint": immerse(f, [0.1, 0.2, 0.3]),
+        "QuadraticFormBundle": build_M(P2, 1, Fraction(1, 6)),
+    }
+    for name, value in values.items():
+        arrays = list(_arrays(value))
+        assert arrays, name
+        writeable = [a.shape for a in arrays if a.flags.writeable]
+        assert writeable == [], name
