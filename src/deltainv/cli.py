@@ -14,7 +14,8 @@ finite, a delta or round-trip error that is not finite, a matrix minor or
 least eigenvalue that is not finite as a float), 2 input error, which
 includes a JSON input object (tensor file or entry, params file, campaign
 config) with a missing or unknown key.
-Errors are reported as one JSON object on stderr.
+Errors, an option that argparse rejects included, are reported as one JSON
+object on stderr; ``--help`` and ``--version`` print as usual.
 The environment variable DELTAINV_SEED supplies the default seed.
 """
 
@@ -260,8 +261,17 @@ def cmd_sample(args) -> int:
     return 1 if summary.violations else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose option errors raise FormatError, so they reach the
+    one JSON error object on stderr and exit 2; subparsers inherit it.
+    ``--help`` and ``--version`` still print and exit 0."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltainv",
         description=(
             "Delta-invariants of pointwise Lagrangian data, optimal curvature "
@@ -316,10 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     # overflow in a huge but finite input gives a non-finite gap, which the
     # exit code and the reports already count as a violation
     try:
+        args = parser.parse_args(argv)
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except DeltainvError as exc:

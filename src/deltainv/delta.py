@@ -22,9 +22,17 @@ with the prescribed dimensions.  Two estimators are provided:
   ``_STACK`` at a time (after Wen & Yin, "A feasible method for
   optimization with orthogonality constraints", Math. Program. 2013):
   batched Cayley solves, and per-restart Barzilai-Borwein steps and
-  backtracking under an active mask.  Each restart takes the steps a
-  descent from its start alone would take, up to float rounding;
+  backtracking.  The arrays hold only the running restarts: each round
+  makes one trial step and takes one gradient for all of them, and the
+  stack is compacted only when a restart stops.  Each restart takes the
+  steps a descent from its start alone would take, up to float rounding;
   ``_stacked_descent`` states when a restart stops and counts as converged.
+  The optimal bound delta <= a |H|^2 + b c makes
+  floor = tau - c sum C(n_i, 2) - rhs a certified lower bound on the
+  descent's objective.  A restart that comes within 1e-12 relative of it
+  behind an earlier restart that reached it stops, because it can no
+  longer win; the earliest such restart runs on, so the result does not
+  change.
 
 Both read the single Gauss-sum kernel, the sectional-curvature matrix K of
 ``tensors``.  The descent weighs K with the 0/1 block mask M (M_ij = 1 when
@@ -69,6 +77,14 @@ _TIE_RTOL = 1e-12
 
 # most starts descended in one stack; memory does not grow with --restarts
 _STACK = 64
+
+# relative margin by which a later restart must beat the best so far to win
+# (``_earliest_best``), and relative half-width of the band around the
+# certified floor in which a restart behind one that reached it stops
+# (``_stacked_descent``); the floor rule keeps the winner because the band
+# is far narrower than the margin
+_BEST_RTOL = 1e-10
+_FLOOR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -267,15 +283,23 @@ def _grad_skew(H, M):
     return G - G.swapaxes(-1, -2)
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """Read-only (n, n) identity, shared by every Cayley step of size n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _cayley_step(R, S, t):
     """cay(tS) R = (I - tS/2)^{-1} (I + tS/2) R for one frame, or for a
     stack (..., n, n) of frames and skew S with one step t each."""
     half = 0.5 * np.asarray(t, dtype=float)[..., None, None]
-    eye = np.eye(R.shape[-1])
+    eye = _identity(R.shape[-1])
     return np.linalg.solve(eye - half * S, (eye + half * S) @ R)
 
 
-def _stacked_descent(T, starts, M, max_iters, tol):
+def _stacked_descent(T, starts, M, max_iters, tol, floor=-math.inf):
     """Descend every frame of an (r, n, n) stack of starts at once.
 
     Each restart is a gradient descent along R(t) = cay(-t A) R for the
@@ -289,92 +313,110 @@ def _stacked_descent(T, starts, M, max_iters, tol):
     converged when |A| < max(tol, 1e-7).  Non-finite input ends the loop,
     through NaN steps or steps halved away.
 
-    One round makes one stacked Armijo trial for every active restart and
-    one stacked gradient for the restarts whose trial was accepted, so a
-    restart that is still backtracking does not hold the others back.
-    Returns (f, frames, converged), one entry per start.
+    ``floor`` is a certified lower bound on f (``delta_invariant`` passes
+    the one the optimal bound gives); the default -inf turns this rule
+    off.  A restart whose f lies within eps = _FLOOR_RTOL * max(1, |floor|)
+    of the floor stops, converged, once a lower-indexed restart of the
+    stack has reached floor + eps.  f never rises, so that restart ends at
+    most eps above the floor, and this one could win only by ending more
+    than _BEST_RTOL below it: far further below the floor than the bound
+    allows.  The earliest restart in the band runs on under the rules
+    above, and one below the band, a violation of the bound, is never
+    stopped by this rule.
+
+    The arrays hold only the running restarts, the working stack.  One
+    round makes one Armijo trial for each of them and takes the gradient
+    at every trial frame, so an accepted step has its next gradient
+    without a second pass; the stack is compacted only in a round where
+    some restart stops.  Returns (f, frames, converged), one entry per
+    start.
     """
     R = np.array(starts, dtype=float)
     r = len(R)
     H = _rotate_dense(T, R)
     f = _block_tau_h(H, M)
-    A = np.empty_like(R)
-    prev_A = np.zeros_like(R)
-    gnorm, t = np.empty(r), np.empty(r)
-    prev_t = np.zeros(r)
+    A = _grad_skew(H, M)
+    gnorm = np.linalg.norm(A, axis=(-2, -1))
+    t = np.minimum(np.maximum(1.0 / np.maximum(gnorm, 1.0), 1e-12), 1e4)
     iters = np.zeros(r, dtype=int)
-    active = np.ones(r, dtype=bool)
+    row = np.arange(r)  # the start each working restart came from
+    f_out, R_out = np.empty(r), np.empty_like(R)
     converged = np.zeros(r, dtype=bool)
     stationary_tol = max(tol, 1e-7)
-    # restarts at a new iterate: they need a gradient and a first trial step
-    moved = np.arange(r)
+    eps = _FLOOR_RTOL * max(1.0, abs(floor))
+    band_lo, band_hi = floor - eps, floor + eps
+    lead = r  # the first start whose f has reached band_hi
     while True:
-        if moved.size:
-            G = _grad_skew(H[moved], M)
-            g = np.linalg.norm(G, axis=(-2, -1))
-            # Barzilai-Borwein step from the last accepted one, or 2x it
-            # when the gradients give no usable curvature
-            last_A, last_t = prev_A[moved], prev_t[moved]
-            num = np.einsum("kij,kij->k", last_A, last_A)
-            denom = np.einsum("kij,kij->k", last_A, last_A - G)
-            bb = 2.0 * last_t
-            np.divide(last_t * num, denom, out=bb, where=denom > 1e-30)
-            t0 = np.where(iters[moved] > 0, bb, 1.0 / np.maximum(g, 1.0))
-            A[moved], gnorm[moved] = G, g
-            t[moved] = np.minimum(np.maximum(t0, 1e-12), 1e4)
-            done = moved[g < tol]
-            converged[done] = True
-            active[done] = False
-
-        # a NaN step, a step halved to 1e-15 without a decrease, or a stationary
-        # restart's Armijo test asking for less than f resolves ends the restart
-        trial = np.flatnonzero(active)
-        steps, norms = t[trial], gnorm[trial]
         # the decrease each Armijo test asks for, 1e-4 t |A|^2 / 2
-        armijo = 1e-4 * steps * (norms * norms / 2.0)
-        tiny = armijo <= 1e-15 * np.maximum(1.0, abs(f[trial]))
-        live = (steps > 1e-15) & ~(tiny & (norms < stationary_tol))
-        if not live.all():
-            spent = trial[~live]
-            converged[spent] = gnorm[spent] < stationary_tol
-            active[spent] = False
-            trial, steps, armijo = trial[live], steps[live], armijo[live]
-        if not trial.size:
-            return f, R, converged
-        Rt = _cayley_step(R[trial], -A[trial], steps)
+        armijo = 1e-4 * t * (gnorm * gnorm / 2.0)
+        stationary = gnorm < stationary_tol
+        maxed = iters >= max_iters
+        done = gnorm < tol
+        # a NaN step, a step halved to 1e-15 without a decrease, or a
+        # stationary restart's Armijo test asking for less than f resolves
+        tiny = armijo <= 1e-15 * np.maximum(1.0, abs(f))
+        spent = ~(t > 1e-15) | (tiny & stationary)
+        reached = row[f <= band_hi]
+        if reached.size:
+            lead = min(lead, int(reached[0]))
+        floored = (f >= band_lo) & (f <= band_hi) & (row > lead)
+        stop = maxed | done | spent | floored
+        if stop.any():
+            gone = row[stop]
+            f_out[gone], R_out[gone] = f[stop], R[stop]
+            # out of steps: not converged; spent: by |A|; floored: converged
+            verdict = np.where(spent, stationary, done | floored) & ~maxed
+            converged[gone] = verdict[stop]
+            keep = ~stop
+            if not keep.any():
+                return f_out, R_out, converged
+            R, H, f, A, gnorm, t, iters, row, armijo = (
+                x[keep] for x in (R, H, f, A, gnorm, t, iters, row, armijo)
+            )
+
+        Rt = _cayley_step(R, A, -t)
         Ht = _rotate_dense(T, Rt)
         ft = _block_tau_h(Ht, M)
-        ok = ft <= f[trial] - armijo
-        t[trial[~ok]] *= 0.5
-
-        moved = trial[ok]
-        if not moved.size:
-            continue
-        R[moved], H[moved], f[moved] = Rt[ok], Ht[ok], ft[ok]
-        prev_A[moved], prev_t[moved] = A[moved], t[moved]
-        iters[moved] += 1
-        active[moved[iters[moved] >= max_iters]] = False
-        moved = moved[active[moved]]
+        G = _grad_skew(Ht, M)
+        g = np.linalg.norm(G, axis=(-2, -1))
+        ok = ft <= f - armijo
+        # an accepted step's next trial is the Barzilai-Borwein step, or 2x
+        # the accepted one when the gradients give no usable curvature; a
+        # rejected trial halves its step
+        num = np.einsum("kij,kij->k", A, A)
+        denom = np.einsum("kij,kij->k", A, A - G)
+        bb = 2.0 * t
+        np.divide(t * num, denom, out=bb, where=denom > 1e-30)
+        t = np.where(ok, np.minimum(np.maximum(bb, 1e-12), 1e4), 0.5 * t)
+        iters += ok
+        if ok.all():
+            R, H, f, A, gnorm = Rt, Ht, ft, G, g
+        else:
+            frames = ok[:, None, None]
+            np.copyto(R, Rt, where=frames)
+            np.copyto(H, Ht, where=frames[..., None])
+            np.copyto(A, G, where=frames)
+            f, gnorm = np.where(ok, ft, f), np.where(ok, g, gnorm)
 
 
 def _earliest_best(values) -> int:
     """Index of the least value: a later value wins only when it is below
-    the current best by more than 1e-10 relative, so float-noise ties keep
-    the earliest (deterministic)."""
+    the current best by more than _BEST_RTOL relative, so float-noise ties
+    keep the earliest (deterministic)."""
     best = 0
     for i, v in enumerate(values):
-        if v < values[best] - 1e-10 * max(1.0, abs(values[best])):
+        if v < values[best] - _BEST_RTOL * max(1.0, abs(values[best])):
             best = i
     return best
 
 
-def _descend(T, starts, M, max_iters, tol):
+def _descend(T, starts, M, max_iters, tol, floor):
     """Descend an (r, n, n) stack of starts; the earliest best restart.
 
-    Returns one (f_min, frame, converged) triple, converged as defined by
-    ``_stacked_descent``.
+    Returns one (f_min, frame, converged) triple, converged and the use of
+    the certified ``floor`` as defined by ``_stacked_descent``.
     """
-    f, R, converged = _stacked_descent(T, starts, M, max_iters, tol)
+    f, R, converged = _stacked_descent(T, starts, M, max_iters, tol, floor)
     best = _earliest_best(f.tolist())
     return float(f[best]), R[best], bool(converged[best])
 
@@ -427,8 +469,14 @@ def delta_invariant(
 
     T = h.dense_view
     M = _block_mask(P)
+    # the optimal bound delta <= a |H|^2 + b c bounds the descent's f, the
+    # h part of the block taus, from below
+    a, b, _ = _gap_terms(P)
+    pairs = sum(m * (m - 1) // 2 for m in P.blocks)
+    rhs = a * mean_curvature_sq(h) + b * cval
+    floor = oracle.tau_total - cval * pairs - rhs
     winners = [
-        _descend(T, stack, M, opts.max_iters, opts.tol)
+        _descend(T, stack, M, opts.max_iters, opts.tol, floor)
         for stack in _start_stacks(P, oracle.assignment, opts.restarts, opts.seed)
     ]
     _, R, converged = winners[_earliest_best([w[0] for w in winners])]

@@ -216,8 +216,8 @@ class QuadraticFormBundle:
     Built from P, ell (checked to lie in 1..k) and C alone.  ``M`` is twice
     the matrix of the form in the diagonal variables x_A.  ``Mprime`` is its
     compression onto the block-average vectors, and ``minors`` are the
-    leading principal minors of M'' = M'/(2C-1) (empty when 2C = 1).  The
-    matrices are read-only.
+    leading principal minors of M'' = M'/(2C-1), a tuple (empty when
+    2C = 1).  The matrices are read-only.
     """
 
     P: PartitionSpec
@@ -225,7 +225,7 @@ class QuadraticFormBundle:
     C: Number
     M: np.ndarray = field(init=False)
     Mprime: np.ndarray = field(init=False, repr=False)
-    minors: list = field(init=False)
+    minors: tuple = field(init=False)
 
     def __post_init__(self):
         P, C = self.P, self.C
@@ -234,7 +234,7 @@ class QuadraticFormBundle:
         diag = [] if two_c_minus_1 == 0 else [
             d / two_c_minus_1 for d in _reduced_diagonal(P, ell, C)
         ]
-        minors = [det_closed(diag[: j + 1]) for j in range(len(diag))]
+        minors = tuple(det_closed(diag[: j + 1]) for j in range(len(diag)))
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "M", _fill_blocks(P, float(C), distinguished=ell))
         object.__setattr__(self, "Mprime", reduce_M(self))

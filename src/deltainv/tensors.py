@@ -78,6 +78,8 @@ def _as_integer(value, what: str, error=FormatError) -> int:
 
 def _as_real(value, what: str) -> float:
     """A JSON number (not true, false or a string) as a float, else FormatError."""
+    if type(value) is float:  # most JSON numbers; skips the ABC check below
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise FormatError(f"{what} must be a number, got {value!r}")
     try:
@@ -295,7 +297,11 @@ class CubicForm:
 
     @classmethod
     def from_json_dict(cls, data) -> "CubicForm":
-        """Load the JSON wire format; duplicate triples are a load error."""
+        """Load the JSON wire format; duplicate triples are a load error.
+
+        Each triple and value is checked once, here, and the checked values
+        go to the dense array without the checks of ``__init__``.
+        """
         data = _as_object(data, "tensor", required=("n",), optional=("entries",))
         n = _check_dimension(_as_integer(data["n"], "dimension"))
         raw_entries = data.get("entries", [])
@@ -309,8 +315,11 @@ class CubicForm:
                 raise ConflictingEntry(
                     f"duplicate or permutation-conflicting triple {idx!r}"
                 )
-            entries[triple] = _as_real(item["value"], "entry value")
-        return cls(n, entries)
+            value = _as_real(item["value"], "entry value")
+            if not math.isfinite(value):
+                raise InvariantViolation(f"non-finite entry {value!r} at {idx!r}")
+            entries[triple] = value
+        return cls._of_values(n, [entries.get(t, 0.0) for t in _canonical_triples(n)])
 
 
 def symmetrize(raw: Mapping, n: int) -> CubicForm:

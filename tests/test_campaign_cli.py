@@ -300,6 +300,35 @@ def _single_json_error(err):
     return json.loads(lines[0])
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["verify", "{w}", "--partition", "2", "--restarts", "1e3"], "--restarts"),
+        (["verify", "{w}", "--partition", "2", "--format", "xml"], "--format"),
+        (["verify", "{w}"], "--partition"),
+        (["bogus"], "bogus"),
+        ([], "command"),
+    ],
+    ids=["non-integer-restarts", "bad-choice", "missing-partition",
+         "unknown-subcommand", "no-subcommand"],
+)
+def test_cli_rejected_option_is_one_json_error(tensor_file, capsys, argv, fragment):
+    code, out, err = run_cli(capsys, *(a.format(w=tensor_file) for a in argv))
+    assert code == 2 and out == ""
+    payload = _single_json_error(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "FormatError" and fragment in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["--version"]])
+def test_cli_help_and_version_still_print(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 0
+    assert captured.out and captured.err == ""
+
+
 def test_cli_overflowing_index_is_input_error(tmp_path, capsys):
     path = tmp_path / "overflow.json"
     path.write_text('{"n": 3, "entries": [{"idx": [1e400, 1, 1], "value": 1.0}]}')

@@ -354,13 +354,13 @@ def test_minors_match_paper_closed_form():
         if 2 * C == 1:
             continue
         bundle = build_M(P, ell, C)
-        assert bundle.minors == paper_minors(P, ell, C)
+        assert bundle.minors == tuple(paper_minors(P, ell, C))
 
 
 def test_minors_empty_at_two_c_equal_one():
     P = PartitionSpec(5, (2, 2))
     bundle = build_M(P, 1, Fraction(1, 2))
-    assert bundle.minors == []
+    assert bundle.minors == ()
 
 
 # ---------------------------------------------------------------------------

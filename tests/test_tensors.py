@@ -485,6 +485,31 @@ def test_json_roundtrip():
     assert again.entries == h.entries
 
 
+def test_json_load_equals_the_constructor():
+    # the loader checks each triple once and skips the constructor's checks:
+    # permuted triples, an integer value and -0.0 load as the constructor
+    # reads them
+    h = random_cubic_form(12, 1.0, np.random.default_rng(12))
+    entries = {(c, a, b): v for (a, b, c), v in h.entries.items()}
+    entries[(2, 1, 1)] = 3
+    entries[(12, 12, 12)] = -0.0
+    data = {
+        "n": 12,
+        "entries": [{"idx": list(k), "value": v} for k, v in entries.items()],
+    }
+    loaded, built = CubicForm.from_json_dict(data), CubicForm(12, entries)
+    assert np.array_equal(loaded.dense_view, built.dense_view)
+    assert np.array_equal(np.signbit(loaded.dense_view), np.signbit(built.dense_view))
+    assert loaded.entries == built.entries
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_non_finite_value_rejected(value):
+    data = {"n": 3, "entries": [{"idx": [1, 2, 3], "value": value}]}
+    with pytest.raises(InvariantViolation):
+        CubicForm.from_json_dict(data)
+
+
 def test_json_duplicate_triple_rejected():
     data = {
         "n": 3,

@@ -69,11 +69,12 @@ def _arrays(value):
             yield from _arrays(getattr(value, name))
 
 
-def test_every_array_of_a_value_type_is_read_only():
+def _values():
+    """One instance of every value type, by class name."""
     P1, P2 = PartitionSpec(3, (2,)), PartitionSpec(4, (2, 2))
     h = CubicForm(3, {(1, 2, 3): 1.0, (3, 3, 3): 2.0})
     f = potential_from_tensor(h)
-    values = {
+    return {
         "CubicForm": h,
         "Frame": Frame.identity(3),
         "DeltaResult": delta_invariant(h, 0.0, P1),
@@ -83,8 +84,20 @@ def test_every_array_of_a_value_type_is_read_only():
         "ImmersionPoint": immerse(f, [0.1, 0.2, 0.3]),
         "QuadraticFormBundle": build_M(P2, 1, Fraction(1, 6)),
     }
-    for name, value in values.items():
+
+
+def test_every_array_of_a_value_type_is_read_only():
+    for name, value in _values().items():
         arrays = list(_arrays(value))
         assert arrays, name
         writeable = [a.shape for a in arrays if a.flags.writeable]
         assert writeable == [], name
+
+
+def test_no_value_type_holds_a_mutable_container():
+    # a list field of a frozen dataclass can still be appended to
+    for name, value in _values().items():
+        names = getattr(type(value), "__slots__", None) or vars(value)
+        for field_name in names:
+            held = getattr(value, field_name)
+            assert not isinstance(held, (list, dict, set)), (name, field_name)
