@@ -21,12 +21,15 @@ with the prescribed dimensions.  Two estimators are provided:
   starts descend together as one (r, n, n) stack of frames, at most
   ``_STACK`` at a time (after Wen & Yin, "A feasible method for
   optimization with orthogonality constraints", Math. Program. 2013):
-  batched Cayley solves, and per-restart Barzilai-Borwein steps and
-  backtracking.  The arrays hold only the running restarts: each round
-  makes one trial step and takes one gradient for all of them, and the
-  stack is compacted only when a restart stops.  Each restart takes the
-  steps a descent from its start alone would take, up to float rounding;
-  ``_stacked_descent`` states when a restart stops and counts as converged.
+  batched Cayley solves, and per-restart backtracking from a trial step
+  that alternates the two Barzilai-Borwein quotients (Barzilai & Borwein,
+  IMA J. Numer. Anal. 1988), <s,s>/<s,y> after an even count of accepted
+  steps and <s,y>/<y,y> after an odd one.  The arrays hold only the
+  running restarts: each round makes one trial step and takes one
+  gradient for all of them, and the stack is compacted only when a
+  restart stops.  Each restart takes the steps a descent from its start
+  alone would take, up to float rounding; ``_stacked_descent`` states
+  when a restart stops and counts as converged.
   The optimal bound delta <= a |H|^2 + b c makes
   floor = tau - c sum C(n_i, 2) - rhs a certified lower bound on the
   descent's objective.  A restart that comes within 1e-12 relative of it
@@ -59,6 +62,7 @@ from .tensors import (
     Frame,
     PartitionSpec,
     _as_integer,
+    _as_real,
     _check_partition,
     _haar_rows,
     _rotate_dense,
@@ -96,7 +100,8 @@ class OptimizerOptions:
     most ``max_iters`` accepted steps; ``_stacked_descent`` states how
     ``tol`` and its other rules stop a restart and when it has converged.
     ``restarts``, ``max_iters`` and ``seed`` (>= 0, seeding the random
-    starts) are integers, not booleans.
+    starts) are integers, not booleans; ``tol`` is a number, not a boolean,
+    and is stored as a float.  A bad value raises ValueError.
     """
 
     restarts: int = 16
@@ -108,6 +113,7 @@ class OptimizerOptions:
         for name in ("restarts", "max_iters", "seed"):
             value = _as_integer(getattr(self, name), name, ValueError)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "tol", _as_real(self.tol, "tol", ValueError))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
@@ -274,8 +280,8 @@ def _grad_skew(H, M):
     """
     n = H.shape[-1]
     W = -M[:, :, None] * H
-    diag = np.arange(n)
-    W[..., diag, diag, :] += M @ np.einsum("...iic->...ic", H)
+    # einsum's diagonal of W is a writable view: W[..., a, a, c]
+    np.einsum("...iic->...ic", W)[...] += M @ np.einsum("...iic->...ic", H)
     rows = H.shape[:-3] + (n, n * n)
     cols = H.shape[:-3] + (n * n, n)
     G = 2.0 * (W.reshape(rows) @ H.reshape(rows).swapaxes(-1, -2))
@@ -293,25 +299,38 @@ def _identity(n: int) -> np.ndarray:
 
 def _cayley_step(R, S, t):
     """cay(tS) R = (I - tS/2)^{-1} (I + tS/2) R for one frame, or for a
-    stack (..., n, n) of frames and skew S with one step t each."""
+    stack (..., n, n) of frames and skew S with one step t each.
+
+    I + X = 2I - (I - X), so the same map is 2 (I - tS/2)^{-1} R - R: one
+    solve and no matmul.
+    """
     half = 0.5 * np.asarray(t, dtype=float)[..., None, None]
-    eye = _identity(R.shape[-1])
-    return np.linalg.solve(eye - half * S, (eye + half * S) @ R)
+    moved = np.linalg.solve(_identity(R.shape[-1]) - half * S, R)
+    moved *= 2.0
+    moved -= R
+    return moved
 
 
 def _stacked_descent(T, starts, M, max_iters, tol, floor=-math.inf):
     """Descend every frame of an (r, n, n) stack of starts at once.
 
     Each restart is a gradient descent along R(t) = cay(-t A) R for the
-    skew gradient A: a Barzilai-Borwein first trial step (1/max(|A|, 1) at
-    the start) and Armijo backtracking by halving.  A restart stops at
-    |A| < tol, converged; after ``max_iters`` accepted steps, not
-    converged; when its step is NaN or halved to 1e-15 without an Armijo
-    decrease; or, once |A| < max(tol, 1e-7), before a trial whose Armijo
-    test asks for a decrease 1e-4 t |A|^2 / 2 of at most 1e-15 max(1, |f|),
-    which f cannot resolve.  Stopped by either of the last two rules, it is
-    converged when |A| < max(tol, 1e-7).  Non-finite input ends the loop,
-    through NaN steps or steps halved away.
+    skew gradient A, with Armijo backtracking by halving.  Its first trial
+    step is 1/max(|A|, 1); after an accepted step, with s = -t A and
+    y = G - A for the next gradient G, the next trial step alternates the
+    two Barzilai-Borwein quotients as in Wen & Yin's curvilinear search:
+    <s, s>/<s, y> after an even count of accepted steps and <s, y>/<y, y>
+    after an odd one, or 2t where the quotient is not positive.  Both
+    read |A|^2, <A, G> and |G|^2, formed once per round.  Steps are
+    clamped to [1e-12, 1e4], and a rejected trial halves its step.
+
+    A restart stops at |A| < tol, converged; after ``max_iters`` accepted
+    steps, not converged; when its step is NaN or halved to 1e-15 without
+    an Armijo decrease; or, once |A| < max(tol, 1e-7), before a trial whose
+    Armijo test asks for a decrease 1e-4 t |A|^2 / 2 of at most
+    1e-15 max(1, |f|), which f cannot resolve.  Stopped by either of the
+    last two rules, it is converged when |A| < max(tol, 1e-7).  Non-finite
+    input ends the loop, through NaN steps or steps halved away.
 
     ``floor`` is a certified lower bound on f (``delta_invariant`` passes
     the one the optimal bound gives); the default -inf turns this rule
@@ -327,17 +346,19 @@ def _stacked_descent(T, starts, M, max_iters, tol, floor=-math.inf):
     The arrays hold only the running restarts, the working stack.  One
     round makes one Armijo trial for each of them and takes the gradient
     at every trial frame, so an accepted step has its next gradient
-    without a second pass; the stack is compacted only in a round where
-    some restart stops.  Returns (f, frames, converged), one entry per
-    start.
+    without a second pass.  The stop tests run in full only in a round
+    where some restart can stop, and the stack is compacted only in a
+    round where one does.  Each restart keeps its own count of accepted
+    steps, so it takes the steps it would take alone.  Returns
+    (f, frames, converged), one entry per start.
     """
     R = np.array(starts, dtype=float)
     r = len(R)
     H = _rotate_dense(T, R)
     f = _block_tau_h(H, M)
     A = _grad_skew(H, M)
-    gnorm = np.linalg.norm(A, axis=(-2, -1))
-    t = np.minimum(np.maximum(1.0 / np.maximum(gnorm, 1.0), 1e-12), 1e4)
+    aa = np.einsum("kij,kij->k", A, A)
+    t = np.minimum(np.maximum(1.0 / np.maximum(np.sqrt(aa), 1.0), 1e-12), 1e4)
     iters = np.zeros(r, dtype=int)
     row = np.arange(r)  # the start each working restart came from
     f_out, R_out = np.empty(r), np.empty_like(R)
@@ -347,56 +368,72 @@ def _stacked_descent(T, starts, M, max_iters, tol, floor=-math.inf):
     band_lo, band_hi = floor - eps, floor + eps
     lead = r  # the first start whose f has reached band_hi
     while True:
+        gnorm = np.sqrt(aa)
         # the decrease each Armijo test asks for, 1e-4 t |A|^2 / 2
-        armijo = 1e-4 * t * (gnorm * gnorm / 2.0)
-        stationary = gnorm < stationary_tol
-        maxed = iters >= max_iters
-        done = gnorm < tol
-        # a NaN step, a step halved to 1e-15 without a decrease, or a
-        # stationary restart's Armijo test asking for less than f resolves
-        tiny = armijo <= 1e-15 * np.maximum(1.0, abs(f))
-        spent = ~(t > 1e-15) | (tiny & stationary)
-        reached = row[f <= band_hi]
-        if reached.size:
-            lead = min(lead, int(reached[0]))
-        floored = (f >= band_lo) & (f <= band_hi) & (row > lead)
-        stop = maxed | done | spent | floored
-        if stop.any():
-            gone = row[stop]
-            f_out[gone], R_out[gone] = f[stop], R[stop]
-            # out of steps: not converged; spent: by |A|; floored: converged
-            verdict = np.where(spent, stationary, done | floored) & ~maxed
-            converged[gone] = verdict[stop]
-            keep = ~stop
-            if not keep.any():
-                return f_out, R_out, converged
-            R, H, f, A, gnorm, t, iters, row, armijo = (
-                x[keep] for x in (R, H, f, A, gnorm, t, iters, row, armijo)
-            )
+        armijo = 5e-5 * t * aa
+        # a restart can stop only with its step spent or NaN, its |A| below
+        # max(tol, 1e-7), its steps used up, or its f at the floor's band
+        # (fmin skips a NaN |A|; a NaN step already counts as spent)
+        if (
+            not t.min() > 1e-15
+            or np.fmin.reduce(gnorm) < stationary_tol
+            or iters.max() >= max_iters
+            or ((f <= band_hi) & (row != lead)).any()
+        ):
+            stationary = gnorm < stationary_tol
+            maxed = iters >= max_iters
+            done = gnorm < tol
+            # a NaN step, a step halved to 1e-15 without a decrease, or a
+            # stationary restart's Armijo test asking for less than f
+            # resolves
+            tiny = armijo <= 1e-15 * np.maximum(1.0, abs(f))
+            spent = ~(t > 1e-15) | (tiny & stationary)
+            reached = row[f <= band_hi]
+            if reached.size:
+                lead = min(lead, int(reached[0]))
+            floored = (f >= band_lo) & (f <= band_hi) & (row > lead)
+            stop = maxed | done | spent | floored
+            if stop.any():
+                gone = row[stop]
+                f_out[gone], R_out[gone] = f[stop], R[stop]
+                # out of steps: not converged; spent: by |A|; floored:
+                # converged
+                verdict = np.where(spent, stationary, done | floored) & ~maxed
+                converged[gone] = verdict[stop]
+                keep = ~stop
+                if not keep.any():
+                    return f_out, R_out, converged
+                R, f, A, aa, t, iters, row, armijo = (
+                    x[keep] for x in (R, f, A, aa, t, iters, row, armijo)
+                )
 
         Rt = _cayley_step(R, A, -t)
         Ht = _rotate_dense(T, Rt)
         ft = _block_tau_h(Ht, M)
         G = _grad_skew(Ht, M)
-        g = np.linalg.norm(G, axis=(-2, -1))
+        ag = np.einsum("kij,kij->k", A, G)
+        gg = np.einsum("kij,kij->k", G, G)
         ok = ft <= f - armijo
-        # an accepted step's next trial is the Barzilai-Borwein step, or 2x
-        # the accepted one when the gradients give no usable curvature; a
-        # rejected trial halves its step
-        num = np.einsum("kij,kij->k", A, A)
-        denom = np.einsum("kij,kij->k", A, A - G)
+        # an accepted step's next trial is BB1 = <s,s>/<s,y> = t |A|^2 / sy
+        # after an even count of accepted steps, BB2 = <s,y>/<y,y> = t sy / yy
+        # after an odd one, with sy = <s,y>/t and yy = <y,y>; 2x the accepted
+        # step where the quotient is not positive.  A rejected trial halves
+        # its step
+        sy = aa - ag
+        odd = iters & 1  # then an accepted step makes the count even: BB1
+        num = np.where(odd, aa, sy)
+        denom = np.where(odd, sy, sy - ag + gg)
         bb = 2.0 * t
-        np.divide(t * num, denom, out=bb, where=denom > 1e-30)
+        np.divide(t * num, denom, out=bb, where=np.minimum(sy, denom) > 1e-30)
         t = np.where(ok, np.minimum(np.maximum(bb, 1e-12), 1e4), 0.5 * t)
         iters += ok
         if ok.all():
-            R, H, f, A, gnorm = Rt, Ht, ft, G, g
+            R, f, A, aa = Rt, ft, G, gg
         else:
             frames = ok[:, None, None]
             np.copyto(R, Rt, where=frames)
-            np.copyto(H, Ht, where=frames[..., None])
             np.copyto(A, G, where=frames)
-            f, gnorm = np.where(ok, ft, f), np.where(ok, g, gnorm)
+            f, aa = np.where(ok, ft, f), np.where(ok, gg, aa)
 
 
 def _earliest_best(values) -> int:

@@ -76,16 +76,16 @@ def _as_integer(value, what: str, error=FormatError) -> int:
         raise error(f"{what} must be an integer, got {value!r}")
 
 
-def _as_real(value, what: str) -> float:
-    """A JSON number (not true, false or a string) as a float, else FormatError."""
+def _as_real(value, what: str, error=FormatError) -> float:
+    """A JSON number (not true, false or a string) as a float, else ``error``."""
     if type(value) is float:  # most JSON numbers; skips the ABC check below
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise FormatError(f"{what} must be a number, got {value!r}")
+        raise error(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise FormatError(f"{what} is an integer beyond float range")
+        raise error(f"{what} is an integer beyond float range")
 
 
 def _as_real_array(values, what: str) -> np.ndarray:
