@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .delta import DeltaResult, delta_invariant
+from .delta import DeltaResult, _delta_h, delta_invariant
 from .errors import NotApplicable
 from .quadforms import (  # the coefficient layer, re-exported here
     ALL_SOURCES,
@@ -168,11 +168,13 @@ def evaluate(h: CubicForm, c, P: PartitionSpec, opts=None) -> InequalityReport:
 
     The theorem row matching the partition type carries the optimal bound;
     the other theorem row is marked not applicable.  Both legacy rows are
-    always present.
+    always present.  All rows share b, so a row's gap is a |H|^2 - delta_h
+    at the result's frame, free of c.
     """
     cval = ambient_value(c)
     result = delta_invariant(h, cval, P, opts)
     hsq = mean_curvature_sq(h)
+    delta_h = _delta_h(h, P, result.frame)
 
     rows = []
     coefficients = (coeff_theorem1, coeff_theorem2, coeff_legacy_cdvv, coeff_legacy_cd)
@@ -182,8 +184,8 @@ def evaluate(h: CubicForm, c, P: PartitionSpec, opts=None) -> InequalityReport:
         except NotApplicable:
             rows.append(BoundRow(source, None, None, None))
             continue
-        rhs = rhs_value(coeffs, hsq, cval)
-        rows.append(BoundRow(source, coeffs, rhs, rhs - result.value))
+        gap = float(coeffs.a) * hsq - delta_h
+        rows.append(BoundRow(source, coeffs, rhs_value(coeffs, hsq, cval), gap))
     return InequalityReport(
         partition=P, c=cval, hsq=hsq, delta=result, rows=tuple(rows)
     )

@@ -2,7 +2,8 @@
 
 Each sample draws a dimension, an admissible partition, an ambient constant
 and a random symmetric tensor plus Haar frame, then records the gap of the
-optimal bound at that frame.  Sampling is fully deterministic: sample i of
+optimal bound at that frame; its b c cancels the c part of delta, so the
+gap does not depend on c.  Sampling is fully deterministic: sample i of
 a campaign with master seed s draws from its own generator seeded by the
 seed sequence (s, i), so any sample can be reproduced in isolation and
 identical configurations produce byte-identical CSV output.
@@ -47,6 +48,7 @@ from .tensors import (
     _as_integer,
     _as_object,
     _as_real,
+    _check_blocks,
     _haar_rows,
     enumerate_partitions,
     random_cubic_form,
@@ -82,12 +84,9 @@ class CampaignConfig:
     tensor_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("seed", "samples"):
-            object.__setattr__(self, name, _as_integer(getattr(self, name), name))
-        if self.seed < 0:
-            raise FormatError(f"seed must be >= 0, got {self.seed}")
-        if self.samples < 1:
-            raise FormatError("samples must be >= 1")
+        for name, least in (("seed", 0), ("samples", 1)):
+            value = _as_integer(getattr(self, name), name, least=least)
+            object.__setattr__(self, name, value)
         lo, hi = (_as_integer(v, "n_range") for v in self.n_range)
         if not (MIN_DIMENSION <= lo <= hi <= MAX_DIMENSION):
             raise FormatError(
@@ -100,18 +99,14 @@ class CampaignConfig:
         if not self.c_values:
             raise FormatError("c_values must be nonempty")
         if self.partitions != "ALL":
-            partitions = tuple(
-                tuple(_as_integer(b, "partition block") for b in p)
-                for p in self.partitions
-            )
             # PartitionSpec's rules that hold whatever n; the pool checks
             # the rest against n_range
-            for p in partitions:
-                if not p or p[0] < 2 or list(p) != sorted(p):
-                    raise FormatError(
-                        "every partition must be a nonempty nondecreasing list "
-                        f"of blocks >= 2, got {list(p)}"
-                    )
+            partitions = tuple(
+                _check_blocks(
+                    tuple(_as_integer(b, "partition block") for b in p), FormatError
+                )
+                for p in self.partitions
+            )
             object.__setattr__(self, "partitions", partitions)
         # uniform draws on [-scale, scale] need the width 2 * scale finite
         scale = _as_real(self.tensor_scale, "tensor_scale")

@@ -51,7 +51,8 @@ from .quadforms import (
     psd_verdict,
     psd_verdict_minors,
 )
-from .tensors import CubicForm, PartitionSpec, _as_object, _as_real_array, finite_or_none
+from .tensors import CubicForm, PartitionSpec, _as_integer, _as_object
+from .tensors import _as_real_array, finite_or_none
 
 SEED_ENV = "DELTAINV_SEED"
 
@@ -63,12 +64,9 @@ def _default_seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        seed = int(raw)
+        return _as_integer(int(raw), SEED_ENV, least=0)
     except ValueError:
         raise FormatError(f"{SEED_ENV} must be an integer, got {raw!r}")
-    if seed < 0:
-        raise FormatError(f"{SEED_ENV} must be >= 0, got {seed}")
-    return seed
 
 
 def _parse_partition(raw: str) -> tuple[int, ...]:

@@ -30,18 +30,20 @@ with the prescribed dimensions.  Two estimators are provided:
   restart stops.  Each restart takes the steps a descent from its start
   alone would take, up to float rounding; ``_stacked_descent`` states
   when a restart stops and counts as converged.
-  The optimal bound delta <= a |H|^2 + b c makes
-  floor = tau - c sum C(n_i, 2) - rhs a certified lower bound on the
-  descent's objective.  A restart that comes within 1e-12 relative of it
+  The optimal bound, delta_h <= a |H|^2 once its c terms cancel, makes
+  floor = 1/2 sum K - a |H|^2 a certified lower bound on the descent's
+  objective.  A restart that comes within 1e-12 relative of it
   behind an earlier restart that reached it stops, because it can no
   longer win; the earliest such restart runs on, so the result does not
   change.
 
-Both read the single Gauss-sum kernel, the sectional-curvature matrix K of
-``tensors``.  The descent weighs K with the 0/1 block mask M (M_ij = 1 when
-i and j share a leading block): its objective is 1/2 <M, K> of the rotated
-tensor and its gradient (``_grad_skew``) needs no loop over blocks.
-``universal_check`` reads tau minus the block taus as 1/2 <J - M, K>.
+Both read the single Gauss-sum kernel, the c-free matrix K of ``tensors``.
+Every tau carries c C(dim L, 2), so delta = delta_h + b c exactly, with
+b = C(n, 2) - sum C(n_i, 2): c is added only to the reported taus.  The
+descent weighs K with the 0/1 block mask M (M_ij = 1 when i and j share
+a leading block): its objective is 1/2 <M, K> of the rotated tensor and
+its gradient (``_grad_skew``) needs no loop over blocks.  delta_h at a
+frame is 1/2 <J - M, K> (``_delta_h``).
 
 All randomness flows from a single 64-bit seed.
 """
@@ -99,9 +101,9 @@ class OptimizerOptions:
     permutation, then seeded Haar-random frames), each descending for at
     most ``max_iters`` accepted steps; ``_stacked_descent`` states how
     ``tol`` and its other rules stop a restart and when it has converged.
-    ``restarts``, ``max_iters`` and ``seed`` (>= 0, seeding the random
-    starts) are integers, not booleans; ``tol`` is a number, not a boolean,
-    and is stored as a float.  A bad value raises ValueError.
+    ``restarts`` and ``max_iters`` (>= 1) and ``seed`` (>= 0, seeding the
+    random starts) are integers, not booleans; ``tol`` is a number, not a
+    boolean, and is stored as a float.  A bad value raises ValueError.
     """
 
     restarts: int = 16
@@ -110,18 +112,12 @@ class OptimizerOptions:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters", "seed"):
-            value = _as_integer(getattr(self, name), name, ValueError)
+        for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            value = _as_integer(getattr(self, name), name, ValueError, least)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "tol", _as_real(self.tol, "tol", ValueError))
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -187,8 +183,9 @@ def _dp_tables(n: int, blocks: tuple[int, ...]):
 def delta_coordinate_oracle(h: CubicForm, c, P: PartitionSpec) -> DeltaResult:
     """Exact minimum of sum tau(L_i) over coordinate-spanned subspaces.
 
-    A subset DP over bit masks of the indices.  tau of every index set of
-    a block's size comes from one K matrix (``_sectional_matrix``); then
+    A subset DP over bit masks of the indices.  tau, less its c part (the
+    same for every assignment), of every index set of a block's size comes
+    from one K matrix (``_sectional_matrix``); then
     g_i[used] = min_S tau[S] + g_{i+1}[used | S], with g_k = 0, runs
     backward over the blocks.  S ranges over the free index sets of size
     n_{i+1}, and only the masks ``used`` reachable after i blocks take
@@ -209,7 +206,7 @@ def delta_coordinate_oracle(h: CubicForm, c, P: PartitionSpec) -> DeltaResult:
     T = h.dense_view
     masks, bits, stages = _dp_tables(P.n, P.blocks)
     tau = np.zeros(1 << P.n)
-    tau[masks] = 0.5 * ((bits @ _sectional_matrix(T, cval)) * bits).sum(axis=1)
+    tau[masks] = 0.5 * ((bits @ _sectional_matrix(T)) * bits).sum(axis=1)
 
     # g[i][used]: least tau sum of blocks i.. once the indices in used are
     # taken; entries at masks unreachable before block i are never read,
@@ -262,11 +259,11 @@ def _block_mask(P: PartitionSpec) -> np.ndarray:
 
 
 def _block_tau_h(H, M):
-    """h-dependent part of sum_i tau(block_i): 1/2 <M, K> of H at c = 0.
+    """h part of sum_i tau(block_i): 1/2 <M, K> of H.
 
     H is one (n, n, n) tensor or a stack (..., n, n, n); one value each.
     """
-    return 0.5 * (M * _sectional_matrix(H, 0.0)).sum(axis=(-2, -1))
+    return 0.5 * (M * _sectional_matrix(H)).sum(axis=(-2, -1))
 
 
 def _grad_skew(H, M):
@@ -506,12 +503,10 @@ def delta_invariant(
 
     T = h.dense_view
     M = _block_mask(P)
-    # the optimal bound delta <= a |H|^2 + b c bounds the descent's f, the
-    # h part of the block taus, from below
-    a, b, _ = _gap_terms(P)
-    pairs = sum(m * (m - 1) // 2 for m in P.blocks)
-    rhs = a * mean_curvature_sq(h) + b * cval
-    floor = oracle.tau_total - cval * pairs - rhs
+    # the optimal bound, delta_h <= a |H|^2, bounds the descent's f, the h
+    # part of the block taus, from below
+    a, _ = _gap_terms(P)
+    floor = 0.5 * float(_sectional_matrix(T).sum()) - a * mean_curvature_sq(h)
     winners = [
         _descend(T, stack, M, opts.max_iters, opts.tol, floor)
         for stack in _start_stacks(P, oracle.assignment, opts.restarts, opts.seed)
@@ -537,11 +532,17 @@ def delta_invariant(
 
 @lru_cache(maxsize=None)
 def _gap_terms(P: PartitionSpec):
-    """Float a and b of the optimal bound for P, and the off-block mask J - M."""
-    coeffs = optimal_coefficients(P)
+    """Float a of the optimal bound for P, and the off-block mask J - M."""
     off_block = 1.0 - _block_mask(P)
     off_block.flags.writeable = False
-    return float(coeffs.a), float(coeffs.b), off_block
+    return float(optimal_coefficients(P).a), off_block
+
+
+def _delta_h(h: CubicForm, P: PartitionSpec, R: Frame) -> float:
+    """delta_h at frame R, 1/2 <J - M, K> of the rotated tensor: tau minus
+    the block taus there, less b c."""
+    K = _sectional_matrix(_rotate_dense(h.dense_view, R.matrix))
+    return 0.5 * float((_gap_terms(P)[1] * K).sum())
 
 
 def universal_check(h: CubicForm, c, P: PartitionSpec, R: Frame) -> float:
@@ -549,14 +550,11 @@ def universal_check(h: CubicForm, c, P: PartitionSpec, R: Frame) -> float:
 
     Returns rhs - (tau - sum_i tau(rows Delta_i of R)); the bound asserts
     this is nonnegative for every frame, which rearranges the definition of
-    delta as a universal statement over subspace tuples.  tau minus the
-    block taus is 1/2 <J - M, K> for the K of the rotated tensor.
+    delta as a universal statement over subspace tuples.  b c cancels, so
+    it is a |H|^2 - ``_delta_h``; a bad c still raises.
     """
     _check_partition(h, P)
     if R.n != h.n:
         raise DimensionMismatch(f"frame n={R.n} does not match tensor n={h.n}")
-    cval = ambient_value(c)
-    a, b, off_block = _gap_terms(P)
-    K = _sectional_matrix(_rotate_dense(h.dense_view, R.matrix), cval)
-    rhs = a * mean_curvature_sq(h) + b * cval
-    return float(rhs - 0.5 * (off_block * K).sum())
+    ambient_value(c)
+    return _gap_terms(P)[0] * mean_curvature_sq(h) - _delta_h(h, P, R)

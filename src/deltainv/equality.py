@@ -39,9 +39,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InadmissiblePartition, InvariantViolation
-from .tensors import CubicForm, PartitionSpec, _as_integer, _check_partition
-from .tensors import _as_real_array, _symmetrize_dense
+from .errors import InadmissiblePartition, InvariantViolation
+from .tensors import CubicForm, PartitionSpec, _as_integer, _as_real_array
+from .tensors import _check_partition, _symmetrize_dense
 
 TRACE_TOL = 1e-10
 CHECK_TOL = 1e-10
@@ -59,13 +59,6 @@ class Violation:
         return f"{self.bullet} at {self.indices}: residual {self.residual:.3e}"
 
 
-def _float_array(values, what: str) -> np.ndarray:
-    try:
-        return _as_real_array(values, what)
-    except FormatError as exc:
-        raise InvariantViolation(str(exc))
-
-
 def _per_block(values, k: int, what: str) -> Sequence:
     """The k per-block items of ``values``; None stands for k Nones."""
     if values is None:
@@ -79,7 +72,7 @@ def _as_block_array(values, size: int, what: str):
     """A validated symmetric (size, size, size) copy of ``values``."""
     if values is None:
         return np.zeros((size, size, size))
-    arr = np.array(_float_array(values, what))
+    arr = np.array(_as_real_array(values, what, InvariantViolation))
     if arr.shape != (size, size, size):
         raise InvariantViolation(
             f"{what} must have shape {(size, size, size)}, got {arr.shape}"
@@ -141,7 +134,7 @@ class EqualityParamsT1:
             raise InadmissiblePartition(
                 "non-saturating equality tensors need a nonempty residual block"
             )
-        lambdas = _float_array(self.lambdas, "lambdas")
+        lambdas = _as_real_array(self.lambdas, "lambdas", InvariantViolation)
         if lambdas.shape != (self.P.residual,):
             raise InvariantViolation(
                 f"expected {self.P.residual} lambda values, got shape {lambdas.shape}"
@@ -177,11 +170,11 @@ class EqualityParamsT2:
         for i, (given, have) in enumerate(zip(given_traces, derived), start=1):
             if given is None:
                 continue
-            g = _float_array(given, f"declared traces for block {i}")
+            what = f"declared traces for block {i}"
+            g = _as_real_array(given, what, InvariantViolation)
             if g.shape != have.shape or not np.all(np.abs(g - have) <= TRACE_TOL):
                 raise InvariantViolation(
-                    f"declared traces for block {i} disagree with the "
-                    f"in-block array ({g} vs {have})"
+                    f"{what} disagree with the in-block array ({g} vs {have})"
                 )
         object.__setattr__(self, "inblock", arrays)
         object.__setattr__(self, "traces", derived)
@@ -338,9 +331,7 @@ def _random_traceless_block(size: int, rng: np.random.Generator):
 def random_witness(theorem: int, P: PartitionSpec, seed: int) -> CubicForm:
     """Seeded random equality witness with nonzero mean curvature.  The
     seed must be an integer >= 0 (FormatError otherwise)."""
-    seed = _as_integer(seed, "seed")
-    if seed < 0:
-        raise FormatError(f"seed must be >= 0, got {seed}")
+    seed = _as_integer(seed, "seed", least=0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, theorem)))
     if theorem == 1:
         signs = rng.choice([-1.0, 1.0], size=P.residual)

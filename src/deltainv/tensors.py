@@ -4,13 +4,13 @@ The pointwise data of a Lagrangian submanifold of a complex space form is a
 fully symmetric real 3-tensor h_{ABC} (the second fundamental form paired
 with the complex structure, in an orthonormal frame) together with one real
 constant c, a quarter of the ambient holomorphic sectional curvature.  Every
-curvature quantity in this package comes from one kernel, the matrix of
-Gauss-equation sectional curvatures K (``_sectional_matrix``):
+curvature quantity in this package comes from one kernel, the h part K of
+the Gauss-equation sectional curvatures c + K[i, j] (``_sectional_matrix``):
 
-    K[i, j] = c + sum_C ( h_{iiC} h_{jjC} - h_{ijC}^2 ),   i != j,
+    K[i, j] = sum_C ( h_{iiC} h_{jjC} - h_{ijC}^2 ),   i != j,
 
-and tau of the span of an index set S is 1/2 1_S^T K 1_S, half the sum of
-K over the slab T[S, S, :].
+and tau of the span of an index set S is 1/2 1_S^T K 1_S + c C(|S|, 2).
+c is added only there: every delta is delta_h + b c, every gap c-free.
 
 Conventions
 -----------
@@ -52,9 +52,8 @@ MAX_DIMENSION = 12
 _FRAME_RANK_TOL = 1e-6
 
 
-def _check_dimension(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise UnsupportedDimension(f"dimension must be an integer, got {n!r}")
+def _check_dimension(n) -> int:
+    n = _as_integer(n, "dimension", UnsupportedDimension)
     if not MIN_DIMENSION <= n <= MAX_DIMENSION:
         raise UnsupportedDimension(
             f"dimension {n} outside supported range "
@@ -63,17 +62,21 @@ def _check_dimension(n: int) -> int:
     return n
 
 
-def _as_integer(value, what: str, error=FormatError) -> int:
-    """An integral input value (3, or 3.0 from JSON) as an int, else ``error``.
-    JSON true and false are not integers here, though bool subclasses int."""
+def _as_integer(value, what: str, error=FormatError, least=None) -> int:
+    """An integral input value (3, or 3.0 from JSON) as an int, and at least
+    ``least`` when that is given (0 for a seed), else ``error``.  JSON true
+    and false are not integers here, though bool subclasses int."""
     if isinstance(value, bool):
         raise error(f"{what} must be an integer, got {value!r}")
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def _as_real(value, what: str, error=FormatError) -> float:
@@ -88,19 +91,27 @@ def _as_real(value, what: str, error=FormatError) -> float:
         raise error(f"{what} is an integer beyond float range")
 
 
-def _as_real_array(values, what: str) -> np.ndarray:
+def _as_real_array(values, what: str, error=FormatError) -> np.ndarray:
     """Nested lists of numbers, each as in ``_as_real``, as a float array; a
-    numpy array of integers or floats passes whole.  FormatError otherwise."""
+    numpy array of integers or floats passes whole.  ``error`` otherwise."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "iuf":
             return values.astype(float, copy=False)
         values = values.tolist()
     if not isinstance(values, (list, tuple)):
-        return np.array(_as_real(values, f"an entry of {what}"))
-    rows = [_as_real_array(v, what) for v in values]
+        return np.array(_as_real(values, f"an entry of {what}", error))
+    rows = [_as_real_array(v, what, error) for v in values]
     if len({row.shape for row in rows}) > 1:
-        raise FormatError(f"the entries of {what} do not form a regular array")
+        raise error(f"the entries of {what} do not form a regular array")
     return np.array(rows, dtype=float)
+
+
+def _entry_value(value, key) -> float:
+    """A tensor entry: a number as ``_as_real`` reads it, and finite."""
+    v = _as_real(value, "entry value")
+    if not math.isfinite(v):
+        raise InvariantViolation(f"non-finite entry {v!r} at {key!r}")
+    return v
 
 
 def _as_object(data, what: str, required=(), optional=()) -> dict:
@@ -187,13 +198,11 @@ class CubicForm:
     __slots__ = ("n", "_dense")
 
     def __init__(self, n: int, entries: Mapping | None = None):
-        _check_dimension(n)
+        n = _check_dimension(n)
         seen: dict[tuple[int, int, int], float] = {}
         for key, value in (entries or {}).items():
             triple = _validated_triple(key, n)
-            v = float(value)
-            if not math.isfinite(v):
-                raise InvariantViolation(f"non-finite entry {value!r} at {key!r}")
+            v = _entry_value(value, key)
             if triple in seen and seen[triple] != v:
                 raise ConflictingEntry(
                     f"triple {key!r} conflicts with an earlier permutation-"
@@ -270,10 +279,6 @@ class CubicForm:
     def dense(self):
         return self._dense.copy()
 
-    def norm(self) -> float:
-        """Frobenius norm over all n^3 positions."""
-        return float(np.sqrt((self._dense * self._dense).sum()))
-
     def scaled(self, t: float) -> "CubicForm":
         return CubicForm(self.n, {k: t * v for k, v in self.entries.items()})
 
@@ -315,10 +320,7 @@ class CubicForm:
                 raise ConflictingEntry(
                     f"duplicate or permutation-conflicting triple {idx!r}"
                 )
-            value = _as_real(item["value"], "entry value")
-            if not math.isfinite(value):
-                raise InvariantViolation(f"non-finite entry {value!r} at {idx!r}")
-            entries[triple] = value
+            entries[triple] = _entry_value(item["value"], idx)
         return cls._of_values(n, [entries.get(t, 0.0) for t in _canonical_triples(n)])
 
 
@@ -349,9 +351,7 @@ class AmbientConstant:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
-        if not math.isfinite(self.c):
-            raise InvariantViolation(f"ambient constant must be finite, got {self.c}")
+        object.__setattr__(self, "c", ambient_value(self.c))
 
 
 def finite_or_none(value):
@@ -360,7 +360,10 @@ def finite_or_none(value):
 
 
 def ambient_value(c) -> float:
-    v = c.c if isinstance(c, AmbientConstant) else float(c)
+    """c, a number as ``_as_real`` reads it, as a finite float."""
+    if isinstance(c, AmbientConstant):
+        return c.c
+    v = _as_real(c, "ambient constant", InvariantViolation)
     if not math.isfinite(v):
         raise InvariantViolation(f"ambient constant must be finite, got {c!r}")
     return v
@@ -383,22 +386,16 @@ class PartitionSpec:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        _check_dimension(self.n)
+        object.__setattr__(self, "n", _check_dimension(self.n))
         try:
             blocks = tuple(_as_integer(b, "block size") for b in self.blocks)
         except (TypeError, FormatError):
             raise InadmissiblePartition(f"blocks {self.blocks!r} are not integers")
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks:
-            raise InadmissiblePartition("at least one block is required")
-        if any(b < 2 for b in blocks):
-            raise InadmissiblePartition(f"every block must have size >= 2: {blocks}")
+        object.__setattr__(self, "blocks", _check_blocks(blocks))
         if any(b > self.n - 1 for b in blocks):
             raise InadmissiblePartition(
                 f"block sizes must be <= n-1 = {self.n - 1}: {blocks}"
             )
-        if list(blocks) != sorted(blocks):
-            raise InadmissiblePartition(f"blocks must be nondecreasing: {blocks}")
         if sum(blocks) > self.n:
             raise InadmissiblePartition(
                 f"sum of blocks {sum(blocks)} exceeds n = {self.n}"
@@ -440,6 +437,18 @@ class PartitionSpec:
         return f"({', '.join(str(b) for b in self.blocks)}) on n={self.n}"
 
 
+def _check_blocks(blocks: tuple[int, ...], error=InadmissiblePartition):
+    """The blocks, unless they break a rule of ``PartitionSpec`` that holds
+    whatever n (one block or more, each >= 2, nondecreasing): ``error``."""
+    if not blocks:
+        raise error("at least one block is required")
+    if any(b < 2 for b in blocks):
+        raise error(f"every block must have size >= 2: {blocks}")
+    if list(blocks) != sorted(blocks):
+        raise error(f"blocks must be nondecreasing: {blocks}")
+    return blocks
+
+
 def _check_partition(h: CubicForm, P: PartitionSpec):
     """InadmissiblePartition unless P partitions the dimension of h."""
     if P.n != h.n:
@@ -450,7 +459,7 @@ def _check_partition(h: CubicForm, P: PartitionSpec):
 
 def enumerate_partitions(n: int) -> list[PartitionSpec]:
     """Every admissible partition for dimension n, lexicographically ordered."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     found: list[PartitionSpec] = []
 
     def extend(prefix: list[int], minimum: int, remaining: int):
@@ -542,7 +551,7 @@ class Frame:
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Frame":
         """Haar-distributed orthogonal frame, orthonormalized once."""
-        _check_dimension(n)
+        n = _check_dimension(n)
         return cls._of_rows(_haar_rows(rng.standard_normal((n, n))))
 
     @classmethod
@@ -601,18 +610,17 @@ def mean_curvature_sq(h: CubicForm) -> float:
     return float(traces @ traces) / h.n**2
 
 
-def _sectional_matrix(T, cval):
-    """K = c(J - I) + D D^T - sum_C h_{..C}^2 with D[i, C] = h_{iiC}.
+def _sectional_matrix(T):
+    """K = D D^T - sum_C h_{..C}^2 with D[i, C] = h_{iiC}, without c.
 
     T is a dense (n, n, n) tensor or an (m, m, n) slab T[S, S, :], or a
-    stack (..., m, m, n) of them with c a scalar or one value per stacked
-    tensor.  K[i, j] is the sectional curvature of the plane of the i-th
-    and j-th listed directions, and tau of their span is half the sum of
-    K.  The diagonal, zero in exact arithmetic, is set to zero.
+    stack (..., m, m, n) of them.  c + K[i, j] is the sectional curvature of
+    the plane of the i-th and j-th listed directions, and tau of their span
+    S is 1/2 1^T K 1 + c C(|S|, 2).  The diagonal, zero in exact arithmetic,
+    is set to zero.
     """
     D = np.einsum("...iic->...ic", T)
     K = D @ D.swapaxes(-1, -2) - np.einsum("...ijc,...ijc->...ij", T, T)
-    K += np.asarray(cval, dtype=float)[..., None, None]
     np.einsum("...ii->...i", K)[...] = 0.0  # a writeable view of the diagonal
     return K
 
@@ -624,13 +632,15 @@ def sectional_curvature(h: CubicForm, c, i: int, j: int) -> float:
     if i == j:
         raise EqualIndices(f"sectional curvature needs two distinct indices, got {i}")
     idx0 = [i - 1, j - 1]
-    return float(_sectional_matrix(h.dense_view[np.ix_(idx0, idx0)], cval)[0, 1])
+    return float(_sectional_matrix(h.dense_view[np.ix_(idx0, idx0)])[0, 1]) + cval
 
 
 def _tau_dense(T, idx0, cval: float) -> float:
-    """tau of the span of the 0-based index list idx0: 1/2 sum K of T[S, S, :]."""
+    """tau of the span S of the 0-based index list idx0: 1/2 sum K of
+    T[S, S, :] plus c C(|S|, 2)."""
     idx = np.asarray(idx0, dtype=np.intp)
-    return 0.5 * float(_sectional_matrix(T[idx[:, None], idx], cval).sum())
+    pairs = len(idx) * (len(idx) - 1) // 2
+    return 0.5 * float(_sectional_matrix(T[idx[:, None], idx]).sum()) + cval * pairs
 
 
 def tau_subspace(h: CubicForm, c, indices: Iterable[int]) -> float:

@@ -62,6 +62,17 @@ def test_campaign_gaps_nonnegative():
     assert summary.violations == 0
 
 
+def test_campaign_gaps_do_not_depend_on_c():
+    # the c terms of a gap cancel, so a campaign at c = 1e17 measures what
+    # one at c = 0 does, to rounding
+    def gaps(c):
+        config = CampaignConfig(seed=1, samples=300, n_range=(3, 6), c_values=[c])
+        return [row.gap for row in run_campaign(config)]
+
+    for g, ref in zip(gaps(1e17), gaps(0.0), strict=True):
+        assert abs(g - ref) <= 1e-12 * abs(ref)
+
+
 def test_campaign_explicit_partition_list():
     config = CampaignConfig(
         seed=5, samples=20, n_range=(4, 4), partitions=[(2, 2)]

@@ -17,6 +17,7 @@ from deltainv import (
     delta_coordinate_oracle,
     delta_invariant,
     enumerate_partitions,
+    evaluate,
     random_cubic_form,
     random_witness,
     rotate,
@@ -496,6 +497,48 @@ def _witnesses():
         for P in enumerate_partitions(n)
         for seed in range(3)
     )
+
+
+# Every tau carries c C(dim L, 2), so delta = delta_h + b c with the same b
+# as every bound's, and the c terms of every gap cancel: the descent, its
+# frame and every gap are the same whatever c is
+_C_SHIFTS = (-1.0, 0.5, 1e12, 1e17)
+# the identity and oracle starts only, to keep the sweep short
+_FEW_RESTARTS = OptimizerOptions(restarts=2)
+
+
+@lru_cache(maxsize=None)
+def _c_invariance_cases():
+    """The 54 witnesses and seeded random tensors, one for every partition
+    with n = 3..6 and for the first and last of n = 7 and 8, each with a
+    seeded random frame."""
+    rng = np.random.default_rng(2718)
+    partitions = [P for n in range(3, 7) for P in enumerate_partitions(n)]
+    partitions += [enumerate_partitions(n)[i] for n in (7, 8) for i in (0, -1)]
+    randoms = tuple((random_cubic_form(P.n, 1.0, rng), P) for P in partitions)
+    return tuple((h, P, Frame.random(P.n, rng)) for h, P in _witnesses() + randoms)
+
+
+@lru_cache(maxsize=None)
+def _c_free_reports():
+    return tuple(evaluate(h, 0.0, P, _FEW_RESTARTS) for h, P, _ in _c_invariance_cases())
+
+
+@pytest.mark.parametrize("c", _C_SHIFTS)
+def test_gaps_and_descent_do_not_depend_on_c(c):
+    for i, (h, P, R) in enumerate(_c_invariance_cases()):
+        ref = universal_check(h, 0.0, P, R)
+        assert abs(universal_check(h, c, P, R) - ref) <= 1e-12 * max(1.0, abs(ref))
+        base, report = _c_free_reports()[i], evaluate(h, c, P, _FEW_RESTARTS)
+        for row, row0 in zip(report.rows, base.rows):
+            if row0.gap is None:
+                assert row.gap is None
+            else:
+                assert abs(row.gap - row0.gap) <= 1e-12 * max(1.0, abs(row0.gap))
+        assert np.array_equal(report.delta.frame.matrix, base.delta.frame.matrix)
+        assert report.delta.assignment == base.delta.assignment
+        if i < len(_witnesses()):
+            assert report.sharp, (P, c)
 
 
 def _counted_sweep(monkeypatch, cases):

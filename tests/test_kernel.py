@@ -140,18 +140,16 @@ def test_stacked_kernels_match_per_slice_calls(n):
     s = 5
     T = np.stack([random_cubic_form(n, 1.0, rng).dense_view for _ in range(s)])
     G = rng.standard_normal((s, n, n))
-    c = rng.standard_normal(s)
     Q = _orthonormalize_rows(G)
     H = _rotate_dense(T, Q)
-    K = _sectional_matrix(H, c)
+    K = _sectional_matrix(H)
     for k in range(s):
         assert _close(Q[k], _orthonormalize_rows(G[k]))
         assert _close(Q[k] @ Q[k].T, np.eye(n))
         assert _close(H[k], _rotate_dense(T[k], Q[k]))
         ref = np.einsum("Aa,Bb,Cc,abc->ABC", Q[k], Q[k], Q[k], T[k])
         assert _close(H[k], ref)
-        assert _close(K[k], _sectional_matrix(H[k], c[k]))
-    assert _close(_sectional_matrix(H, c[0]), _sectional_matrix(H, np.full(s, c[0])))
+        assert _close(K[k], _sectional_matrix(H[k]))
 
 
 @pytest.mark.parametrize("n", range(3, 13))

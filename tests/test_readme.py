@@ -1,4 +1,4 @@
-"""The README's command-line examples run as written."""
+"""The README's command-line and library examples run as written."""
 
 import argparse
 import os
@@ -40,3 +40,16 @@ def test_readme_command_line_examples_exit_0(tmp_path):
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, (command, proc.stderr[-2000:])
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    """Each ``print(...)  # text`` line of the "Library" block prints text."""
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = [
+        line.split("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    exec(compile(code, "README.md", "exec"), {})
+    assert expected and capsys.readouterr().out.splitlines() == expected

@@ -1,6 +1,7 @@
 """Tensor storage, frames, and Gauss-equation curvature quantities."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ from deltainv import (
     symmetrize,
     tau_subspace,
 )
+from deltainv.bounds import evaluate
+from deltainv.delta import delta_coordinate_oracle, delta_invariant, universal_check
+from deltainv.tensors import _as_real_array, ambient_value
 
 
 def full_curvature_oracle(h, c):
@@ -337,10 +341,69 @@ def test_scalar_curvature_is_full_tau():
 
 def test_ambient_constant_validation():
     assert AmbientConstant(0.25).c == 0.25
+    for c in (1, np.float64(0.5), np.int64(-2), Fraction(1, 4)):
+        assert type(AmbientConstant(c).c) is float and AmbientConstant(c).c == c
+        assert type(ambient_value(c)) is float and ambient_value(c) == c
     with pytest.raises(InvariantViolation):
         AmbientConstant(float("inf"))
     h = CubicForm.zero(3)
     assert sectional_curvature(h, AmbientConstant(1.5), 1, 2) == pytest.approx(1.5)
+
+
+_C_READERS = {
+    "AmbientConstant": lambda h, P, c: AmbientConstant(c),
+    "ambient_value": lambda h, P, c: ambient_value(c),
+    "sectional_curvature": lambda h, P, c: sectional_curvature(h, c, 1, 2),
+    "tau_subspace": lambda h, P, c: tau_subspace(h, c, (1, 2)),
+    "scalar_curvature": lambda h, P, c: scalar_curvature(h, c),
+    "oracle": lambda h, P, c: delta_coordinate_oracle(h, c, P),
+    "delta_invariant": lambda h, P, c: delta_invariant(h, c, P),
+    "universal_check": lambda h, P, c: universal_check(h, c, P, Frame.identity(3)),
+    "evaluate": lambda h, P, c: evaluate(h, c, P),
+}
+
+
+@pytest.mark.parametrize("c", [True, "0.5", "x", None], ids=["true", "0.5", "x", "none"])
+@pytest.mark.parametrize("reader", sorted(_C_READERS))
+def test_ambient_constant_that_is_not_a_number_is_refused(reader, c):
+    # float(True) is 1.0 and float("0.5") is 0.5: neither may run as c
+    h = random_cubic_form(3, 1.0, np.random.default_rng(5))
+    with pytest.raises(InvariantViolation, match="ambient constant must be a number"):
+        _C_READERS[reader](h, PartitionSpec(3, (2,)), c)
+
+
+@pytest.mark.parametrize("value", [True, "2", "x", None], ids=["true", "2", "x", "none"])
+def test_entry_value_that_is_not_a_number_is_refused(value):
+    # CubicForm reads entry values by the rule of its JSON loader
+    with pytest.raises(FormatError, match="entry value must be a number"):
+        CubicForm(3, {(1, 1, 1): value})
+    with pytest.raises(FormatError, match="entry value must be a number"):
+        CubicForm.from_json_dict({"n": 3, "entries": [{"idx": [1, 1, 1], "value": value}]})
+
+
+def test_entry_values_are_stored_as_floats():
+    h = CubicForm(3, {(1, 1, 1): 2, (1, 2, 3): np.float32(0.5), (2, 2, 2): np.int64(-1)})
+    assert h.entries == {(1, 1, 1): 2.0, (1, 2, 3): 0.5, (2, 2, 2): -1.0}
+    assert all(type(v) is float for v in h.entries.values())
+
+
+def test_numpy_integer_dimension_is_read_as_an_int():
+    P = PartitionSpec(np.int64(4), (np.int64(2),))
+    assert P == PartitionSpec(4, (2,)) and type(P.n) is int
+    assert enumerate_partitions(np.int64(4)) == enumerate_partitions(4)
+    assert CubicForm.zero(np.int64(3)).n == 3 and type(CubicForm.zero(np.int64(3)).n) is int
+    for bad in (3.5, True, "3"):
+        with pytest.raises(UnsupportedDimension, match="dimension must be an integer"):
+            PartitionSpec(bad, (2,))
+
+
+def test_real_array_reader_raises_the_given_error():
+    with pytest.raises(InvariantViolation, match="an entry of v must be a number"):
+        _as_real_array([1.0, "x"], "v", InvariantViolation)
+    with pytest.raises(InvariantViolation, match="do not form a regular array"):
+        _as_real_array([[1.0], [1.0, 2.0]], "v", InvariantViolation)
+    with pytest.raises(FormatError):
+        _as_real_array([True], "v")
 
 
 # ---------------------------------------------------------------------------
