@@ -85,7 +85,6 @@ from .quadforms import (
     reduce_M,
 )
 from .tensors import (
-    AmbientConstant,
     CubicForm,
     Frame,
     PartitionSpec,

@@ -50,6 +50,7 @@ from .tensors import (
     _as_real,
     _check_blocks,
     _haar_rows,
+    ambient_value,
     enumerate_partitions,
     random_cubic_form,
 )
@@ -94,7 +95,9 @@ class CampaignConfig:
                 f"got {self.n_range}"
             )
         object.__setattr__(self, "n_range", (lo, hi))
-        c_values = tuple(_as_real(c, "c_values") for c in self.c_values)
+        c_values = tuple(
+            ambient_value(c, "c_values", FormatError) for c in self.c_values
+        )
         object.__setattr__(self, "c_values", c_values)
         if not self.c_values:
             raise FormatError("c_values must be nonempty")

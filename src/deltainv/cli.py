@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -94,7 +95,7 @@ def _optimizer_options(args) -> OptimizerOptions:
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         return OptimizerOptions(
-            restarts=args.restarts, max_iters=args.max_iters, tol=args.tol, seed=seed
+            restarts=args.restarts, max_iters=args.max_iters, seed=seed
         )
     except ValueError as exc:
         raise FormatError(f"invalid optimizer option: {exc}")
@@ -104,17 +105,12 @@ def _add_optimizer_flags(parser):
     parser.add_argument(
         "--restarts", type=int, default=_OPTIMIZER_DEFAULTS.restarts,
         help="descent starts: identity, oracle permutation, then seeded "
-        "random frames (default %(default)s)",
+        "random frames; the earliest best start wins (default %(default)s)",
     )
     parser.add_argument(
         "--max-iters", type=int, default=_OPTIMIZER_DEFAULTS.max_iters,
-        help="most accepted steps per start (default %(default)s)",
-    )
-    parser.add_argument(
-        "--tol", type=float, default=_OPTIMIZER_DEFAULTS.tol,
-        help="skew-gradient norm below which a start stops, converged; the "
-        "README's `converged` paragraph gives every stopping rule "
-        "(default %(default)s)",
+        help="most accepted steps per start; the README's `converged` "
+        "paragraph gives every stopping rule (default %(default)s)",
     )
     parser.add_argument("--seed", type=int, default=None,
                         help=f"seed >= 0 of the random starts; defaults to "
@@ -266,6 +262,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise FormatError(f"{self.prog}: {message}")
+
+    def _parse_optional(self, arg_string):
+        # "-" and a digit or ".digit" is a value such as -1e-3 or -1/6;
+        # argparse alone reads only -3 and -0.5 as numbers
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,7 +29,7 @@ with the prescribed dimensions.  Two estimators are provided:
   gradient for all of them, and the stack is compacted only when a
   restart stops.  Each restart takes the steps a descent from its start
   alone would take, up to float rounding; ``_stacked_descent`` states
-  when a restart stops and counts as converged.
+  every rule that stops a restart and when it counts as converged.
   The optimal bound, delta_h <= a |H|^2 once its c terms cancel, makes
   floor = 1/2 sum K - a |H|^2 a certified lower bound on the descent's
   objective.  A restart that comes within 1e-12 relative of it
@@ -51,7 +51,6 @@ All randomness flows from a single 64-bit seed.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,7 +63,6 @@ from .tensors import (
     Frame,
     PartitionSpec,
     _as_integer,
-    _as_real,
     _check_partition,
     _haar_rows,
     _rotate_dense,
@@ -92,6 +90,9 @@ _STACK = 64
 _BEST_RTOL = 1e-10
 _FLOOR_RTOL = 1e-12
 
+# |A| below which a restart is stationary (``_stacked_descent``)
+_STATIONARY = 1e-7
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
@@ -99,25 +100,20 @@ class OptimizerOptions:
 
     ``restarts`` starts in all (at least the identity and the oracle
     permutation, then seeded Haar-random frames), each descending for at
-    most ``max_iters`` accepted steps; ``_stacked_descent`` states how
-    ``tol`` and its other rules stop a restart and when it has converged.
-    ``restarts`` and ``max_iters`` (>= 1) and ``seed`` (>= 0, seeding the
-    random starts) are integers, not booleans; ``tol`` is a number, not a
-    boolean, and is stored as a float.  A bad value raises ValueError.
+    most ``max_iters`` accepted steps; ``_stacked_descent`` states the
+    rules that stop a restart and when it has converged.  ``restarts`` and
+    ``max_iters`` (>= 1) and ``seed`` (>= 0, seeding the random starts) are
+    integers, not booleans.  A bad value raises ValueError.
     """
 
     restarts: int = 16
     max_iters: int = 500
-    tol: float = 1e-9
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             value = _as_integer(getattr(self, name), name, ValueError, least)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "tol", _as_real(self.tol, "tol", ValueError))
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +124,11 @@ class DeltaResult:
     the 1-based row indices of ``frame`` spanning each subspace;
     ``certified_lower`` is the exact coordinate-restricted value, a lower
     bound for the true invariant.
+
+    Every tau carries c C(dim L, 2), so for |c| >= 1e3 ``value`` is
+    delta_h + b c to within one ulp of ``tau_total`` (9.8e-4 at c = 1e12 on
+    the 5: 2+3 witness); summing delta_h + b c would gain only that ulp.
+    The c-free gaps of ``universal_check`` and ``evaluate`` are exact.
     """
 
     value: float
@@ -308,7 +309,7 @@ def _cayley_step(R, S, t):
     return moved
 
 
-def _stacked_descent(T, starts, M, max_iters, tol, floor=-math.inf):
+def _stacked_descent(T, starts, M, max_iters, floor):
     """Descend every frame of an (r, n, n) stack of starts at once.
 
     Each restart is a gradient descent along R(t) = cay(-t A) R for the
@@ -321,19 +322,20 @@ def _stacked_descent(T, starts, M, max_iters, tol, floor=-math.inf):
     read |A|^2, <A, G> and |G|^2, formed once per round.  Steps are
     clamped to [1e-12, 1e4], and a rejected trial halves its step.
 
-    A restart stops at |A| < tol, converged; after ``max_iters`` accepted
-    steps, not converged; when its step is NaN or halved to 1e-15 without
-    an Armijo decrease; or, once |A| < max(tol, 1e-7), before a trial whose
-    Armijo test asks for a decrease 1e-4 t |A|^2 / 2 of at most
-    1e-15 max(1, |f|), which f cannot resolve.  Stopped by either of the
-    last two rules, it is converged when |A| < max(tol, 1e-7).  Non-finite
-    input ends the loop, through NaN steps or steps halved away.
+    A restart stops after ``max_iters`` accepted steps, not converged; when
+    its step is NaN or halved to 1e-15 without an Armijo decrease; or, once
+    |A| < _STATIONARY = 1e-7, before a trial whose Armijo test asks for a
+    decrease 1e-4 t |A|^2 / 2 of at most 1e-15 max(1, |f|), which f cannot
+    resolve (the resolution stop; t <= 1e4 makes it end any restart with
+    |A| < 4.4e-8 at once).  Stopped by either of the last two rules, it is
+    converged when |A| < 1e-7.  Non-finite input ends the loop, through NaN
+    steps or steps halved away.
 
     ``floor`` is a certified lower bound on f (``delta_invariant`` passes
-    the one the optimal bound gives); the default -inf turns this rule
-    off.  A restart whose f lies within eps = _FLOOR_RTOL * max(1, |floor|)
-    of the floor stops, converged, once a lower-indexed restart of the
-    stack has reached floor + eps.  f never rises, so that restart ends at
+    the one the optimal bound gives); -inf turns this rule off.  A restart
+    whose f lies within eps = _FLOOR_RTOL * max(1, |floor|) of the floor
+    stops, converged, once a lower-indexed restart of the stack has
+    reached floor + eps.  f never rises, so that restart ends at
     most eps above the floor, and this one could win only by ending more
     than _BEST_RTOL below it: far further below the floor than the bound
     allows.  The earliest restart in the band runs on under the rules
@@ -360,7 +362,6 @@ def _stacked_descent(T, starts, M, max_iters, tol, floor=-math.inf):
     row = np.arange(r)  # the start each working restart came from
     f_out, R_out = np.empty(r), np.empty_like(R)
     converged = np.zeros(r, dtype=bool)
-    stationary_tol = max(tol, 1e-7)
     eps = _FLOOR_RTOL * max(1.0, abs(floor))
     band_lo, band_hi = floor - eps, floor + eps
     lead = r  # the first start whose f has reached band_hi
@@ -369,17 +370,16 @@ def _stacked_descent(T, starts, M, max_iters, tol, floor=-math.inf):
         # the decrease each Armijo test asks for, 1e-4 t |A|^2 / 2
         armijo = 5e-5 * t * aa
         # a restart can stop only with its step spent or NaN, its |A| below
-        # max(tol, 1e-7), its steps used up, or its f at the floor's band
+        # _STATIONARY, its steps used up, or its f at the floor's band
         # (fmin skips a NaN |A|; a NaN step already counts as spent)
         if (
             not t.min() > 1e-15
-            or np.fmin.reduce(gnorm) < stationary_tol
+            or np.fmin.reduce(gnorm) < _STATIONARY
             or iters.max() >= max_iters
             or ((f <= band_hi) & (row != lead)).any()
         ):
-            stationary = gnorm < stationary_tol
+            stationary = gnorm < _STATIONARY
             maxed = iters >= max_iters
-            done = gnorm < tol
             # a NaN step, a step halved to 1e-15 without a decrease, or a
             # stationary restart's Armijo test asking for less than f
             # resolves
@@ -389,13 +389,13 @@ def _stacked_descent(T, starts, M, max_iters, tol, floor=-math.inf):
             if reached.size:
                 lead = min(lead, int(reached[0]))
             floored = (f >= band_lo) & (f <= band_hi) & (row > lead)
-            stop = maxed | done | spent | floored
+            stop = maxed | spent | floored
             if stop.any():
                 gone = row[stop]
                 f_out[gone], R_out[gone] = f[stop], R[stop]
                 # out of steps: not converged; spent: by |A|; floored:
                 # converged
-                verdict = np.where(spent, stationary, done | floored) & ~maxed
+                verdict = np.where(spent, stationary, floored) & ~maxed
                 converged[gone] = verdict[stop]
                 keep = ~stop
                 if not keep.any():
@@ -444,13 +444,13 @@ def _earliest_best(values) -> int:
     return best
 
 
-def _descend(T, starts, M, max_iters, tol, floor):
+def _descend(T, starts, M, max_iters, floor):
     """Descend an (r, n, n) stack of starts; the earliest best restart.
 
     Returns one (f_min, frame, converged) triple, converged and the use of
     the certified ``floor`` as defined by ``_stacked_descent``.
     """
-    f, R, converged = _stacked_descent(T, starts, M, max_iters, tol, floor)
+    f, R, converged = _stacked_descent(T, starts, M, max_iters, floor)
     best = _earliest_best(f.tolist())
     return float(f[best]), R[best], bool(converged[best])
 
@@ -508,7 +508,7 @@ def delta_invariant(
     a, _ = _gap_terms(P)
     floor = 0.5 * float(_sectional_matrix(T).sum()) - a * mean_curvature_sq(h)
     winners = [
-        _descend(T, stack, M, opts.max_iters, opts.tol, floor)
+        _descend(T, stack, M, opts.max_iters, floor)
         for stack in _start_stacks(P, oracle.assignment, opts.restarts, opts.seed)
     ]
     _, R, converged = winners[_earliest_best([w[0] for w in winners])]

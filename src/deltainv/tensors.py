@@ -344,28 +344,17 @@ def random_cubic_form(n: int, scale: float, rng: np.random.Generator) -> CubicFo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AmbientConstant:
-    """One quarter of the constant holomorphic sectional curvature."""
-
-    c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", ambient_value(self.c))
-
-
 def finite_or_none(value):
     """A float as a strict JSON number: None (null) unless it is finite."""
     return value if value is not None and math.isfinite(value) else None
 
 
-def ambient_value(c) -> float:
-    """c, a number as ``_as_real`` reads it, as a finite float."""
-    if isinstance(c, AmbientConstant):
-        return c.c
-    v = _as_real(c, "ambient constant", InvariantViolation)
+def ambient_value(c, what="ambient constant", error=InvariantViolation) -> float:
+    """c, one quarter of the constant holomorphic sectional curvature: a
+    number as ``_as_real`` reads it, as a finite float, else ``error``."""
+    v = _as_real(c, what, error)
     if not math.isfinite(v):
-        raise InvariantViolation(f"ambient constant must be finite, got {c!r}")
+        raise error(f"{what} must be finite, got {c!r}")
     return v
 
 

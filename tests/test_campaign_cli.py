@@ -319,9 +319,13 @@ def _single_json_error(err):
         (["verify", "{w}"], "--partition"),
         (["bogus"], "bogus"),
         ([], "command"),
+        # the descent has no tol: the resolution stop ends every restart a
+        # gradient-norm stop could
+        (["delta", "{w}", "--partition", "2", "--tol", "1e-9"], "--tol 1e-9"),
+        (["verify", "{w}", "--partition", "2", "--tol", "1e-9"], "--tol 1e-9"),
     ],
     ids=["non-integer-restarts", "bad-choice", "missing-partition",
-         "unknown-subcommand", "no-subcommand"],
+         "unknown-subcommand", "no-subcommand", "delta-tol", "verify-tol"],
 )
 def test_cli_rejected_option_is_one_json_error(tensor_file, capsys, argv, fragment):
     code, out, err = run_cli(capsys, *(a.format(w=tensor_file) for a in argv))
@@ -531,6 +535,7 @@ def test_cli_zero_optimizer_option_is_input_error(tensor_file, capsys, flag):
     assert _single_json_error(err)["error"] == "FormatError"
 
 
+# every --tol is an unknown option now, these included
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_cli_non_finite_or_negative_tol_is_input_error(tensor_file, capsys, tol):
     code, out, err = run_cli(
@@ -538,6 +543,43 @@ def test_cli_non_finite_or_negative_tol_is_input_error(tensor_file, capsys, tol)
     )
     assert code == 2 and out == ""
     assert _single_json_error(err)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["verify", "{w}", "--partition", "2", "--c"], "-1e-3"),
+        (["verify", "{w}", "--partition", "2", "--c"], "-1E2"),
+        (["verify", "{w}", "--partition", "2", "--c"], "-.5e1"),
+        (["delta", "{w}", "--partition", "2", "--c"], "-2.5e-1"),
+        (["matrix", "--n", "4", "--partition", "2,2", "--C"], "-1/6"),
+    ],
+    ids=["verify-exponent", "verify-capital-exponent", "verify-leading-point",
+         "delta-exponent", "matrix-fraction"],
+)
+def test_cli_negative_number_is_a_value(tensor_file, capsys, argv, value):
+    # c < 0 is the complex hyperbolic case; argparse alone reads only -3
+    # and -0.5 as numbers, and took "-1e-3" for an unknown option
+    argv = [a.format(w=tensor_file) for a in argv]
+    spaced = run_cli(capsys, *argv, value)
+    joined = run_cli(capsys, *argv[:-1], f"{argv[-1]}={value}")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[2] == ""
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "NaN"])
+def test_cli_sample_non_finite_c_value_leaves_out_file_alone(tmp_path, capsys, number):
+    # JSON 1e400 loads as inf: refused with the config, before --out opens
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1, "samples": 5, "c_values": [%s]}' % number)
+    out_path = tmp_path / "gaps.csv"
+    out_path.write_bytes(b"keep this")
+    code, out, err = run_cli(capsys, "sample", "--config", str(cfg), "--out", str(out_path))
+    assert code == 2 and out == ""
+    error = _single_json_error(err)
+    assert error["error"] == "FormatError"
+    assert error["message"].startswith("c_values must be finite, got ")
+    assert out_path.read_bytes() == b"keep this"
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

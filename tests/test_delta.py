@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -255,13 +256,16 @@ def _reference_descend(T, R0, M, max_iters, tol, flat_steps=None):
     """One start at a time: gradient descent with Barzilai-Borwein steps and
     Armijo backtracking along R(t) = cay(-t A) R; (f_min, frame, converged).
 
-    With ``flat_steps=None`` this is the loop that ships.  After the k-th
-    accepted step, with s = -t A and y = G - A for the next gradient G, the
-    next trial step is BB1 = <s,s>/<s,y> for even k and BB2 = <s,y>/<y,y>
-    for odd k, read from |A|^2, <A, G> and |G|^2 as ``_stacked_descent``
-    forms them.  Once |A| < max(tol, 1e-7), a trial whose Armijo test asks
-    for a decrease of at most 1e-15 max(1, |f|) is not made and the descent
-    stops, converged.
+    With ``flat_steps=None`` this is the loop that ships, plus the former
+    stop at |A| < tol, kept as an oracle for the loop without it: with
+    tol <= 4.4e-8 the resolution stop ends the same descent in the same
+    round, converged (t <= 1e4 caps the Armijo decrease at |A|^2 / 2).
+    After the k-th accepted step, with s = -t A and y = G - A for the next
+    gradient G, the next trial step is BB1 = <s,s>/<s,y> for even k and
+    BB2 = <s,y>/<y,y> for odd k, read from |A|^2, <A, G> and |G|^2 as
+    ``_stacked_descent`` forms them.  Once |A| < max(tol, 1e-7), a trial
+    whose Armijo test asks for a decrease of at most 1e-15 max(1, |f|) is
+    not made and the descent stops, converged.
 
     An integer gives the former loop of ``_ten_step_stacked_descent``, kept
     as an oracle with that loop's arithmetic: BB1 alone, as
@@ -320,14 +324,14 @@ def _reference_descend(T, R0, M, max_iters, tol, flat_steps=None):
     return f, R, converged
 
 
-def _ten_step_stacked_descent(T, starts, M, max_iters, tol, floor=-np.inf):
+def _ten_step_stacked_descent(T, starts, M, max_iters, floor):
     """The stacked loop with the former ten-step flat window, kept as an
     oracle: on top of the shipped stops, ten accepted steps in a row that
-    leave f unchanged to 1e-15 relative end a restart at any |A|.  It
-    predates the floor rule and ignores ``floor``, and its step is the
-    first Barzilai-Borwein quotient alone.  Its trials go through
-    ``delta_mod._cayley_step``, so a test that counts them there counts
-    this loop's too.
+    leave f unchanged to 1e-15 relative end a restart at any |A|, and so
+    does the former stop at |A| < 1e-9.  It predates the floor rule and
+    ignores ``floor``, and its step is the first Barzilai-Borwein quotient
+    alone.  Its trials go through ``delta_mod._cayley_step``, so a test
+    that counts them there counts this loop's too.
     """
     R = np.array(starts, dtype=float)
     r = len(R)
@@ -341,7 +345,7 @@ def _ten_step_stacked_descent(T, starts, M, max_iters, tol, floor=-np.inf):
     stagnant = np.zeros(r, dtype=int)
     active = np.ones(r, dtype=bool)
     converged = np.zeros(r, dtype=bool)
-    stationary_tol = max(tol, 1e-7)
+    tol, stationary_tol = 1e-9, 1e-7
     moved = np.arange(r)
     while True:
         if moved.size:
@@ -431,7 +435,7 @@ def _assert_stacked_matches_reference(
     for seed in range(2):
         h, P, starts = _descent_case(kind, n, seed)
         T, M = h.dense_view, _block_mask(P)
-        f, R, converged = descent(T, np.stack(starts), M, max_iters, 1e-9)
+        f, R, converged = descent(T, np.stack(starts), M, max_iters, -np.inf)
         for i, R0 in enumerate(starts):
             ref_f, ref_R, ref_converged = _reference_descend(
                 T, R0, M, max_iters, 1e-9, flat_steps
@@ -608,8 +612,8 @@ def _floor_free(monkeypatch):
     """Make ``delta_invariant`` descend with the floor rule off."""
     stacked_descent = delta_mod._stacked_descent
 
-    def floor_free(T, starts, M, max_iters, tol, floor):
-        return stacked_descent(T, starts, M, max_iters, tol, -np.inf)
+    def floor_free(T, starts, M, max_iters, floor):
+        return stacked_descent(T, starts, M, max_iters, -np.inf)
 
     monkeypatch.setattr(delta_mod, "_stacked_descent", floor_free)
 
@@ -638,18 +642,18 @@ def test_floor_above_the_minimum_never_cuts_a_violation_short(kind, n):
     # a restart below its band is a violation, and the rule lets it run
     h, P, starts = _descent_case(kind, n, 5)
     T, M, stack = h.dense_view, _block_mask(P), np.stack(starts)
-    free = _stacked_descent(T, stack, M, 500, 1e-9)
+    free = _stacked_descent(T, stack, M, 500, -np.inf)
     # above every start, every restart stays below the band and runs as
     # if there were no floor
     start_f = _block_tau_h(_rotate_dense(T, stack), M)
-    above = _stacked_descent(T, stack, M, 500, 1e-9, float(start_f.max()) + 1.0)
+    above = _stacked_descent(T, stack, M, 500, float(start_f.max()) + 1.0)
     for got, want in zip(above, free):
         assert np.array_equal(got, want), P
     # just above the minimum, restarts pass through the band on the way
     # down; the winner is still the floor-free one
     best = free[0][_earliest_best(free[0].tolist())]
     floor = best + 1e-6 * max(1.0, abs(best))
-    got, _, _ = _stacked_descent(T, stack, M, 500, 1e-9, floor)
+    got, _, _ = _stacked_descent(T, stack, M, 500, floor)
     won = got[_earliest_best(got.tolist())]
     assert abs(won - best) <= 1e-12 * max(1.0, abs(best)), P
 
@@ -783,7 +787,7 @@ def test_optimizer_nonconvergence_flagged():
     rng = np.random.default_rng(49)
     h = random_cubic_form(4, 1.0, rng)
     P = PartitionSpec(4, (2,))
-    res = delta_invariant(h, 0.0, P, OptimizerOptions(restarts=2, max_iters=1, tol=0.0))
+    res = delta_invariant(h, 0.0, P, OptimizerOptions(restarts=2, max_iters=1))
     assert not res.converged
     assert np.isfinite(res.value)
 
@@ -803,9 +807,19 @@ def test_optimizer_options_validation():
     )
 
 
+def test_optimizer_options_have_no_tol():
+    # the resolution stop ends every restart that a gradient-norm stop at
+    # tol <= 4.4e-8 would, in the same round, so no tol is taken
+    names = [f.name for f in fields(OptimizerOptions)]
+    assert names == ["restarts", "max_iters", "seed"]
+    with pytest.raises(TypeError):
+        OptimizerOptions(tol=1e-9)
+
+
+# every tol is an unknown keyword now, the bad values below included
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
 def test_optimizer_options_reject_non_finite_or_negative_tol(tol):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         OptimizerOptions(tol=tol)
 
 
@@ -815,14 +829,8 @@ def test_optimizer_options_reject_non_finite_or_negative_tol(tol):
     ids=["true", "false", "string", "none", "list", "beyond-float"],
 )
 def test_optimizer_options_reject_a_tol_that_is_not_a_number(tol):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         OptimizerOptions(tol=tol)
-
-
-def test_optimizer_options_store_tol_as_a_float():
-    for tol in (0, 1, np.int64(2), np.float32(0.5), 1e-9):
-        got = OptimizerOptions(tol=tol).tol
-        assert type(got) is float and got == float(tol)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,26 @@ def test_readme_command_line_examples_exit_0(tmp_path):
         assert proc.returncode == 0, (command, proc.stderr[-2000:])
 
 
+def _option_strings(parser):
+    """Every option string of ``parser`` and of its subparsers."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+def test_readme_command_line_flags_exist():
+    """README's "Command line" section names no flag the parser lacks."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    unknown = named - _option_strings(build_parser())
+    assert named and not unknown, sorted(unknown)
+
+
 def test_readme_library_example_prints_what_its_comments_say(capsys):
     """Each ``print(...)  # text`` line of the "Library" block prints text."""
     section = README.read_text(encoding="utf-8").split("## Library", 1)[1]

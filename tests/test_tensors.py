@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltainv import (
-    AmbientConstant,
     ConflictingEntry,
     CubicForm,
     DimensionMismatch,
@@ -340,18 +339,15 @@ def test_scalar_curvature_is_full_tau():
 
 
 def test_ambient_constant_validation():
-    assert AmbientConstant(0.25).c == 0.25
-    for c in (1, np.float64(0.5), np.int64(-2), Fraction(1, 4)):
-        assert type(AmbientConstant(c).c) is float and AmbientConstant(c).c == c
+    for c in (0.25, 1, np.float64(0.5), np.int64(-2), Fraction(1, 4)):
         assert type(ambient_value(c)) is float and ambient_value(c) == c
     with pytest.raises(InvariantViolation):
-        AmbientConstant(float("inf"))
+        ambient_value(float("inf"))
     h = CubicForm.zero(3)
-    assert sectional_curvature(h, AmbientConstant(1.5), 1, 2) == pytest.approx(1.5)
+    assert sectional_curvature(h, 1.5, 1, 2) == pytest.approx(1.5)
 
 
 _C_READERS = {
-    "AmbientConstant": lambda h, P, c: AmbientConstant(c),
     "ambient_value": lambda h, P, c: ambient_value(c),
     "sectional_curvature": lambda h, P, c: sectional_curvature(h, c, 1, 2),
     "tau_subspace": lambda h, P, c: tau_subspace(h, c, (1, 2)),
