@@ -105,7 +105,9 @@ def _add_optimizer_flags(parser):
     parser.add_argument(
         "--restarts", type=int, default=_OPTIMIZER_DEFAULTS.restarts,
         help="descent starts: identity, oracle permutation, then seeded "
-        "random frames; the earliest best start wins (default %(default)s)",
+        "random frames; the earliest best start wins.  A partition of one "
+        "block of size n-1 is solved exactly and reads none of --restarts, "
+        "--max-iters and --seed (default %(default)s)",
     )
     parser.add_argument(
         "--max-iters", type=int, default=_OPTIMIZER_DEFAULTS.max_iters,

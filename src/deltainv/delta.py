@@ -2,7 +2,8 @@
 
 delta(n_1, ..., n_k) at a point is tau minus the infimum of
 tau(L_1) + ... + tau(L_k) over k-tuples of mutually orthogonal subspaces
-with the prescribed dimensions.  Two estimators are provided:
+with the prescribed dimensions.  Two estimators are provided, and one
+closed form:
 
 * ``delta_coordinate_oracle`` minimizes exactly over coordinate-spanned
   subspaces.  Restricting the minimization domain can only raise the
@@ -36,8 +37,14 @@ with the prescribed dimensions.  Two estimators are provided:
   behind an earlier restart that reached it stops, because it can no
   longer win; the earliest such restart runs on, so the result does not
   change.
+* For one block of size n - 1, ``delta_invariant`` needs no descent:
+  tau - tau(u^perp) = Ric(u, u) for a unit u, so delta(n-1) is the top
+  eigenvalue of the Ricci tensor, plus (n - 1) c, and Ric's eigenbasis
+  with the top eigenvector last is a maximizing frame.  The result is
+  exact, always converged, and the same for every ``OptimizerOptions``.
 
-Both read the single Gauss-sum kernel, the c-free matrix K of ``tensors``.
+All read the single Gauss-sum kernel, the c-free matrix K of ``tensors``,
+or its row sums, the c-free Ricci tensor (``tensors._ricci``).
 Every tau carries c C(dim L, 2), so delta = delta_h + b c exactly, with
 b = C(n, 2) - sum C(n_i, 2): c is added only to the reported taus.  The
 descent weighs K with the 0/1 block mask M (M_ij = 1 when i and j share
@@ -65,6 +72,7 @@ from .tensors import (
     _as_integer,
     _check_partition,
     _haar_rows,
+    _ricci,
     _rotate_dense,
     _sectional_matrix,
     _tau_dense,
@@ -96,7 +104,8 @@ _STATIONARY = 1e-7
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs for the multi-start frame search.
+    """Knobs for the multi-start frame search; P = (n-1), solved in closed
+    form, reads none of them.
 
     ``restarts`` starts in all (at least the identity and the oracle
     permutation, then seeded Haar-random frames), each descending for at
@@ -495,6 +504,12 @@ def delta_invariant(
     it is always at least the coordinate oracle's value because that
     solution seeds one of the starts, and it is a lower bound for the true
     invariant because every frame is feasible.
+
+    P = (n-1) takes no descent while Ric_h is finite: the identity, the
+    oracle permutation and Ric_h's eigenbasis (top eigenvector last) are
+    scored, and the earliest best wins, so a frame the oracle or the
+    identity already makes optimal is kept.  That value is the invariant
+    itself, reported converged whatever ``opts`` say.
     """
     opts = opts or OptimizerOptions()
     _check_partition(h, P)
@@ -503,15 +518,26 @@ def delta_invariant(
 
     T = h.dense_view
     M = _block_mask(P)
-    # the optimal bound, delta_h <= a |H|^2, bounds the descent's f, the h
-    # part of the block taus, from below
-    a, _ = _gap_terms(P)
-    floor = 0.5 * float(_sectional_matrix(T).sum()) - a * mean_curvature_sq(h)
-    winners = [
-        _descend(T, stack, M, opts.max_iters, floor)
-        for stack in _start_stacks(P, oracle.assignment, opts.restarts, opts.seed)
-    ]
-    _, R, converged = winners[_earliest_best([w[0] for w in winners])]
+    if P.blocks == (P.n - 1,) and np.isfinite(ric := _ricci(T)).all():
+        # delta_h(n-1) = lambda_max(Ric_h): the frame V^T of eigh's ascending
+        # eigenvectors puts the top one last, outside the block
+        starts = np.stack([
+            np.eye(P.n),
+            _oracle_start_frame(P, oracle.assignment),
+            np.linalg.eigh(ric)[1].T,
+        ])
+        f = _block_tau_h(_rotate_dense(T, starts), M)
+        R, converged = starts[_earliest_best(f.tolist())], True
+    else:
+        # the optimal bound, delta_h <= a |H|^2, bounds the descent's f, the
+        # h part of the block taus, from below
+        a, _ = _gap_terms(P)
+        floor = 0.5 * float(_sectional_matrix(T).sum()) - a * mean_curvature_sq(h)
+        winners = [
+            _descend(T, stack, M, opts.max_iters, floor)
+            for stack in _start_stacks(P, oracle.assignment, opts.restarts, opts.seed)
+        ]
+        _, R, converged = winners[_earliest_best([w[0] for w in winners])]
 
     frame = Frame(R)
     rotated = _rotate_dense(T, frame.matrix)

@@ -11,6 +11,8 @@ the Gauss-equation sectional curvatures c + K[i, j] (``_sectional_matrix``):
 
 and tau of the span of an index set S is 1/2 1_S^T K 1_S + c C(|S|, 2).
 c is added only there: every delta is delta_h + b c, every gap c-free.
+The c-free Ricci tensor ``_ricci``, whose diagonal is K's row sums, gives
+tau less tau of a hyperplane in any direction.
 
 Conventions
 -----------
@@ -612,6 +614,19 @@ def _sectional_matrix(T):
     K = D @ D.swapaxes(-1, -2) - np.einsum("...ijc,...ijc->...ij", T, T)
     np.einsum("...ii->...i", K)[...] = 0.0  # a writeable view of the diagonal
     return K
+
+
+def _ricci(T):
+    """Ric_h = sum_C (sum_i h_iiC) h_..C - X X^T with X = T.reshape(n, n^2),
+    without c.
+
+    T is a dense (n, n, n) tensor.  Its diagonal is the row sums of K, and
+    Ric_h(u, u) + (n - 1) c is tau minus tau of the hyperplane u^perp, for
+    a unit u.
+    """
+    n = T.shape[-1]
+    X = T.reshape(n, n * n)
+    return T @ np.einsum("iic->c", T) - X @ X.T
 
 
 def sectional_curvature(h: CubicForm, c, i: int, j: int) -> float:

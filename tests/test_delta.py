@@ -26,6 +26,7 @@ from deltainv import (
     tau_subspace,
     universal_check,
 )
+from deltainv.bounds import SHARP_TOL, optimal_coefficients, rhs_value
 import deltainv.delta as delta_mod
 from deltainv.delta import (
     _block_mask,
@@ -39,8 +40,10 @@ from deltainv.delta import (
 )
 from deltainv.tensors import (
     _canonical_triples,
+    _ricci,
     _rotate_dense,
     _tau_dense,
+    mean_curvature_sq,
     scalar_curvature,
 )
 
@@ -576,14 +579,22 @@ def test_short_flat_window_keeps_witness_values_with_fewer_steps(monkeypatch):
     assert new_trials <= 1.01 * former_trials
 
 
+def _descending(cases):
+    """How many of the (h, P) cases descend: all but P = (n-1), whose
+    closed form takes no round."""
+    return sum(P.blocks != (P.n - 1,) for _, P in cases)
+
+
 def test_witness_descent_rounds_stay_few(monkeypatch):
     # a round is one stacked Armijo trial, one _cayley_step call; the loop
     # before the resolution stop made 50.9 per witness, mostly trials f
     # could not resolve, 29.7 before the floor rule and 23.6 with the first
-    # Barzilai-Borwein quotient alone.  The bound is 1.15x the 21.65
-    # measured with the alternating step
+    # Barzilai-Borwein quotient alone.  The bound is 1.15x the 23.90
+    # measured per descending call with the alternating step (1,004 rounds
+    # over the 42 witnesses with P != (n-1); 21.65 over all 54 when P = (n-1)
+    # descended too)
     _, rounds, _ = _counted_sweep(monkeypatch, _witnesses())
-    assert rounds / len(_witnesses()) <= 1.15 * 21.65
+    assert rounds / _descending(_witnesses()) <= 1.15 * 23.90
 
 
 @lru_cache(maxsize=None)
@@ -602,10 +613,11 @@ def _rotated_witnesses():
 def test_rotated_witness_descent_rounds_stay_few(monkeypatch):
     # a Haar frame hides the witness's blocks, so every restart descends
     # from far off: 60.8 rounds per call with the first Barzilai-Borwein
-    # quotient alone.  The bound is 1.15x the 46.65 measured with the
-    # alternating step
+    # quotient alone.  The bound is 1.15x the 49.31 measured per descending
+    # call with the alternating step (3,550 rounds over the 72 witnesses
+    # with P != (n-1); 46.65 over all 79 when P = (n-1) descended too)
     _, rounds, _ = _counted_sweep(monkeypatch, _rotated_witnesses())
-    assert rounds / len(_rotated_witnesses()) <= 1.15 * 46.65
+    assert rounds / _descending(_rotated_witnesses()) <= 1.15 * 49.31
 
 
 def _floor_free(monkeypatch):
@@ -708,6 +720,83 @@ def test_random_restarts_converge_for_n_9_to_12(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# P = (n-1): delta_h = lambda_max(Ric_h), no descent
+# ---------------------------------------------------------------------------
+
+
+def _one_block_cases(n):
+    """P = (n-1) and its tensors: two seeded random ones, then a witness
+    and the same witness in a seeded Haar frame, flagged as witnesses."""
+    P = PartitionSpec(n, (n - 1,))
+    rng = np.random.default_rng([61, n])
+    witness = random_witness(1, P, seed=n)
+    return P, [
+        (random_cubic_form(n, 1.0, rng), False),
+        (random_cubic_form(n, 1.0, rng), False),
+        (witness, True),
+        (rotate(witness, Frame.random(n, rng)), True),
+    ]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_one_block_closed_form_matches_top_ricci_eigenvalue_and_descent(n):
+    # the descent from the same 16 starts, with no floor, can only find a
+    # frame as good: the closed form is the global maximum of tau - tau(u^perp)
+    P, cases = _one_block_cases(n)
+    M, b = _block_mask(P), math.comb(n, 2) - math.comb(n - 1, 2)
+    for h, witness in cases:
+        T = h.dense_view
+        top = float(np.linalg.eigvalsh(_ricci(T))[-1])
+        assignment = delta_coordinate_oracle(h, 0.0, P).assignment
+        starts = np.concatenate(list(_start_stacks(P, assignment, 16, 0)))
+        f, _, _ = _stacked_descent(T, starts, M, 500, -np.inf)
+        for c in (-1.0, 0.0, 0.5):
+            res = delta_invariant(h, c, P)
+            assert res.converged
+            assert res.value >= res.certified_lower
+            descent = res.tau_total - float(f.min()) - c * math.comb(n - 1, 2)
+            assert res.value >= descent - 1e-12 * max(1.0, abs(descent)), c
+            exact = top + b * c
+            assert abs(res.value - exact) <= 1e-12 * max(1.0, abs(exact)), c
+            if witness:
+                rhs = rhs_value(optimal_coefficients(P), mean_curvature_sq(h), c)
+                assert abs(res.value - rhs) <= SHARP_TOL, c
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_optimizer_options_do_not_apply_to_one_block(n):
+    # P = (n-1) takes no descent, so no option changes its result; with
+    # max_iters=1 the descent used to stop unconverged
+    P = PartitionSpec(n, (n - 1,))
+    h = random_cubic_form(n, 1.0, np.random.default_rng([67, n]))
+    base = delta_invariant(h, 0.3, P)
+    for opts in (OptimizerOptions(restarts=1, max_iters=1),
+                 OptimizerOptions(restarts=40, seed=5)):
+        res = delta_invariant(h, 0.3, P, opts)
+        assert res.value == base.value and res.tau_blocks == base.tau_blocks
+        assert np.array_equal(res.frame.matrix, base.frame.matrix)
+        assert res.converged and base.converged
+
+
+def test_one_block_with_a_non_finite_ricci_tensor_descends():
+    # Ric_h overflows to inf - inf, which eigh cannot take; the descent runs
+    # as for any other partition and reports what it always did for this
+    # tensor: a NaN value from the overflowing taus, unconverged, in the
+    # identity frame
+    h = CubicForm(4, {(1, 1, 1): 1e200, (1, 2, 3): -3e199, (2, 2, 4): 2e200})
+    P = PartitionSpec(4, (3,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(_ricci(h.dense_view)).all()
+        for opts in (None, OptimizerOptions(restarts=3)):
+            res = delta_invariant(h, 0.0, P, opts)
+            assert math.isnan(res.value) and math.isnan(res.certified_lower)
+            assert res.tau_total == -math.inf and res.tau_blocks == (-math.inf,)
+            assert res.assignment == ((1, 2, 3),)
+            assert np.array_equal(res.frame.matrix, np.eye(4))
+            assert not res.converged
+
+
+# ---------------------------------------------------------------------------
 # continuous optimizer
 # ---------------------------------------------------------------------------
 
@@ -763,7 +852,7 @@ def test_optimizer_frame_covariance():
 
 
 def test_optimizer_constant_curvature_closed_form():
-    for n, blocks in [(4, (2,)), (5, (2, 2)), (6, (2, 3))]:
+    for n, blocks in [(4, (2,)), (4, (3,)), (5, (2, 2)), (6, (2, 3)), (6, (5,))]:
         h = CubicForm.zero(n)
         P = PartitionSpec(n, blocks)
         res = delta_invariant(h, 1.0, P, OptimizerOptions(restarts=3))

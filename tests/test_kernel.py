@@ -2,9 +2,10 @@
 
 Every Gauss-equation quantity comes from ``_sectional_matrix``: tau is
 half the sum of K over a slab, and the descent weighs K with a 0/1 block
-mask.  The references below sum the same terms from slices of T, one block
-at a time; the summation order differs, so values agree to 1e-12 relative
-(floored at 1, the scale of the random entries), not bit for bit.
+mask.  ``_ricci``, K's row sums on its diagonal, gives tau less tau of a
+hyperplane.  The references below sum the same terms from slices of T, one
+block at a time; the summation order differs, so values agree to 1e-12
+relative (floored at 1, the scale of the random entries), not bit for bit.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from deltainv.delta import _block_mask, _block_tau_h, _cayley_step, _grad_skew
 from deltainv.errors import RankDeficientFrame
 from deltainv.tensors import (
     _orthonormalize_rows,
+    _ricci,
     _rotate_dense,
     _sectional_matrix,
     _tau_dense,
@@ -107,6 +109,23 @@ def test_tau_and_sectional_curvature_match_slices(n):
             i, j = rng.choice(n, size=2, replace=False)
             ref = cval + T[i, i, :] @ T[j, j, :] - T[i, j, :] @ T[i, j, :]
             assert _close(sectional_curvature(h, cval, i + 1, j + 1), ref)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_ricci_is_row_sums_of_K_rotates_and_gives_the_hyperplane_drop(n):
+    rng = np.random.default_rng([53, n])
+    for _ in range(3):
+        T = random_cubic_form(n, 1.0, rng).dense_view
+        ric = _ricci(T)
+        assert _close(np.diag(ric), _sectional_matrix(T).sum(axis=1))
+        R = Frame.random(n, rng).matrix
+        H = _rotate_dense(T, R)
+        assert _close(_ricci(H), R @ ric @ R.T)
+        # tau less tau of u^perp, u the last row of the frame R
+        u = R[-1]
+        for cval in C_VALUES:
+            drop = _tau_dense(H, range(n), cval) - _tau_dense(H, range(n - 1), cval)
+            assert _close(drop, u @ ric @ u + (n - 1) * cval)
 
 
 @pytest.mark.parametrize(
