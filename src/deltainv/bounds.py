@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +54,13 @@ CSV_COLUMNS = [
     "verdict",
 ]
 
+
+def gap_passes(gap: float) -> bool:
+    """A gap passes when it is finite and at least -GAP_TOL; an infinite or
+    NaN gap never passes."""
+    return math.isfinite(gap) and gap >= -GAP_TOL
+
+
 def rhs_value(coeffs: BoundCoefficients, hsq: float, c) -> float:
     return float(coeffs.a) * hsq + float(coeffs.b) * ambient_value(c)
 
@@ -71,11 +79,11 @@ class BoundRow:
 
     @property
     def verdict(self) -> str:
-        """The row's verdict: not_applicable without a gap, ok for a gap of
-        at least -GAP_TOL, violated otherwise (a NaN gap included)."""
+        """The row's verdict: not_applicable without a gap, ok for a gap
+        that ``gap_passes``, violated otherwise."""
         if self.gap is None:
             return "not_applicable"
-        return "ok" if self.gap >= -GAP_TOL else "violated"
+        return "ok" if gap_passes(self.gap) else "violated"
 
 
 @dataclass(frozen=True)

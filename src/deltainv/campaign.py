@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import GAP_TOL
+from .bounds import gap_passes
 from .delta import universal_check
 from .errors import FormatError, InadmissiblePartition
 from .tensors import (
@@ -46,6 +46,7 @@ from .tensors import (
     Frame,
     PartitionSpec,
     _as_integer,
+    _as_list,
     _as_object,
     _as_real,
     _check_blocks,
@@ -88,7 +89,8 @@ class CampaignConfig:
         for name, least in (("seed", 0), ("samples", 1)):
             value = _as_integer(getattr(self, name), name, least=least)
             object.__setattr__(self, name, value)
-        lo, hi = (_as_integer(v, "n_range") for v in self.n_range)
+        n_range = _as_list(self.n_range, "n_range", 2)
+        lo, hi = (_as_integer(v, "n_range") for v in n_range)
         if not (MIN_DIMENSION <= lo <= hi <= MAX_DIMENSION):
             raise FormatError(
                 f"n_range must lie within [{MIN_DIMENSION}, {MAX_DIMENSION}], "
@@ -96,7 +98,8 @@ class CampaignConfig:
             )
         object.__setattr__(self, "n_range", (lo, hi))
         c_values = tuple(
-            ambient_value(c, "c_values", FormatError) for c in self.c_values
+            ambient_value(c, "c_values", FormatError)
+            for c in _as_list(self.c_values, "c_values")
         )
         object.__setattr__(self, "c_values", c_values)
         if not self.c_values:
@@ -105,10 +108,8 @@ class CampaignConfig:
             # PartitionSpec's rules that hold whatever n; the pool checks
             # the rest against n_range
             partitions = tuple(
-                _check_blocks(
-                    tuple(_as_integer(b, "partition block") for b in p), FormatError
-                )
-                for p in self.partitions
+                _check_blocks(p, "partition block", FormatError)
+                for p in _as_list(self.partitions, "partitions")
             )
             object.__setattr__(self, "partitions", partitions)
         # uniform draws on [-scale, scale] need the width 2 * scale finite
@@ -132,10 +133,7 @@ class CampaignConfig:
         kwargs = dict(_as_object(data, "campaign config", required, names))
         if "seed" not in kwargs:
             kwargs["seed"] = default_seed()
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad campaign config: {exc}")
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -150,8 +148,8 @@ class SampleResult:
 
 @dataclass
 class CampaignSummary:
-    """Running totals; a gap below -GAP_TOL or not finite is a violation,
-    and ``min_gap`` is the smallest finite gap (None while there is none)."""
+    """Running totals; a gap that fails ``gap_passes`` is a violation, and
+    ``min_gap`` is the smallest finite gap (None while there is none)."""
 
     samples: int = 0
     min_gap: Optional[float] = None
@@ -161,15 +159,12 @@ class CampaignSummary:
 
     def update(self, row: SampleResult):
         self.samples += 1
-        if not math.isfinite(row.gap):
+        if not gap_passes(row.gap):
             self.violations += 1
-            return
-        if self.min_gap is None or row.gap < self.min_gap:
+        if math.isfinite(row.gap) and (self.min_gap is None or row.gap < self.min_gap):
             self.min_gap = row.gap
             self.argmin_index = row.index
             self.argmin_seed = row.seed
-        if row.gap < -GAP_TOL:
-            self.violations += 1
 
     def to_json_dict(self) -> dict:
         return {

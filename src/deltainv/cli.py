@@ -53,7 +53,7 @@ from .quadforms import (
     psd_verdict_minors,
 )
 from .tensors import CubicForm, PartitionSpec, _as_integer, _as_object
-from .tensors import _as_real_array, finite_or_none
+from .tensors import finite_or_none
 
 SEED_ENV = "DELTAINV_SEED"
 
@@ -215,13 +215,8 @@ def cmd_construct_equality(args) -> int:
 
 def cmd_immersion_check(args) -> int:
     a = _load_tensor(args.tensor)
-    if args.at is not None:
-        x = _as_real_array(_load_json(args.at), "the point")
-        if not np.all(np.isfinite(x)):
-            raise FormatError(f"{args.at} holds a non-finite coordinate")
-    else:
-        x = np.zeros(a.n)
     f = potential_from_tensor(a)
+    x = np.zeros(a.n) if args.at is None else f._point(_load_json(args.at))
     errors = {
         "roundtrip_error": lemma1_roundtrip(a, x),
         "lagrangian_defect": lagrangian_check(f, x),

@@ -338,7 +338,7 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     resolve (the resolution stop; t <= 1e4 makes it end any restart with
     |A| < 4.4e-8 at once).  Stopped by either of the last two rules, it is
     converged when |A| < 1e-7.  Non-finite input ends the loop, through NaN
-    steps or steps halved away.
+    steps or steps halved away; a start whose |A|^2 overflows steps NaN.
 
     ``floor`` is a certified lower bound on f (``delta_invariant`` passes
     the one the optimal bound gives); -inf turns this rule off.  A restart
@@ -367,6 +367,7 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     A = _grad_skew(H, M)
     aa = np.einsum("kij,kij->k", A, A)
     t = np.minimum(np.maximum(1.0 / np.maximum(np.sqrt(aa), 1.0), 1e-12), 1e4)
+    t[~np.isfinite(aa)] = np.nan  # not 1e-12: a Cayley step cannot take inf
     iters = np.zeros(r, dtype=int)
     row = np.arange(r)  # the start each working restart came from
     f_out, R_out = np.empty(r), np.empty_like(R)

@@ -40,8 +40,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InadmissiblePartition, InvariantViolation
-from .tensors import CubicForm, PartitionSpec, _as_integer, _as_real_array
-from .tensors import _check_partition, _symmetrize_dense
+from .tensors import CubicForm, PartitionSpec, _as_cube, _as_integer, _as_list
+from .tensors import _as_real_array, _check_partition, _symmetrize_dense
 
 TRACE_TOL = 1e-10
 CHECK_TOL = 1e-10
@@ -63,36 +63,19 @@ def _per_block(values, k: int, what: str) -> Sequence:
     """The k per-block items of ``values``; None stands for k Nones."""
     if values is None:
         return [None] * k
-    if not isinstance(values, (list, tuple)) or len(values) != k:
-        raise InvariantViolation(f"expected a list of {k} {what}, got {values!r}")
-    return values
-
-
-def _as_block_array(values, size: int, what: str):
-    """A validated symmetric (size, size, size) copy of ``values``."""
-    if values is None:
-        return np.zeros((size, size, size))
-    arr = np.array(_as_real_array(values, what, InvariantViolation))
-    if arr.shape != (size, size, size):
-        raise InvariantViolation(
-            f"{what} must have shape {(size, size, size)}, got {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvariantViolation(f"{what} contains non-finite entries")
-    sym = _symmetrize_dense(arr)
-    if float(np.max(np.abs(arr - sym))) > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
-        raise InvariantViolation(f"{what} is not symmetric")
-    return arr
+    return _as_list(values, what, k, InvariantViolation)
 
 
 def _block_arrays(P: PartitionSpec, values, free_trace):
-    """Validated read-only in-block arrays, one per leading block, and their
-    read-only partial traces; a block whose size is not in ``free_trace``
-    must be traceless."""
+    """Validated read-only in-block arrays, one per leading block, each
+    read by ``_as_cube`` (None is zero), and their read-only partial
+    traces; a block whose size is not in ``free_trace`` must be traceless."""
     arrays, traces = [], []
     raw = _per_block(values, P.k, "in-block arrays")
     for i, (size, value) in enumerate(zip(P.blocks, raw), start=1):
-        arr = _as_block_array(value, size, f"in-block array {i}")
+        arr = np.zeros((size, size, size))
+        if value is not None:
+            arr = _as_cube(value, f"in-block array {i}", 1e-12, size)
         tr = _partial_traces(arr)
         if size not in free_trace and float(np.max(np.abs(tr))) > TRACE_TOL:
             raise InvariantViolation(

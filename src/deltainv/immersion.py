@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConflictingEntry, DimensionMismatch, SingularMetric
-from .tensors import CubicForm
+from .errors import DimensionMismatch, InvariantViolation, SingularMetric
+from .tensors import CubicForm, _as_cube, _as_real_array
 
 FD_STEP = 1e-4
 ROUNDTRIP_COND_LIMIT = 1e6
@@ -36,20 +36,14 @@ ROUNDTRIP_COND_LIMIT = 1e6
 @dataclass(frozen=True)
 class CubicPotential:
     """The cubic polynomial f(x) = (1/6) sum a_{ABC} x_A x_B x_C, with
-    exactly symmetric coefficients a (ConflictingEntry otherwise)."""
+    finite, exactly symmetric (n, n, n) coefficients a, read by ``_as_cube``
+    with atol 0."""
 
     n: int
     coefficients: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coefficients, dtype=float)
-        if arr.shape != (self.n, self.n, self.n):
-            raise DimensionMismatch(
-                f"coefficients must be ({self.n},)*3, got {arr.shape}"
-            )
-        # two transpositions generate every permutation of the indices
-        if any((arr != arr.transpose(p)).any() for p in ((1, 0, 2), (0, 2, 1))):
-            raise ConflictingEntry("coefficients are not symmetric in their indices")
+        arr = _as_cube(self.coefficients, "coefficients", 0.0, self.n)
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
 
@@ -70,15 +64,18 @@ class CubicPotential:
         return self.coefficients.copy()
 
     def _point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        """A base point: n numbers read by ``_as_real_array``, all finite."""
+        x = _as_real_array(x, "the point")
         if x.shape != (self.n,):
             raise DimensionMismatch(f"point must have shape ({self.n},), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise InvariantViolation(f"the point has a non-finite coordinate: {x}")
         return x
 
 
 def potential_from_tensor(a: CubicForm) -> CubicPotential:
     """Potential whose third partials reproduce the tensor exactly."""
-    return CubicPotential(a.n, a.dense())
+    return CubicPotential(a.n, a.dense_view)
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,15 @@ def _as_real_array(values, what: str, error=FormatError) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _as_list(values, what: str, length=None, error=FormatError) -> list:
+    """A JSON list (or a tuple), of ``length`` items if given, else ``error``."""
+    if not isinstance(values, (list, tuple)):
+        raise error(f"{what} must be a list, got {values!r}")
+    if length is not None and len(values) != length:
+        raise error(f"{what} must hold {length} items, got {len(values)}")
+    return list(values)
+
+
 def _entry_value(value, key) -> float:
     """A tensor entry: a number as ``_as_real`` reads it, and finite."""
     v = _as_real(value, "entry value")
@@ -178,15 +187,33 @@ def _triple_positions(n: int):
 
 
 def _symmetrize_dense(arr):
-    """Average of an (m, m, m) array over the six permutations of its axes."""
-    return (
-        arr
-        + arr.transpose(0, 2, 1)
-        + arr.transpose(1, 0, 2)
-        + arr.transpose(1, 2, 0)
-        + arr.transpose(2, 0, 1)
-        + arr.transpose(2, 1, 0)
-    ) / 6.0
+    """Average of an (m, m, m) array over the six permutations of its axes,
+    summed as arr plus the mean of the differences p(arr) - arr: an exactly
+    symmetric array comes back bit for bit, and entries near the float
+    limit do not overflow."""
+    moves = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    return arr + sum(arr.transpose(p) - arr for p in moves) / 6.0
+
+
+def _as_cube(values, what: str, atol: float, m=None) -> np.ndarray:
+    """A symmetric (m, m, m) array of numbers read by ``_as_real_array``,
+    as its symmetrization; m is free when not given.  FormatError for a
+    non-number, DimensionMismatch for another shape, InvariantViolation for
+    a non-finite entry, and ConflictingEntry when an entry lies further
+    than atol * max(1, max |entry|) from the symmetrization (atol 0 asks
+    for exact symmetry)."""
+    arr = _as_real_array(values, what)
+    if arr.ndim != 3 or len(set(arr.shape)) != 1 or m not in (None, arr.shape[0]):
+        side = "" if m is None else f" of side {m}"
+        raise DimensionMismatch(f"{what} must be a cubic array{side}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvariantViolation(f"{what} contains non-finite entries")
+    sym = _symmetrize_dense(arr)
+    scale = max(1.0, float(np.max(np.abs(arr), initial=0.0)))
+    # not <=, so a NaN from differences that overflow fails too
+    if not float(np.max(np.abs(arr - sym), initial=0.0)) <= atol * scale:
+        raise ConflictingEntry(f"{what} is not symmetric in its three indices")
+    return sym
 
 
 class CubicForm:
@@ -201,6 +228,8 @@ class CubicForm:
 
     def __init__(self, n: int, entries: Mapping | None = None):
         n = _check_dimension(n)
+        if not isinstance(entries, (Mapping, type(None))):
+            raise FormatError(f"entries must map triples to values, got {entries!r}")
         seen: dict[tuple[int, int, int], float] = {}
         for key, value in (entries or {}).items():
             triple = _validated_triple(key, n)
@@ -242,18 +271,11 @@ class CubicForm:
         """Build from a dense (n, n, n) array, which must be symmetric.
 
         Roundoff-level asymmetry (below ``atol`` relative to the largest
-        entry) is averaged away; anything larger raises ConflictingEntry.
+        entry) is averaged away; anything larger raises ConflictingEntry,
+        as ``_as_cube`` reads it.  An exactly symmetric array is kept.
         """
-        arr = np.asarray(array, dtype=float)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1:
-            raise DimensionMismatch(f"expected a cubic array, got shape {arr.shape}")
-        n = _check_dimension(int(arr.shape[0]))
-        if not np.all(np.isfinite(arr)):
-            raise InvariantViolation("dense array contains non-finite entries")
-        sym = _symmetrize_dense(arr)
-        scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-        if float(np.max(np.abs(arr - sym))) > atol * scale:
-            raise ConflictingEntry("dense array is not symmetric in its three indices")
+        sym = _as_cube(array, "dense array", atol)
+        n = _check_dimension(sym.shape[0])
         a, b, c = (np.array(_canonical_triples(n)) - 1).T
         return cls._of_values(n, sym[a, b, c])
 
@@ -311,9 +333,7 @@ class CubicForm:
         """
         data = _as_object(data, "tensor", required=("n",), optional=("entries",))
         n = _check_dimension(_as_integer(data["n"], "dimension"))
-        raw_entries = data.get("entries", [])
-        if not isinstance(raw_entries, list):
-            raise FormatError("'entries' must be a list")
+        raw_entries = _as_list(data.get("entries", []), "'entries'")
         entries: dict[tuple[int, int, int], float] = {}
         for item in raw_entries:
             idx = _as_object(item, "tensor entry", required=("idx", "value"))["idx"]
@@ -378,11 +398,8 @@ class PartitionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_dimension(self.n))
-        try:
-            blocks = tuple(_as_integer(b, "block size") for b in self.blocks)
-        except (TypeError, FormatError):
-            raise InadmissiblePartition(f"blocks {self.blocks!r} are not integers")
-        object.__setattr__(self, "blocks", _check_blocks(blocks))
+        blocks = _check_blocks(self.blocks, "block size")
+        object.__setattr__(self, "blocks", blocks)
         if any(b > self.n - 1 for b in blocks):
             raise InadmissiblePartition(
                 f"block sizes must be <= n-1 = {self.n - 1}: {blocks}"
@@ -428,9 +445,12 @@ class PartitionSpec:
         return f"({', '.join(str(b) for b in self.blocks)}) on n={self.n}"
 
 
-def _check_blocks(blocks: tuple[int, ...], error=InadmissiblePartition):
-    """The blocks, unless they break a rule of ``PartitionSpec`` that holds
+def _check_blocks(blocks, what: str, error=InadmissiblePartition) -> tuple[int, ...]:
+    """A list of blocks, each an integer (``_as_integer`` names it ``what``),
+    as a tuple, unless they break a rule of ``PartitionSpec`` that holds
     whatever n (one block or more, each >= 2, nondecreasing): ``error``."""
+    items = _as_list(blocks, "blocks", error=error)
+    blocks = tuple(_as_integer(b, what, error) for b in items)
     if not blocks:
         raise error("at least one block is required")
     if any(b < 2 for b in blocks):
@@ -520,7 +540,7 @@ class Frame:
     __slots__ = ("_rows",)
 
     def __init__(self, rows):
-        arr = np.asarray(rows, dtype=float)
+        arr = _as_real_array(rows, "frame")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"frame must be square, got shape {arr.shape}")
         _check_dimension(int(arr.shape[0]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from deltainv import (
     EqualityParamsT1,
@@ -8,6 +9,11 @@ from deltainv import (
     build_t1,
     build_t2,
 )
+
+# CI runs the property tests with ``--hypothesis-profile=ci``: the same
+# examples on every run, no deadline for a slow shared runner, and no
+# example database written; local runs keep the default profile
+settings.register_profile("ci", derandomize=True, database=None, deadline=None)
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 """Campaign determinism and the command-line interface."""
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,9 +13,11 @@ import numpy as np
 import pytest
 
 from deltainv import CubicForm, FormatError, InadmissiblePartition
+from deltainv.bounds import THEOREM1, BoundRow, gap_passes
 from deltainv.campaign import (
     CampaignConfig,
     CampaignSummary,
+    SampleResult,
     campaign_csv,
     run_campaign,
 )
@@ -60,6 +65,16 @@ def test_campaign_gaps_nonnegative():
     assert summary.samples == 300
     assert summary.min_gap >= -1e-9
     assert summary.violations == 0
+
+
+def test_summary_and_verdict_share_the_gap_rule():
+    # an infinite or NaN gap is a violation in a campaign as in a report
+    summary = CampaignSummary()
+    for i, gap in enumerate([0.5, math.inf, math.nan, -1e-10, -1.0]):
+        summary.update(SampleResult(i, (1, i), 3, (2,), 0.0, gap))
+        row = BoundRow(THEOREM1, None, None, gap)
+        assert (row.verdict == "ok") == gap_passes(gap)
+    assert summary.violations == 3 and summary.min_gap == -1.0
 
 
 def test_campaign_gaps_do_not_depend_on_c():
@@ -187,6 +202,22 @@ def test_cli_construct_equality_roundtrip(tmp_path, capsys):
     emitted = json.loads(out)
     again = CubicForm.from_json_dict(emitted)
     assert again.entries == {(1, 1, 3): 0.5, (2, 2, 3): 0.5, (3, 3, 3): 2.0}
+
+
+@pytest.mark.parametrize("lam", [0.7, 1e308])
+def test_cli_construct_equality_entries_are_the_float_quotients(tmp_path, capsys, lam):
+    # an exactly symmetric array is kept bit for bit: no ulp moves, and no
+    # sum of six entries near the float limit overflows
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"lambdas": [lam]}))
+    code, out, err = run_cli(
+        capsys,
+        "construct-equality", "--theorem", "1", "--n", "3",
+        "--partition", "2", "--params", str(params),
+    )
+    assert code == 0 and err == ""
+    entries = {tuple(e["idx"]): e["value"] for e in json.loads(out)["entries"]}
+    assert entries == {(1, 1, 3): lam / 4, (2, 2, 3): lam / 4, (3, 3, 3): lam}
 
 
 def test_cli_construct_equality_t2(tmp_path, capsys):
@@ -472,8 +503,11 @@ def test_cli_json_boolean_or_string_is_not_a_number(
     }.get(command, (command, str(path), "--partition", "2"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    # equality parameters report every bad value as an InvariantViolation
-    error = "InvariantViolation" if command.startswith("theorem") else "FormatError"
+    # equality parameters report a bad value as an InvariantViolation, but
+    # an in-block array is read as every cubic array is (FormatError)
+    error = "FormatError"
+    if command.startswith("theorem") and not what.startswith("an entry of in-block"):
+        error = "InvariantViolation"
     kind = "a number"
     if what.startswith("an index"):
         error, kind = "IndexOutOfRange", "an integer"
@@ -703,6 +737,38 @@ def test_cli_overflow_prints_strict_json(tmp_path, capsys, command, exit_code):
         assert {r["verdict"] for r in applicable} == {"violated"}
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_verify_infinite_gap_is_a_violation(tmp_path, capsys, fmt):
+    # delta is 0 and |H|^2 overflows, so every applicable gap is +inf
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 3, "entries": [{"idx": [1, 1, 1], "value": 1e200}]}))
+    code, out, err = run_cli(
+        capsys, "verify", str(path), "--partition", "2", "--format", fmt
+    )
+    assert code == 1 and err == ""
+    if fmt == "json":
+        rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+        applicable = [r for r in rows if r["applicable"]]
+        assert applicable and all(r["gap"] is None for r in applicable)
+        verdicts = {r["verdict"] for r in applicable}
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        applicable = [r for r in rows if r["gap"]]
+        assert applicable and {r["gap"] for r in applicable} == {"inf"}
+        verdicts = {r["verdict"] for r in applicable}
+    assert verdicts == {"violated"}
+
+
+def test_cli_delta_of_a_huge_finite_entry_prints_strict_json(tmp_path, capsys):
+    # the descent's gradient overflows here; it must stop, not raise
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 3, "entries": [{"idx": [1, 1, 1], "value": 1e155}]}))
+    code, out, err = run_cli(capsys, "delta", str(path), "--partition", "2")
+    assert err == ""
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert code == 0 and data["value"] == 0.0
+
+
 @pytest.mark.parametrize(
     "value",
     # one central difference of F keeps F_AB at the size of the entries, so
@@ -736,21 +802,22 @@ def test_cli_immersion_check_non_finite_error_exits_1(tensor_file, capsys, monke
 
 
 @pytest.mark.parametrize(
-    "theorem, partition, params",
+    "theorem, partition, params, error",
     [
-        (1, "2", {"lambdas": 5}),
-        (1, "2", {"lambdas": "ab"}),
-        (1, "2", {"lambdas": None}),
-        (1, "2", {"lambdas": [1], "inblock": 7}),
-        (1, "2", {"lambdas": [1], "inblock": [[["a"]]]}),
-        (2, "2,2", {"traces": [[1, "x"], None]}),
-        (2, "2,2", {"traces": [[float("nan"), 0], None]}),
+        (1, "2", {"lambdas": 5}, "InvariantViolation"),
+        (1, "2", {"lambdas": "ab"}, "InvariantViolation"),
+        (1, "2", {"lambdas": None}, "InvariantViolation"),
+        (1, "2", {"lambdas": [1], "inblock": 7}, "InvariantViolation"),
+        # an in-block array is read as every cubic array is, by tensors._as_cube
+        (1, "2", {"lambdas": [1], "inblock": [[["a"]]]}, "FormatError"),
+        (2, "2,2", {"traces": [[1, "x"], None]}, "InvariantViolation"),
+        (2, "2,2", {"traces": [[float("nan"), 0], None]}, "InvariantViolation"),
     ],
     ids=["scalar-lambdas", "string-lambdas", "null-lambdas", "scalar-inblock",
          "string-inblock-entry", "string-trace", "nan-trace"],
 )
 def test_cli_construct_equality_bad_params_is_input_error(
-    tmp_path, capsys, theorem, partition, params
+    tmp_path, capsys, theorem, partition, params, error
 ):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(params))
@@ -760,7 +827,7 @@ def test_cli_construct_equality_bad_params_is_input_error(
         "--partition", partition, "--params", str(path),
     )
     assert code == 2 and out == ""
-    assert _single_json_error(err)["error"] == "InvariantViolation"
+    assert _single_json_error(err)["error"] == error
 
 
 @pytest.mark.parametrize(
@@ -813,18 +880,22 @@ def test_cli_tensor_keys_are_checked(tmp_path, capsys, command, data, message):
 
 
 @pytest.mark.parametrize(
-    "point",
-    ['{"a": 1}', '["x", "y", "z"]', "[1e400, 0, 0]"],
+    "point, error",
+    [('{"a": 1}', "FormatError"), ('["x", "y", "z"]', "FormatError"),
+     # 1e400 parses as inf: a non-finite coordinate, as CubicPotential reads it
+     ("[1e400, 0, 0]", "InvariantViolation")],
     ids=["object", "strings", "overflowing"],
 )
-def test_cli_immersion_check_bad_point_is_input_error(tensor_file, tmp_path, capsys, point):
+def test_cli_immersion_check_bad_point_is_input_error(
+    tensor_file, tmp_path, capsys, point, error
+):
     path = tmp_path / "at.json"
     path.write_text(point)
     code, out, err = run_cli(
         capsys, "immersion-check", "--tensor", tensor_file, "--at", str(path)
     )
     assert code == 2 and out == ""
-    assert _single_json_error(err)["error"] == "FormatError"
+    assert _single_json_error(err)["error"] == error
 
 
 def test_cli_matrix_overflowing_coefficient_is_input_error(capsys):

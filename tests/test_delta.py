@@ -796,6 +796,20 @@ def test_one_block_with_a_non_finite_ricci_tensor_descends():
             assert not res.converged
 
 
+def test_huge_finite_entries_never_make_the_descent_raise():
+    # one entry of 1e152..1e200 overflows some gradients; the descent stops
+    # such a start (a NaN first step, or a rejected trial) instead of
+    # handing an infinite gradient to the Cayley solve, which would raise;
+    # a value that is not finite never counts as converged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(3, 8):
+            for P in enumerate_partitions(n):
+                for value in (1e152, 1e155, 1e160, 1e200):
+                    for key in ((1, 1, 1), (1, 2, 3), (1, 1, 2)):
+                        res = delta_invariant(CubicForm(n, {key: value}), 0.0, P)
+                        assert math.isfinite(res.value) or not res.converged
+
+
 # ---------------------------------------------------------------------------
 # continuous optimizer
 # ---------------------------------------------------------------------------

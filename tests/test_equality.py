@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from deltainv import (
+    ConflictingEntry,
     EqualityParamsT1,
     EqualityParamsT2,
     FormatError,
@@ -395,7 +396,7 @@ def test_t1_nonsymmetric_inblock_rejected():
     P = PartitionSpec(5, (3,))
     arr = np.zeros((3, 3, 3))
     arr[0, 1, 2] = 1.0  # single position, not symmetrized
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ConflictingEntry):
         EqualityParamsT1(P, [1.0, 1.0], [arr])
 
 

@@ -150,6 +150,29 @@ def test_dense_is_exactly_symmetric():
         assert np.array_equal(T, T.transpose(p))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_from_dense_keeps_a_symmetric_array_bit_for_bit(n, k, seed):
+    # a power of two scales exactly, so the array stays exactly symmetric
+    h = random_cubic_form(n, 2.0**k, np.random.default_rng(seed))
+    assert np.array_equal(CubicForm.from_dense(h.dense()).dense_view, h.dense_view)
+
+
+def test_from_dense_keeps_a_constant_array():
+    # a six-term average would give 0.09999999999999999 here
+    assert np.all(CubicForm.from_dense(np.full((3, 3, 3), 0.1)).dense_view == 0.1)
+
+
+def test_from_dense_near_the_float_limit():
+    arr = np.full((2, 2, 2), 1.5e308)
+    arr[1, 1, 1] = -1.7e308
+    assert np.array_equal(CubicForm.from_dense(arr).dense_view, arr)
+
+
 def test_from_dense_rejects_asymmetric():
     arr = np.zeros((3, 3, 3))
     arr[0, 1, 2] = 1.0
