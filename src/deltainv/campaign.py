@@ -353,7 +353,7 @@ def _chunk_rows(config: CampaignConfig, pool, indices) -> Iterable[SampleResult]
             n=d.n,
             partition=P.blocks,
             c=c,
-            gap=universal_check(d.h, c, P, R),
+            gap=universal_check(d.h, P, R),
         )
 
 

@@ -10,8 +10,9 @@ immersion-check     round-trip a tensor through its gradient-graph immersion
 sample              randomized verification campaign, CSV output
 
 Exit codes: 0 success, 1 verification failure (a gap below -1e-9 or not
-finite, a delta or round-trip error that is not finite, a matrix minor or
-least eigenvalue that is not finite as a float), 2 input error, which
+finite; a delta value, certified lower bound, tau, |H|^2, right-hand side
+or round-trip error that is not finite; a matrix minor or least
+eigenvalue that is not finite as a float), 2 input error, which
 includes a JSON input object (tensor file or entry, params file, campaign
 config) with a missing or unknown key.
 Errors, an option that argparse rejects included, are reported as one JSON
@@ -153,7 +154,9 @@ def cmd_verify(args) -> int:
         sys.stdout.write(report.to_csv())
     else:
         print(report.to_json())
-    return 1 if report.violated else 0
+    d, rhs = report.delta, [row.rhs for row in report.rows if row.rhs is not None]
+    finite = _all_finite(d.value, d.certified_lower, d.tau_total, report.hsq, *rhs)
+    return 0 if finite and not report.violated else 1
 
 
 def _fraction_json(value: Fraction) -> dict:
@@ -207,7 +210,7 @@ def cmd_construct_equality(args) -> int:
         data = _as_object(data, "params", required=("lambdas",), optional=("inblock",))
         h = build_t1(EqualityParamsT1(P, **data))
     else:
-        data = _as_object(data, "params", optional=("inblock", "traces"))
+        data = _as_object(data, "params", optional=("inblock",))
         h = build_t2(EqualityParamsT2(P, **data))
     print(json.dumps(h.to_json_dict(), indent=2))
     return 0

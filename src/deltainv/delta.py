@@ -338,7 +338,9 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     resolve (the resolution stop; t <= 1e4 makes it end any restart with
     |A| < 4.4e-8 at once).  Stopped by either of the last two rules, it is
     converged when |A| < 1e-7.  Non-finite input ends the loop, through NaN
-    steps or steps halved away; a start whose |A|^2 overflows steps NaN.
+    steps or steps halved away; a start whose |A|^2 overflows steps NaN, and
+    a round whose Cayley solve is singular (a step near 1e138 / |A| on huge
+    finite tensors) sets every working step to NaN.
 
     ``floor`` is a certified lower bound on f (``delta_invariant`` passes
     the one the optimal bound gives); -inf turns this rule off.  A restart
@@ -414,7 +416,11 @@ def _stacked_descent(T, starts, M, max_iters, floor):
                     x[keep] for x in (R, f, A, aa, t, iters, row, armijo)
                 )
 
-        Rt = _cayley_step(R, A, -t)
+        try:
+            Rt = _cayley_step(R, A, -t)
+        except np.linalg.LinAlgError:  # I + tA/2 singular: steps spent
+            t = np.full(len(t), np.nan)
+            continue
         Ht = _rotate_dense(T, Rt)
         ft = _block_tau_h(Ht, M)
         G = _grad_skew(Ht, M)
@@ -502,9 +508,11 @@ def delta_invariant(
     The starts descend together, a stack of at most _STACK at a time, so
     memory does not grow with the restart count; the earliest best restart
     wins.  The reported value is tau minus the best sum of block taus found;
-    it is always at least the coordinate oracle's value because that
-    solution seeds one of the starts, and it is a lower bound for the true
-    invariant because every frame is feasible.
+    it is at least the coordinate oracle's value, because that solution
+    seeds one of the starts, and a lower bound for the true invariant,
+    because every frame is feasible.  Where rounding at a huge scale puts
+    the winner more than _BEST_RTOL relative below the oracle, the oracle
+    permutation is reported instead, unconverged.
 
     P = (n-1) takes no descent while Ric_h is finite: the identity, the
     oracle permutation and Ric_h's eigenbasis (top eigenvector last) are
@@ -540,12 +548,19 @@ def delta_invariant(
         ]
         _, R, converged = winners[_earliest_best([w[0] for w in winners])]
 
-    frame = Frame(R)
-    rotated = _rotate_dense(T, frame.matrix)
     assignment = tuple(P.index_blocks[: P.k])
-    tau_blocks = tuple(
-        _tau_dense(rotated, [v - 1 for v in block], cval) for block in assignment
-    )
+    lowest = oracle.value - _BEST_RTOL * max(1.0, abs(oracle.value))
+    # a winner whose value f rounded below the oracle's gives way to the
+    # oracle permutation: it rotates exactly, so its taus are the oracle's
+    for R in (R, _oracle_start_frame(P, oracle.assignment)):
+        frame = Frame(R)
+        rotated = _rotate_dense(T, frame.matrix)
+        tau_blocks = tuple(
+            _tau_dense(rotated, [v - 1 for v in block], cval) for block in assignment
+        )
+        if not oracle.tau_total - sum(tau_blocks) < lowest:  # NaN stays
+            break
+        converged = False
     return DeltaResult(
         value=oracle.tau_total - sum(tau_blocks),
         frame=frame,
@@ -572,16 +587,16 @@ def _delta_h(h: CubicForm, P: PartitionSpec, R: Frame) -> float:
     return 0.5 * float((_gap_terms(P)[1] * K).sum())
 
 
-def universal_check(h: CubicForm, c, P: PartitionSpec, R: Frame) -> float:
+def universal_check(h: CubicForm, P: PartitionSpec, R: Frame) -> float:
     """Gap of the optimal bound at one frame.
 
     Returns rhs - (tau - sum_i tau(rows Delta_i of R)); the bound asserts
     this is nonnegative for every frame, which rearranges the definition of
-    delta as a universal statement over subspace tuples.  b c cancels, so
-    it is a |H|^2 - ``_delta_h``; a bad c still raises.
+    delta as a universal statement over subspace tuples.  Every tau carries
+    c C(dim L, 2), so b c cancels for every c and the gap is
+    a |H|^2 - ``_delta_h``.
     """
     _check_partition(h, P)
     if R.n != h.n:
         raise DimensionMismatch(f"frame n={R.n} does not match tensor n={h.n}")
-    ambient_value(c)
     return _gap_terms(P)[0] * mean_curvature_sq(h) - _delta_h(h, P, R)

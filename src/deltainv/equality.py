@@ -34,7 +34,7 @@ structural conditions are stated at a minimizing tuple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,19 +59,14 @@ class Violation:
         return f"{self.bullet} at {self.indices}: residual {self.residual:.3e}"
 
 
-def _per_block(values, k: int, what: str) -> Sequence:
-    """The k per-block items of ``values``; None stands for k Nones."""
-    if values is None:
-        return [None] * k
-    return _as_list(values, what, k, InvariantViolation)
-
-
 def _block_arrays(P: PartitionSpec, values, free_trace):
     """Validated read-only in-block arrays, one per leading block, each
     read by ``_as_cube`` (None is zero), and their read-only partial
     traces; a block whose size is not in ``free_trace`` must be traceless."""
     arrays, traces = [], []
-    raw = _per_block(values, P.k, "in-block arrays")
+    raw = [None] * P.k if values is None else _as_list(
+        values, "in-block arrays", P.k, InvariantViolation
+    )
     for i, (size, value) in enumerate(zip(P.blocks, raw), start=1):
         arr = np.zeros((size, size, size))
         if value is not None:
@@ -131,36 +126,26 @@ class EqualityParamsT1:
 class EqualityParamsT2:
     """Free parameters of a saturating equality tensor.
 
-    ``inblock`` holds one symmetric (n_i)^3 array per block.  Minimal-size
-    blocks may carry arbitrary partial traces (these become the ``traces``
-    values); non-minimal blocks must be traceless.  Explicit ``traces`` are
-    validated against the arrays when supplied.
+    ``inblock`` holds one symmetric (n_i)^3 array per block (None means
+    zero).  Minimal-size blocks may carry arbitrary partial traces, and
+    ``traces`` holds every block's, derived from its array; non-minimal
+    blocks must be traceless.
     """
 
     P: PartitionSpec
     inblock: Sequence[Optional[np.ndarray]] = None
-    traces: Sequence[Optional[Sequence[float]]] = None
+    traces: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
         if self.P.residual != 0:
             raise InadmissiblePartition(
                 "saturating equality tensors need sum(n_i) = n"
             )
-        arrays, derived = _block_arrays(
+        arrays, traces = _block_arrays(
             self.P, self.inblock, free_trace=(min(self.P.blocks),)
         )
-        given_traces = _per_block(self.traces, self.P.k, "trace vectors")
-        for i, (given, have) in enumerate(zip(given_traces, derived), start=1):
-            if given is None:
-                continue
-            what = f"declared traces for block {i}"
-            g = _as_real_array(given, what, InvariantViolation)
-            if g.shape != have.shape or not np.all(np.abs(g - have) <= TRACE_TOL):
-                raise InvariantViolation(
-                    f"{what} disagree with the in-block array ({g} vs {have})"
-                )
         object.__setattr__(self, "inblock", arrays)
-        object.__setattr__(self, "traces", derived)
+        object.__setattr__(self, "traces", traces)
 
 
 # ---------------------------------------------------------------------------

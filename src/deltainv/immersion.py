@@ -37,15 +37,18 @@ ROUNDTRIP_COND_LIMIT = 1e6
 class CubicPotential:
     """The cubic polynomial f(x) = (1/6) sum a_{ABC} x_A x_B x_C, with
     finite, exactly symmetric (n, n, n) coefficients a, read by ``_as_cube``
-    with atol 0."""
+    with atol 0; n is the array's side."""
 
-    n: int
     coefficients: np.ndarray
 
     def __post_init__(self):
-        arr = _as_cube(self.coefficients, "coefficients", 0.0, self.n)
+        arr = _as_cube(self.coefficients, "coefficients", 0.0)
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
+
+    @property
+    def n(self) -> int:
+        return self.coefficients.shape[0]
 
     def value(self, x) -> float:
         x = self._point(x)
@@ -75,7 +78,7 @@ class CubicPotential:
 
 def potential_from_tensor(a: CubicForm) -> CubicPotential:
     """Potential whose third partials reproduce the tensor exactly."""
-    return CubicPotential(a.n, a.dense_view)
+    return CubicPotential(a.dense_view)
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,21 @@ The coefficients live here too: ``_threshold`` is that C in closed form,
 and THEOREM1, THEOREM2 and LEGACY_CD are n^2 times it (LEGACY_CDVV has its
 own closed form); ``bounds`` re-exports them and evaluates right-hand sides.
 
-Exact rational arithmetic is used whenever C is supplied as a Fraction;
-sign decisions near thresholds are then exact.
+A bundle reads C once as an exact Fraction (every finite float is one), so
+its minors and their sign verdicts are exact; only M and M' are floats.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import BadBlockIndex, CaseMismatch, EmptyList, NotApplicable
-from .tensors import PartitionSpec
+from .errors import BadBlockIndex, CaseMismatch, EmptyList, FormatError, NotApplicable
+from .tensors import PartitionSpec, ambient_value
 
 # Bound sources; THEOREM2 is also the saturating case of critical_C
 THEOREM1 = "THEOREM1"
@@ -213,16 +214,17 @@ def optimal_coefficients(P: PartitionSpec) -> BoundCoefficients:
 class QuadraticFormBundle:
     """Matrix data of the block quadratic form for one (partition, ell, C).
 
-    Built from P, ell (checked to lie in 1..k) and C alone.  ``M`` is twice
-    the matrix of the form in the diagonal variables x_A.  ``Mprime`` is its
-    compression onto the block-average vectors, and ``minors`` are the
-    leading principal minors of M'' = M'/(2C-1), a tuple (empty when
-    2C = 1).  The matrices are read-only.
+    Built from P, ell (checked to lie in 1..k) and C alone, kept as
+    ``Fraction(C)`` (FormatError for a C that is not a finite number).
+    ``M`` is twice the matrix of the form in the diagonal variables x_A.
+    ``Mprime`` is its compression onto the block-average vectors, and
+    ``minors`` are the exact leading principal minors of M'' = M'/(2C-1), a
+    tuple (empty when 2C = 1).  The float matrices are read-only.
     """
 
     P: PartitionSpec
     ell: int
-    C: Number
+    C: Fraction
     M: np.ndarray = field(init=False)
     Mprime: np.ndarray = field(init=False, repr=False)
     minors: tuple = field(init=False)
@@ -230,20 +232,20 @@ class QuadraticFormBundle:
     def __post_init__(self):
         P, C = self.P, self.C
         ell = _check_ell(P, self.ell)
+        if isinstance(C, bool) or not isinstance(C, numbers.Rational):
+            C = ambient_value(C, "C", FormatError)  # a finite float
+        C = Fraction(C)
         two_c_minus_1 = 2 * C - 1
         diag = [] if two_c_minus_1 == 0 else [
             d / two_c_minus_1 for d in _reduced_diagonal(P, ell, C)
         ]
         minors = tuple(det_closed(diag[: j + 1]) for j in range(len(diag)))
         object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "C", C)
         object.__setattr__(self, "M", _fill_blocks(P, float(C), distinguished=ell))
         object.__setattr__(self, "Mprime", reduce_M(self))
         object.__setattr__(self, "minors", minors)
         self.M.flags.writeable = self.Mprime.flags.writeable = False
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.C, Fraction)
 
 
 def _fill_blocks(P: PartitionSpec, C: float, distinguished: int):
@@ -290,22 +292,17 @@ def _reduced_dims(P: PartitionSpec) -> list[int]:
     return [m for m in P.blocks + (P.residual,) if m]
 
 
-def _reduced_diagonal(P: PartitionSpec, ell: int, C: Number) -> list[Number]:
-    """Diagonal of M' in the block-average basis; exact when C is a Fraction."""
-    exact = isinstance(C, Fraction)
-
-    def inv(m):
-        return Fraction(1, m) if exact else 1.0 / m
-
+def _reduced_diagonal(P: PartitionSpec, ell: int, C: Fraction) -> list[Fraction]:
+    """Exact diagonal of M' in the block-average basis."""
     dims = _reduced_dims(P)
-    out: list[Number] = []
+    out = []
     for i, m in enumerate(dims, start=1):
         if i == ell:
             out.append(2 * C)
         elif P.residual >= 1 and i == len(dims):
-            out.append(2 * C - 1 + 3 * inv(m))
+            out.append(2 * C - 1 + Fraction(3, m))
         else:
-            out.append(2 * (C + inv(m)))
+            out.append(2 * (C + Fraction(1, m)))
     return out
 
 
@@ -335,21 +332,15 @@ def psd_verdict_minors(bundle: QuadraticFormBundle) -> bool:
     eigenvalues in {0, 2, 3}.  For 2C = 1 the reduced matrix is diagonal
     with positive entries; for 2C > 1 positivity of all minors of M''
     certifies M' positive definite; for 2C < 1 the minors must alternate
-    as (-1)^j (zeros allowed at the threshold).
+    as (-1)^j (zeros allowed at the threshold).  The minors are exact, so
+    is the verdict.
     """
-    exact = bundle.exact
     two_c_minus_1 = 2 * bundle.C - 1
-    if (two_c_minus_1 == 0) if exact else (abs(two_c_minus_1) < 1e-14):
+    if two_c_minus_1 == 0:
         return True
-    minors = bundle.minors
-    zero_tol = 0 if exact else 1e-12
     if two_c_minus_1 > 0:
-        return all(d > zero_tol for d in minors)
-    ok = True
-    for j, d in enumerate(minors, start=1):
-        signed = d if j % 2 == 0 else -d
-        ok = ok and (signed >= -zero_tol)
-    return ok
+        return all(d > 0 for d in bundle.minors)
+    return all((d if j % 2 == 0 else -d) >= 0 for j, d in enumerate(bundle.minors, 1))
 
 
 # ---------------------------------------------------------------------------

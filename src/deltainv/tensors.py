@@ -372,8 +372,9 @@ def finite_or_none(value):
 
 
 def ambient_value(c, what="ambient constant", error=InvariantViolation) -> float:
-    """c, one quarter of the constant holomorphic sectional curvature: a
-    number as ``_as_real`` reads it, as a finite float, else ``error``."""
+    """c, one quarter of the constant holomorphic sectional curvature (or a
+    bundle's C): a number as ``_as_real`` reads it, as a finite float, else
+    ``error``."""
     v = _as_real(c, what, error)
     if not math.isfinite(v):
         raise error(f"{what} must be finite, got {c!r}")

@@ -45,7 +45,7 @@ def _per_sample_row(config, pool, i):
     c = config.c_values[int(rng.integers(len(config.c_values)))]
     h = random_cubic_form(n, config.tensor_scale, rng)
     R = Frame.random(n, rng)
-    gap = universal_check(h, c, P, R)
+    gap = universal_check(h, P, R)
     return SampleResult(index=i, seed=seed, n=n, partition=P.blocks, c=c, gap=gap)
 
 

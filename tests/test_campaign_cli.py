@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltainv import CubicForm, FormatError, InadmissiblePartition
+from deltainv import CubicForm, FormatError, InadmissiblePartition, random_cubic_form
 from deltainv.bounds import THEOREM1, BoundRow, gap_passes
 from deltainv.campaign import (
     CampaignConfig,
@@ -477,14 +477,12 @@ def _indexed(idx):
         ("theorem-1", {"lambdas": ["1e3"]}, "an entry of lambdas", "1e3"),
         ("theorem-2", {"inblock": [[[[True, 0], [0, 0]], [[0, 0], [0, 0]]], None]},
          "an entry of in-block array 1", True),
-        ("theorem-2", {"traces": [["0", 0], None]},
-         "an entry of declared traces for block 1", "0"),
         ("delta", _indexed([True, 2, 3]), "an index of triple [True, 2, 3]", True),
         ("verify", _indexed([1, "2", 3]), "an index of triple [1, '2', 3]", "2"),
     ],
     ids=["c_values", "tensor_scale", "delta-entry-value", "verify-entry-value",
          "entry-value-string", "at-string", "at-boolean", "lambdas-boolean",
-         "lambdas-string", "inblock-boolean", "traces-string",
+         "lambdas-string", "inblock-boolean",
          "delta-index-boolean", "verify-index-string"],
 )
 def test_cli_json_boolean_or_string_is_not_a_number(
@@ -759,6 +757,49 @@ def test_cli_verify_infinite_gap_is_a_violation(tmp_path, capsys, fmt):
     assert verdicts == {"violated"}
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("c, exit_code", [("1e12", 0), ("1e308", 1)])
+def test_cli_verify_non_finite_delta_exits_1(tmp_path, capsys, fmt, c, exit_code):
+    # at c = 1e308, tau = 3c overflows: delta is NaN and every rhs inf, while
+    # the c-free gaps stay 0, so the report is sharp and not violated
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"lambdas": [2.0]}))
+    code, out, _ = run_cli(
+        capsys, "construct-equality", "--theorem", "1", "--n", "3",
+        "--partition", "2", "--params", str(params),
+    )
+    assert code == 0
+    path = tmp_path / "witness.json"
+    path.write_text(out)
+    args = (str(path), "--partition", "2", "--c", c)
+    code, out, err = run_cli(capsys, "verify", *args, "--format", fmt)
+    assert code == exit_code and err == ""
+    assert run_cli(capsys, "delta", *args)[0] == exit_code
+    if fmt == "json":
+        data = json.loads(out, parse_constant=_reject_constant)
+        assert data["sharp"] is True
+        assert (data["delta"]["value"] is None) == (exit_code == 1)
+        rows = [r for r in data["rows"] if r["gap"] is not None]
+        assert rows and all((r["rhs"] is None) == (exit_code == 1) for r in rows)
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {r["verdict"] for r in rows if r["gap"]} == {"ok"}
+        assert math.isfinite(float(rows[0]["delta"])) == (exit_code == 0)
+
+
+def test_cli_delta_of_a_tensor_whose_cayley_solve_is_singular(tmp_path, capsys):
+    # the descent's first step makes I + tA/2 singular; the round ends, the
+    # call does not
+    h = random_cubic_form(5, 1e75, np.random.default_rng(0))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    code, out, err = run_cli(capsys, "delta", str(path), "--partition", "2")
+    assert code == 0 and err == ""
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["converged"] is False
+    assert data["value"] >= data["certified_lower"]
+
+
 def test_cli_delta_of_a_huge_finite_entry_prints_strict_json(tmp_path, capsys):
     # the descent's gradient overflows here; it must stop, not raise
     path = tmp_path / "big.json"
@@ -810,11 +851,9 @@ def test_cli_immersion_check_non_finite_error_exits_1(tensor_file, capsys, monke
         (1, "2", {"lambdas": [1], "inblock": 7}, "InvariantViolation"),
         # an in-block array is read as every cubic array is, by tensors._as_cube
         (1, "2", {"lambdas": [1], "inblock": [[["a"]]]}, "FormatError"),
-        (2, "2,2", {"traces": [[1, "x"], None]}, "InvariantViolation"),
-        (2, "2,2", {"traces": [[float("nan"), 0], None]}, "InvariantViolation"),
     ],
     ids=["scalar-lambdas", "string-lambdas", "null-lambdas", "scalar-inblock",
-         "string-inblock-entry", "string-trace", "nan-trace"],
+         "string-inblock-entry"],
 )
 def test_cli_construct_equality_bad_params_is_input_error(
     tmp_path, capsys, theorem, partition, params, error
@@ -835,10 +874,15 @@ def test_cli_construct_equality_bad_params_is_input_error(
     [
         (1, {"lambda": [2.0]}, "missing params fields: ['lambdas']"),
         (1, {"lambdas": [2.0], "traces": None}, "unknown params fields: ['traces']"),
+        # the partial traces are derived from the in-block arrays
+        (2, {"traces": [["0", 0], None]}, "unknown params fields: ['traces']"),
+        (2, {"traces": [[1, "x"], None]}, "unknown params fields: ['traces']"),
+        (2, {"traces": [[float("nan"), 0], None]}, "unknown params fields: ['traces']"),
         (2, {"inblocks": None}, "unknown params fields: ['inblocks']"),
         (2, {"lambdas": [2.0]}, "unknown params fields: ['lambdas']"),
     ],
-    ids=["t1-missing", "t1-extra", "t2-misspelled", "t2-extra"],
+    ids=["t1-missing", "t1-extra", "t2-traces-string", "t2-string-trace",
+         "t2-nan-trace", "t2-misspelled", "t2-extra"],
 )
 def test_cli_construct_equality_params_keys_are_checked(
     tmp_path, capsys, theorem, params, message

@@ -369,13 +369,14 @@ def test_t2_params_validation():
     bad[0, 0, 0] = 1.0  # nonzero trace on the non-minimal block
     with pytest.raises(InvariantViolation):
         EqualityParamsT2(P, [None, bad])
-    # declared traces must agree with the arrays
+    # the traces are derived from the arrays, never declared
     good = np.zeros((2, 2, 2))
     good[0, 0, 0] = 4.0
-    with pytest.raises(InvariantViolation):
-        EqualityParamsT2(P, [good, None], traces=[[0.0, 0.0], None])
-    params = EqualityParamsT2(P, [good, None], traces=[[4.0, 0.0], None])
-    assert params.traces[0][0] == 4.0
+    with pytest.raises(TypeError):
+        EqualityParamsT2(P, [good, None], traces=[[4.0, 0.0], None])
+    params = EqualityParamsT2(P, [good, None])
+    assert params.traces[0].tolist() == [4.0, 0.0]
+    assert params.traces[1].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_params_keep_their_own_read_only_arrays():

@@ -92,7 +92,7 @@ def test_potential_rejects_non_symmetric_coefficients():
     a = np.zeros((2, 2, 2))
     a[0, 0, 1] = 6.0
     with pytest.raises(ConflictingEntry):
-        CubicPotential(2, a)
+        CubicPotential(a)
 
 
 def test_immersion_point_owns_read_only_arrays():
@@ -202,7 +202,7 @@ def test_second_form_fd_path_evaluates_f_alone():
     a = random_cubic_form(4, 2.0, rng)
     x = rng.uniform(-0.2, 0.2, size=4)
     exact = second_fundamental_form_numeric(potential_from_tensor(a), x)
-    fd = second_fundamental_form_numeric(_GradientOnly(4, a.dense()), x, fd=True)
+    fd = second_fundamental_form_numeric(_GradientOnly(a.dense()), x, fd=True)
     assert np.max(np.abs(exact - fd)) < 1e-8
 
 

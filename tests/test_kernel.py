@@ -149,7 +149,7 @@ def test_mask_objective_gradient_and_gap_match_block_loops(P):
                 _tau_sliced(h.dense_view, list(range(P.n)), cval)
                 - sum(_tau_sliced(H, list(idx), cval) for idx in blocks0)
             )
-            assert _close(universal_check(h, cval, P, R), ref)
+            assert _close(universal_check(h, P, R), ref)
 
 
 

@@ -13,6 +13,7 @@ from deltainv import (
     BadBlockIndex,
     CaseMismatch,
     EmptyList,
+    FormatError,
     PartitionSpec,
     STATEMENT_I,
     STATEMENT_II,
@@ -355,6 +356,28 @@ def test_minors_match_paper_closed_form():
             continue
         bundle = build_M(P, ell, C)
         assert bundle.minors == tuple(paper_minors(P, ell, C))
+
+
+@pytest.mark.parametrize(
+    "C", [float("inf"), float("nan"), True, "1/4", None],
+    ids=["inf", "nan", "true", "string", "none"],
+)
+def test_bundle_refuses_a_coefficient_that_is_not_a_finite_number(C):
+    with pytest.raises(FormatError):
+        build_M(PartitionSpec(4, (2,)), 1, C)
+
+
+def test_bundle_reads_a_float_coefficient_as_its_exact_fraction():
+    # every finite float is a Fraction, so the minors and their verdict are
+    # those of Fraction(C), and M stays the float rendering
+    rng = np.random.default_rng(89)
+    for P, ell in sample_cases(rng, 25):
+        C = float(rng.uniform(-1.5, 1.5))
+        bundle, exact = build_M(P, ell, C), build_M(P, ell, Fraction(C))
+        assert bundle.C == Fraction(C) and bundle.minors == exact.minors
+        assert np.array_equal(bundle.M, exact.M)
+        assert np.array_equal(bundle.Mprime, exact.Mprime)
+        assert psd_verdict_minors(bundle) == psd_verdict_minors(exact)
 
 
 def test_minors_empty_at_two_c_equal_one():

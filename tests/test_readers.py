@@ -48,14 +48,15 @@ _CUBE_CALLERS = {
     "from_dense": CubicForm.from_dense,
     "inblock-t1": lambda a: EqualityParamsT1(PartitionSpec(3, (2,)), [1.0], [a]),
     "inblock-t2": lambda a: EqualityParamsT2(PartitionSpec(4, (2, 2)), [a, None]),
-    "potential": lambda a: CubicPotential(2, a),
+    "potential": CubicPotential,
 }
 
 
 @pytest.mark.parametrize(
     "caller, case",
     [(c, k) for c in _CUBE_CALLERS for k in _CUBES
-     if (c, k) != ("from_dense", "wrong-side")],  # from_dense takes any side
+     # from_dense and a potential take any side
+     if not (k == "wrong-side" and c in ("from_dense", "potential"))],
 )
 def test_cube_reader_errors(caller, case):
     array, error = _CUBES[case]
@@ -67,7 +68,7 @@ def test_potential_refuses_one_ulp_of_asymmetry():
     a = random_cubic_form(4, 1.0, np.random.default_rng(5)).dense()
     a[0, 1, 2] = np.nextafter(a[0, 1, 2], np.inf)
     with pytest.raises(ConflictingEntry):
-        CubicPotential(4, a)
+        CubicPotential(a)
     # from_dense averages the same ulp away
     CubicForm.from_dense(a)
 
@@ -199,14 +200,10 @@ _READERS = {
         lambda v: EqualityParamsT1(PartitionSpec(5, (2,)), *v),
     ),
     "EqualityParamsT2": (
-        st.tuples(_JSON | st.lists(_arrays(3), max_size=3),
-                  _JSON | st.lists(_arrays(1), max_size=3)),
-        lambda v: EqualityParamsT2(PartitionSpec(5, (2, 3)), *v),
+        _JSON | st.lists(_arrays(3), max_size=3),
+        lambda v: EqualityParamsT2(PartitionSpec(5, (2, 3)), v),
     ),
-    "CubicPotential": (
-        st.tuples(_JSON | st.integers(1, 4), _arrays(3)),
-        lambda v: CubicPotential(*v),
-    ),
+    "CubicPotential": (_arrays(3), CubicPotential),
     **{name: (_arrays(1), read) for name, read in _POINT_READERS.items()},
 }
 

@@ -31,7 +31,7 @@ from deltainv import (
     tau_subspace,
 )
 from deltainv.bounds import evaluate
-from deltainv.delta import delta_coordinate_oracle, delta_invariant, universal_check
+from deltainv.delta import delta_coordinate_oracle, delta_invariant
 from deltainv.tensors import _as_real_array, ambient_value
 
 
@@ -377,7 +377,6 @@ _C_READERS = {
     "scalar_curvature": lambda h, P, c: scalar_curvature(h, c),
     "oracle": lambda h, P, c: delta_coordinate_oracle(h, c, P),
     "delta_invariant": lambda h, P, c: delta_invariant(h, c, P),
-    "universal_check": lambda h, P, c: universal_check(h, c, P, Frame.identity(3)),
     "evaluate": lambda h, P, c: evaluate(h, c, P),
 }
 

@@ -1,23 +1,30 @@
-"""Every value type of the package is immutable, as the README says."""
+"""Every value type of the package is immutable, as the README says, and
+every public input type takes exactly the settings pinned here."""
 
 import ast
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+import pytest
+
 import deltainv
 from deltainv import (
+    CampaignConfig,
     CubicForm,
+    CubicPotential,
     EqualityParamsT1,
     EqualityParamsT2,
     Frame,
+    OptimizerOptions,
     PartitionSpec,
     delta_invariant,
     immerse,
     potential_from_tensor,
 )
-from deltainv.quadforms import build_M
+from deltainv.quadforms import QuadraticFormBundle, build_M
 
 PACKAGE = Path(deltainv.__file__).resolve().parent
 
@@ -101,3 +108,24 @@ def test_no_value_type_holds_a_mutable_container():
         for field_name in names:
             held = getattr(value, field_name)
             assert not isinstance(held, (list, dict, set)), (name, field_name)
+
+
+# Every init field must be able to change a result; a new one shows up here.
+# EqualityParamsT2's traces and QuadraticFormBundle's matrices are derived.
+_INPUT_FIELDS = {
+    OptimizerOptions: ("restarts", "max_iters", "seed"),
+    CampaignConfig: (
+        "seed", "samples", "n_range", "partitions", "c_values", "tensor_scale",
+    ),
+    PartitionSpec: ("n", "blocks"),
+    EqualityParamsT1: ("P", "lambdas", "inblock"),
+    EqualityParamsT2: ("P", "inblock"),
+    CubicPotential: ("coefficients",),
+    QuadraticFormBundle: ("P", "ell", "C"),
+}
+
+
+@pytest.mark.parametrize("cls", _INPUT_FIELDS, ids=lambda cls: cls.__name__)
+def test_input_types_take_exactly_the_pinned_settings(cls):
+    names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
+    assert names == _INPUT_FIELDS[cls]
