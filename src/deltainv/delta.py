@@ -18,7 +18,9 @@ closed form:
   group: frames move along Cayley retractions of skew-symmetric
   directions, with the exact polynomial gradient of the Gauss sums.
   Starts are the identity, the oracle solution and seeded Haar-random
-  frames, so the reported value never falls below the oracle's.  The
+  frames, so the reported value never falls below the oracle's; the
+  first stack's random frames are drawn once per (n, count, seed) and
+  cached (``_haar_starts``).  The
   starts descend together as one (r, n, n) stack of frames, at most
   ``_STACK`` at a time (after Wen & Yin, "A feasible method for
   optimization with orthogonality constraints", Math. Program. 2013):
@@ -49,8 +51,12 @@ Every tau carries c C(dim L, 2), so delta = delta_h + b c exactly, with
 b = C(n, 2) - sum C(n_i, 2): c is added only to the reported taus.  The
 descent weighs K with the 0/1 block mask M (M_ij = 1 when i and j share
 a leading block): its objective is 1/2 <M, K> of the rotated tensor and
-its gradient (``_grad_skew``) needs no loop over blocks.  delta_h at a
-frame is 1/2 <J - M, K> (``_delta_h``).
+its gradient (``_grad_skew``) needs no loop over blocks.  K contracts the
+third slot of the tensor with itself, and an orthogonal rotation keeps
+each such contraction, so the descent never rotates slot 3: its frames
+turn slots 1 and 2 (``tensors._rotate_two_slots``), and only the reported
+taus are read from the full rotation.  delta_h at a frame is
+1/2 <J - M, K> (``_delta_h``).
 
 All randomness flows from a single 64-bit seed.
 """
@@ -74,6 +80,7 @@ from .tensors import (
     _haar_rows,
     _ricci,
     _rotate_dense,
+    _rotate_two_slots,
     _sectional_matrix,
     _tau_dense,
     ambient_value,
@@ -281,19 +288,20 @@ def _grad_skew(H, M):
 
     W = df/dH of 1/2 <M, D D^T - sum_C H_{..C}^2> is -M_ab H_abc, plus
     (M D)[a, c] where a = b; G contracts W with the derivative of the
-    rotated tensor in each of its three slots.  W is symmetric in (a, b),
-    so the first two slots give the same term and G is two matmuls.  H is
-    one (n, n, n) tensor or a stack (..., n, n, n) of them.
+    rotated tensor in its first two slots.  W and H are symmetric in
+    (a, b), so both slots give the same term and G is one matmul.  Slot 3
+    is never rotated: f contracts it with itself, so f is unchanged when
+    it turns and its term in G is symmetric, with no skew part.  H is one
+    tensor rotated in slots 1 and 2 (``_rotate_two_slots``) or in all
+    three, (n, n, n), or a stack (..., n, n, n) of them.
     """
     n = H.shape[-1]
     W = -M[:, :, None] * H
     # einsum's diagonal of W is a writable view: W[..., a, a, c]
     np.einsum("...iic->...ic", W)[...] += M @ np.einsum("...iic->...ic", H)
     rows = H.shape[:-3] + (n, n * n)
-    cols = H.shape[:-3] + (n * n, n)
-    G = 2.0 * (W.reshape(rows) @ H.reshape(rows).swapaxes(-1, -2))
-    G += W.reshape(cols).swapaxes(-1, -2) @ H.reshape(cols)
-    return G - G.swapaxes(-1, -2)
+    G = W.reshape(rows) @ H.reshape(rows).swapaxes(-1, -2)
+    return 2.0 * (G - G.swapaxes(-1, -2))
 
 
 @lru_cache(maxsize=None)
@@ -339,8 +347,10 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     |A| < 4.4e-8 at once).  Stopped by either of the last two rules, it is
     converged when |A| < 1e-7.  Non-finite input ends the loop, through NaN
     steps or steps halved away; a start whose |A|^2 overflows steps NaN, and
-    a round whose Cayley solve is singular (a step near 1e138 / |A| on huge
-    finite tensors) sets every working step to NaN.
+    so does a restart whose Cayley system I + tA/2 is singular (a step near
+    1e138 / |A| on huge finite tensors), found by solving frame by frame in
+    the round where the stacked solve fails; the other restarts take their
+    trials in that round.
 
     ``floor`` is a certified lower bound on f (``delta_invariant`` passes
     the one the optimal bound gives); -inf turns this rule off.  A restart
@@ -356,15 +366,17 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     The arrays hold only the running restarts, the working stack.  One
     round makes one Armijo trial for each of them and takes the gradient
     at every trial frame, so an accepted step has its next gradient
-    without a second pass.  The stop tests run in full only in a round
-    where some restart can stop, and the stack is compacted only in a
-    round where one does.  Each restart keeps its own count of accepted
-    steps, so it takes the steps it would take alone.  Returns
-    (f, frames, converged), one entry per start.
+    without a second pass.  Frames rotate T in slots 1 and 2 only
+    (``_rotate_two_slots``), since f and its gradient cannot see slot 3
+    turn.  The stop tests run in full only in a round where some restart
+    can stop, and the stack is compacted only in a round where one does.
+    Each restart keeps its own count of accepted steps, so it takes the
+    steps it would take alone.  Returns (f, frames, converged), one entry
+    per start.
     """
     R = np.array(starts, dtype=float)
     r = len(R)
-    H = _rotate_dense(T, R)
+    H = _rotate_two_slots(T, R)
     f = _block_tau_h(H, M)
     A = _grad_skew(H, M)
     aa = np.einsum("kij,kij->k", A, A)
@@ -418,10 +430,18 @@ def _stacked_descent(T, starts, M, max_iters, floor):
 
         try:
             Rt = _cayley_step(R, A, -t)
-        except np.linalg.LinAlgError:  # I + tA/2 singular: steps spent
-            t = np.full(len(t), np.nan)
-            continue
-        Ht = _rotate_dense(T, Rt)
+        except np.linalg.LinAlgError:
+            # I + tA/2 is singular for some restart: solve frame by frame;
+            # a singular one keeps its frame, and its NaN step and Armijo
+            # decrease reject the trial and stop it next round
+            Rt = R.copy()
+            for k in range(len(t)):
+                try:
+                    Rt[k] = _cayley_step(R[k], A[k], -t[k])
+                except np.linalg.LinAlgError:
+                    t[k] = np.nan
+            armijo = 5e-5 * t * aa
+        Ht = _rotate_two_slots(T, Rt)
         ft = _block_tau_h(Ht, M)
         G = _grad_skew(Ht, M)
         ag = np.einsum("kij,kij->k", A, G)
@@ -478,26 +498,43 @@ def _oracle_start_frame(P: PartitionSpec, assignment) -> np.ndarray:
     return np.eye(P.n)[order]
 
 
+@lru_cache(maxsize=32)
+def _haar_starts(n: int, count: int, seed: int):
+    """The first ``count`` seeded Haar-random starts of size n, read-only,
+    and the state of the seed's generator after drawing them.
+
+    One standard_normal((count, n, n)) and one stacked QR, bit for bit the
+    frames ``Frame.random`` gives called once per start; cached, so a call
+    with the default options draws nothing.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    gauss = rng.standard_normal((count, n, n))
+    frames = _haar_rows(gauss) if count else gauss
+    frames.flags.writeable = False
+    return frames, rng.bit_generator.state
+
+
 def _start_stacks(P: PartitionSpec, assignment, restarts: int, seed: int):
     """The descent's starts, in stacks of at most _STACK frames.
 
     The identity and the oracle permutation come first and always run; then
-    seeded Haar-random frames up to ``restarts`` starts in all.  Each stack
-    draws its random frames with one standard_normal((m, n, n)) and one
-    stacked QR, bit for bit the frames ``Frame.random`` gives called once
-    per start, so no start depends on the stack it falls in.
+    seeded Haar-random frames up to ``restarts`` starts in all.  The first
+    stack's random frames come from ``_haar_starts``; each later stack
+    draws its own with one standard_normal((m, n, n)) and one stacked QR
+    from the generator state the first left, so no start depends on the
+    stack it falls in, and the cache holds at most one stack.
     """
     fixed = np.stack([np.eye(P.n), _oracle_start_frame(P, assignment)])
     total = max(restarts, len(fixed))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for lo in range(0, total, _STACK):
-        hi = min(lo + _STACK, total)
-        stack = fixed[lo:hi]
-        drawn = hi - max(lo, len(fixed))
-        if drawn > 0:
-            gauss = rng.standard_normal((drawn, P.n, P.n))
-            stack = np.concatenate([stack, _haar_rows(gauss)])
-        yield stack
+    first = min(total, _STACK)
+    frames, state = _haar_starts(P.n, first - len(fixed), seed)
+    yield np.concatenate([fixed, frames])
+    if first < total:
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = state
+        for lo in range(first, total, _STACK):
+            gauss = rng.standard_normal((min(_STACK, total - lo), P.n, P.n))
+            yield _haar_rows(gauss)
 
 
 def delta_invariant(

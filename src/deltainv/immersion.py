@@ -26,8 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, SingularMetric
-from .tensors import CubicForm, _as_cube, _as_real_array
+from .errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    SingularMetric,
+    UnsupportedDimension,
+)
+from .tensors import CubicForm, _as_cube, _as_integer, _as_real_array
 
 FD_STEP = 1e-4
 ROUNDTRIP_COND_LIMIT = 1e6
@@ -37,12 +42,14 @@ ROUNDTRIP_COND_LIMIT = 1e6
 class CubicPotential:
     """The cubic polynomial f(x) = (1/6) sum a_{ABC} x_A x_B x_C, with
     finite, exactly symmetric (n, n, n) coefficients a, read by ``_as_cube``
-    with atol 0; n is the array's side."""
+    with atol 0; n is the array's side, at least 1 (UnsupportedDimension)
+    and, unlike a ``CubicForm``'s, not capped."""
 
     coefficients: np.ndarray
 
     def __post_init__(self):
         arr = _as_cube(self.coefficients, "coefficients", 0.0)
+        _as_integer(arr.shape[0], "dimension", UnsupportedDimension, least=1)
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
 

@@ -604,6 +604,21 @@ def _rotate_dense(T, R):
     return R1 @ (X @ R1.swapaxes(-1, -2))
 
 
+def _rotate_two_slots(T, R):
+    """new_{ABc} = sum R_{Aa} R_{Bb} T_{abc}: ``_rotate_dense`` with slot 3
+    left alone, for the same T and R shapes.
+
+    Every Gauss sum of ``_sectional_matrix`` contracts slot 3 with itself,
+    and an orthogonal rotation of that slot keeps each such contraction, so
+    K of the result is K of the full rotation up to rounding.  Two matmuls:
+    R on the first axis, then R on the middle axis, broadcast over the
+    first.
+    """
+    n = T.shape[-1]
+    X = R @ T.reshape(T.shape[:-3] + (n, n * n))
+    return R[..., None, :, :] @ X.reshape(X.shape[:-1] + (n, n))
+
+
 def rotate(h: CubicForm, frame: Frame) -> CubicForm:
     """Express h in the rotated orthonormal frame given by the rows of R."""
     if h.n != frame.n:

@@ -34,6 +34,7 @@ from deltainv.delta import (
     _cayley_step,
     _earliest_best,
     _grad_skew,
+    _haar_starts,
     _oracle_start_frame,
     _stacked_descent,
     _start_stacks,
@@ -42,6 +43,7 @@ from deltainv.tensors import (
     _canonical_triples,
     _ricci,
     _rotate_dense,
+    _rotate_two_slots,
     _tau_dense,
     mean_curvature_sq,
     scalar_curvature,
@@ -268,7 +270,8 @@ def _reference_descend(T, R0, M, max_iters, tol, flat_steps=None):
     BB2 = <s,y>/<y,y> for odd k, read from |A|^2, <A, G> and |G|^2 as
     ``_stacked_descent`` forms them.  Once |A| < max(tol, 1e-7), a trial
     whose Armijo test asks for a decrease of at most 1e-15 max(1, |f|) is
-    not made and the descent stops, converged.
+    not made and the descent stops, converged.  Frames rotate T in slots 1
+    and 2 only (``_rotate_two_slots``), as the loop does.
 
     An integer gives the former loop of ``_ten_step_stacked_descent``, kept
     as an oracle with that loop's arithmetic: BB1 alone, as
@@ -278,7 +281,7 @@ def _reference_descend(T, R0, M, max_iters, tol, flat_steps=None):
     """
     former = flat_steps is not None
     R = np.array(R0, dtype=float)
-    H = _rotate_dense(T, R)
+    H = _rotate_two_slots(T, R)
     f = float(_block_tau_h(H, M))
     A = _grad_skew(H, M)
     aa = _dot(A, A)
@@ -297,7 +300,7 @@ def _reference_descend(T, R0, M, max_iters, tol, flat_steps=None):
             if stationary and 1e-4 * t * slope <= 1e-15 * max(1.0, abs(f)):
                 break
             Rt = _cayley_step(R, -A, t)
-            Ht = _rotate_dense(T, Rt)
+            Ht = _rotate_two_slots(T, Rt)
             ft = float(_block_tau_h(Ht, M))
             if ft <= f - 1e-4 * t * slope:
                 accepted = True
@@ -334,11 +337,12 @@ def _ten_step_stacked_descent(T, starts, M, max_iters, floor):
     does the former stop at |A| < 1e-9.  It predates the floor rule and
     ignores ``floor``, and its step is the first Barzilai-Borwein quotient
     alone.  Its trials go through ``delta_mod._cayley_step``, so a test
-    that counts them there counts this loop's too.
+    that counts them there counts this loop's too, and rotate T in slots 1
+    and 2 only, as the shipped loop does.
     """
     R = np.array(starts, dtype=float)
     r = len(R)
-    H = _rotate_dense(T, R)
+    H = _rotate_two_slots(T, R)
     f = _block_tau_h(H, M)
     A = np.empty_like(R)
     prev_A = np.zeros_like(R)
@@ -379,7 +383,7 @@ def _ten_step_stacked_descent(T, starts, M, max_iters, floor):
         if not trial.size:
             return f, R, converged
         Rt = delta_mod._cayley_step(R[trial], -A[trial], steps)
-        Ht = _rotate_dense(T, Rt)
+        Ht = _rotate_two_slots(T, Rt)
         ft = _block_tau_h(Ht, M)
         ok = ft <= f[trial] - 1e-4 * steps * slope[trial]
         t[trial[~ok]] *= 0.5
@@ -430,6 +434,43 @@ def test_start_stacks_are_the_per_start_frames(monkeypatch, restarts):
     assert [len(s) for s in stacks[:-1]] == [3] * (len(stacks) - 1)
     got = np.concatenate(stacks)
     assert np.array_equal(got, _reference_starts(P, assignment, restarts, 11))
+
+
+def test_cached_start_frames_are_read_only():
+    frames, _ = _haar_starts(5, 14, 11)
+    assert len(frames) == 14 and not frames.flags.writeable
+    with pytest.raises(ValueError):
+        frames[0, 0, 0] = 1.0
+    # a stack handed to the descent is its own, writable array
+    stack = next(_start_stacks(PartitionSpec(5, (2, 2)), ((3, 5), (1, 4)), 16, 11))
+    assert stack.flags.writeable and not np.shares_memory(stack, frames)
+
+
+@pytest.mark.parametrize("restarts", [1, 16, 200])
+def test_repeat_calls_give_equal_start_stacks(restarts):
+    # the second call reads the first stack's frames from the cache and, past
+    # _STACK starts, draws on from the generator state cached beside them
+    P = PartitionSpec(6, (2, 3))
+    assignment = ((1, 2), (3, 4, 5))
+    first = list(_start_stacks(P, assignment, restarts, 5))
+    again = list(_start_stacks(P, assignment, restarts, 5))
+    assert len(first) == len(again) == -(-max(restarts, 2) // delta_mod._STACK)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+    want = _reference_starts(P, assignment, restarts, 5)
+    assert np.array_equal(np.concatenate(first), want)
+
+
+def test_many_restarts_cache_at_most_one_stack_of_frames():
+    P = PartitionSpec(4, (2,))
+    _haar_starts.cache_clear()
+    sizes = [len(s) for s in _start_stacks(P, ((1, 2),), 10_000, 9)]
+    assert sum(sizes) == 10_000 and max(sizes) == delta_mod._STACK
+    assert _haar_starts.cache_info().currsize == 1
+    # the one cached entry is the first stack's random frames
+    frames, _ = _haar_starts(4, delta_mod._STACK - 2, 9)
+    assert _haar_starts.cache_info().hits == 1
+    assert len(frames) == delta_mod._STACK - 2
 
 
 def _assert_stacked_matches_reference(
@@ -844,6 +885,46 @@ def test_a_singular_cayley_solve_ends_the_round_not_the_call():
                         res = delta_invariant(random_cubic_form(n, 10.0**k, rng), 0.0, P)
                         lowest = res.certified_lower
                         assert res.value >= lowest - 1e-10 * abs(lowest)
+
+
+@pytest.mark.parametrize(
+    "seed, blocks", [(0, (2,)), ([0, 5], (2, 2))], ids=["rng-0", "rng-0-5"]
+)
+def test_a_huge_tensor_descends_past_its_first_round(monkeypatch, seed, blocks):
+    # entries near 1e75: where the first stacked Cayley solve is singular for
+    # some restarts (rng-0-5 here), the others still take their trials
+    h = random_cubic_form(5, 1e75, np.random.default_rng(seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        (res,), rounds, _ = _counted_sweep(monkeypatch, [(h, PartitionSpec(5, blocks))])
+    assert rounds > 1
+    assert res.value >= res.certified_lower
+
+
+def test_a_singular_cayley_solve_spends_only_the_singular_restarts(monkeypatch):
+    # make the oracle start's system singular in the first round: that
+    # restart stops at its start, unconverged, and every other restart ends
+    # as it does in a stack without it
+    h, P, starts = _descent_case("random", 6, 0)
+    T, M, stack = h.dense_view, _block_mask(P), np.stack(starts)
+    cayley_step = delta_mod._cayley_step
+    singular = stack[1]
+
+    def singular_at_start(R, S, t):
+        if any(np.array_equal(frame, singular) for frame in R.reshape(-1, P.n, P.n)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return cayley_step(R, S, t)
+
+    without = _stacked_descent(T, np.delete(stack, 1, axis=0), M, 500, -np.inf)
+    monkeypatch.setattr(delta_mod, "_cayley_step", singular_at_start)
+    f, R, converged = _stacked_descent(T, stack, M, 500, -np.inf)
+    start_f = _block_tau_h(_rotate_two_slots(T, singular), M)
+    assert f[1] == pytest.approx(start_f, rel=1e-12, abs=1e-12)
+    assert np.array_equal(R[1], singular) and not converged[1]
+    # each restart takes the steps it would take alone, up to rounding
+    f, R, converged = (np.delete(x, 1, axis=0) for x in (f, R, converged))
+    assert np.allclose(f, without[0], rtol=1e-12, atol=1e-12)
+    assert np.max(np.abs(R - without[1])) <= 1e-10
+    assert np.array_equal(converged, without[2])
 
 
 # ---------------------------------------------------------------------------

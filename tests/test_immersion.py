@@ -12,6 +12,7 @@ from deltainv import (
     CubicPotential,
     PartitionSpec,
     SingularMetric,
+    UnsupportedDimension,
     evaluate,
     immerse,
     lagrangian_check,
@@ -93,6 +94,15 @@ def test_potential_rejects_non_symmetric_coefficients():
     a[0, 0, 1] = 6.0
     with pytest.raises(ConflictingEntry):
         CubicPotential(a)
+
+
+def test_potential_needs_at_least_one_dimension():
+    # an empty array used to reach lagrangian_check, which raised numpy's
+    # bare ValueError; n has no upper cap, unlike a CubicForm's 12
+    with pytest.raises(UnsupportedDimension):
+        CubicPotential(np.zeros((0, 0, 0)))
+    assert CubicPotential(np.full((1, 1, 1), 6.0)).value([0.5]) == 0.125
+    assert CubicPotential(np.zeros((13, 13, 13))).n == 13
 
 
 def test_immersion_point_owns_read_only_arrays():

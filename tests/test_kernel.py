@@ -6,6 +6,8 @@ mask.  ``_ricci``, K's row sums on its diagonal, gives tau less tau of a
 hyperplane.  The references below sum the same terms from slices of T, one
 block at a time; the summation order differs, so values agree to 1e-12
 relative (floored at 1, the scale of the random entries), not bit for bit.
+K contracts slot 3 with itself, so the descent rotates only slots 1 and 2
+(``_rotate_two_slots``); the full rotation is the reference there.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from deltainv.tensors import (
     _orthonormalize_rows,
     _ricci,
     _rotate_dense,
+    _rotate_two_slots,
     _sectional_matrix,
     _tau_dense,
     mean_curvature_sq,
@@ -86,6 +89,20 @@ def _grad_skew_sliced(H, blocks0):
         + np.einsum("abc,abx->cx", W, H)
     )
     return G - G.T
+
+
+def _three_slot_grad_skew(H, M):
+    """The former ``_grad_skew``: W contracted with H in all three slots,
+    the first two as one doubled term; the slot-3 term is symmetric up to
+    rounding, so its skew part adds nothing."""
+    n = H.shape[-1]
+    W = -M[:, :, None] * H
+    np.einsum("...iic->...ic", W)[...] += M @ np.einsum("...iic->...ic", H)
+    rows = H.shape[:-3] + (n, n * n)
+    cols = H.shape[:-3] + (n * n, n)
+    G = 2.0 * (W.reshape(rows) @ H.reshape(rows).swapaxes(-1, -2))
+    G += W.reshape(cols).swapaxes(-1, -2) @ H.reshape(cols)
+    return G - G.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +207,29 @@ def test_descent_kernels_on_a_stack_of_frames_match_per_frame_calls(n):
         assert _close(f[k], _block_tau_h_sliced(H[k], blocks0))
         assert _close(A[k], _grad_skew_sliced(H[k], blocks0))
         assert _close(C[k], _cayley_step(Q[k], S[k], t[k]))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_two_slot_rotation_keeps_K_objective_and_gradient(n):
+    # K, the block taus and the skew gradient never see slot 3 turn: the
+    # two-slot rotation gives those of the full one, on one frame and on a
+    # stack, and the gradient matches the former three-slot one
+    rng = np.random.default_rng([59, n])
+    s = 4
+    for P in (enumerate_partitions(n)[0], enumerate_partitions(n)[-1]):
+        M = _block_mask(P)
+        T = random_cubic_form(n, 1.0, rng).dense_view
+        Q = _orthonormalize_rows(rng.standard_normal((s, n, n)))
+        for R in (Q, Q[0]):
+            full, two = _rotate_dense(T, R), _rotate_two_slots(T, R)
+            assert two.shape == full.shape
+            assert _close(_sectional_matrix(two), _sectional_matrix(full))
+            assert _close(_block_tau_h(two, M), _block_tau_h(full, M))
+            former = _three_slot_grad_skew(full, M)
+            assert _close(_grad_skew(two, M), former)
+            assert _close(_grad_skew(full, M), former)
+        ref = np.einsum("Aa,Bb,abc->ABc", Q[1], Q[1], T)
+        assert _close(_rotate_two_slots(T, Q)[1], ref)
 
 
 def test_dependent_row_in_a_stack_raises():

@@ -19,6 +19,7 @@ from deltainv import (
     Frame,
     InvariantViolation,
     PartitionSpec,
+    UnsupportedDimension,
     lagrangian_check,
     lemma1_roundtrip,
     potential_from_tensor,
@@ -42,6 +43,7 @@ _CUBES = {
     "wrong-side": (np.zeros((3, 3, 3)), DimensionMismatch),
     "non-finite": (_NON_FINITE, InvariantViolation),
     "asymmetric": (_ASYMMETRIC, ConflictingEntry),
+    "empty": (np.zeros((0, 0, 0)), UnsupportedDimension),
 }
 
 _CUBE_CALLERS = {
@@ -55,8 +57,10 @@ _CUBE_CALLERS = {
 @pytest.mark.parametrize(
     "caller, case",
     [(c, k) for c in _CUBE_CALLERS for k in _CUBES
-     # from_dense and a potential take any side
-     if not (k == "wrong-side" and c in ("from_dense", "potential"))],
+     # from_dense and a potential take any side; to an in-block array, an
+     # empty one is of the wrong side
+     if not (k == "wrong-side" and c in ("from_dense", "potential"))
+     and not (k == "empty" and c.startswith("inblock"))],
 )
 def test_cube_reader_errors(caller, case):
     array, error = _CUBES[case]
