@@ -522,7 +522,8 @@ def _start_stacks(P: PartitionSpec, assignment, restarts: int, seed: int):
     stack's random frames come from ``_haar_starts``; each later stack
     draws its own with one standard_normal((m, n, n)) and one stacked QR
     from the generator state the first left, so no start depends on the
-    stack it falls in, and the cache holds at most one stack.
+    stack it falls in, and the cache holds at most one stack per
+    (n, count, seed).
     """
     fixed = np.stack([np.eye(P.n), _oracle_start_frame(P, assignment)])
     total = max(restarts, len(fixed))
