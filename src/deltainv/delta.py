@@ -49,14 +49,18 @@ All read the single Gauss-sum kernel, the c-free matrix K of ``tensors``,
 or its row sums, the c-free Ricci tensor (``tensors._ricci``).
 Every tau carries c C(dim L, 2), so delta = delta_h + b c exactly, with
 b = C(n, 2) - sum C(n_i, 2): c is added only to the reported taus.  The
-descent weighs K with the 0/1 block mask M (M_ij = 1 when i and j share
+descent weighs K with the 0/1 block mask M (M_ij = 1 when i != j share
 a leading block): its objective is 1/2 <M, K> of the rotated tensor and
-its gradient (``_grad_skew``) needs no loop over blocks.  K contracts the
-third slot of the tensor with itself, and an orthogonal rotation keeps
-each such contraction, so the descent never rotates slot 3: its frames
-turn slots 1 and 2 (``tensors._rotate_two_slots``), and only the reported
-taus are read from the full rotation.  delta_h at a frame is
-1/2 <J - M, K> (``_delta_h``).
+its gradient (``_grad_skew``) needs no loop over blocks.  The objective
+is quadratic in the tensor, so it is half the trace of the product the
+gradient pass forms, and each round of the descent makes one Gauss pass;
+M's diagonal is zero, like K's, so that trace has no exact-zero diagonal
+pair left to round or overflow.  K contracts the third slot of the
+tensor with itself, and an orthogonal rotation keeps each such
+contraction, so the descent never rotates slot 3: its frames turn slots
+1 and 2 (``tensors._rotate_two_slots``), and only the reported taus are
+read from the full rotation.  delta_h at a frame is 1/2 <J - M, K>
+(``_delta_h``).
 
 All randomness flows from a single 64-bit seed.
 """
@@ -270,30 +274,45 @@ def delta_coordinate_oracle(h: CubicForm, c, P: PartitionSpec) -> DeltaResult:
 
 
 def _block_mask(P: PartitionSpec) -> np.ndarray:
-    """0/1 (n, n) mask M with M_ij = 1 when i and j share a leading block."""
+    """0/1 (n, n) mask M with M_ij = 1 when i != j share a leading block.
+
+    The diagonal is zero: K's is zero, so <M, K> does not read it, and
+    ``_grad_skew``'s trace form of f would otherwise carry the pairs
+    |D_a|^2 - sum_C H_aaC^2, zero in exact arithmetic, which round, and
+    overflow to inf - inf on huge tensors.
+    """
     own = P.owner
-    return ((own[:, None] == own) & (own < P.k)).astype(float)
+    same = (own[:, None] == own) & (own < P.k)
+    np.fill_diagonal(same, False)
+    return same.astype(float)
 
 
 def _block_tau_h(H, M):
-    """h part of sum_i tau(block_i): 1/2 <M, K> of H.
+    """h part of sum_i tau(block_i): 1/2 <M, K> of H, from K itself.
 
     H is one (n, n, n) tensor or a stack (..., n, n, n); one value each.
+    The descent reads the same f from ``_grad_skew``; this K form scores
+    the P = (n-1) frames and is the independent value the tests check it
+    against.
     """
     return 0.5 * (M * _sectional_matrix(H)).sum(axis=(-2, -1))
 
 
 def _grad_skew(H, M):
-    """Skew gradient A with d/dt f(cay(tS) R) at t=0 equal to <A, S>/2.
+    """(f, A): f = 1/2 <M, K> of H, and the skew gradient A with d/dt
+    f(cay(tS) R) at t=0 equal to <A, S>/2.
 
     W = df/dH of 1/2 <M, D D^T - sum_C H_{..C}^2> is -M_ab H_abc, plus
     (M D)[a, c] where a = b; G contracts W with the derivative of the
     rotated tensor in its first two slots.  W and H are symmetric in
     (a, b), so both slots give the same term and G is one matmul.  Slot 3
     is never rotated: f contracts it with itself, so f is unchanged when
-    it turns and its term in G is symmetric, with no skew part.  H is one
-    tensor rotated in slots 1 and 2 (``_rotate_two_slots``) or in all
-    three, (n, n, n), or a stack (..., n, n, n) of them.
+    it turns and its term in G is symmetric, with no skew part.  f is
+    quadratic in H, so <W, H> = tr G = 2f: with M's zero diagonal,
+    1/2 tr G sums K's off-diagonal terms M_ab (D_a . D_b - |H_ab.|^2) one
+    by one, and the descent needs no second pass for f.  H is one tensor
+    rotated in slots 1 and 2 (``_rotate_two_slots``) or in all three,
+    (n, n, n), or a stack (..., n, n, n) of them.
     """
     n = H.shape[-1]
     W = -M[:, :, None] * H
@@ -301,7 +320,7 @@ def _grad_skew(H, M):
     np.einsum("...iic->...ic", W)[...] += M @ np.einsum("...iic->...ic", H)
     rows = H.shape[:-3] + (n, n * n)
     G = W.reshape(rows) @ H.reshape(rows).swapaxes(-1, -2)
-    return 2.0 * (G - G.swapaxes(-1, -2))
+    return 0.5 * np.einsum("...ii->...", G), 2.0 * (G - G.swapaxes(-1, -2))
 
 
 @lru_cache(maxsize=None)
@@ -366,19 +385,18 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     The arrays hold only the running restarts, the working stack.  One
     round makes one Armijo trial for each of them and takes the gradient
     at every trial frame, so an accepted step has its next gradient
-    without a second pass.  Frames rotate T in slots 1 and 2 only
-    (``_rotate_two_slots``), since f and its gradient cannot see slot 3
-    turn.  The stop tests run in full only in a round where some restart
-    can stop, and the stack is compacted only in a round where one does.
-    Each restart keeps its own count of accepted steps, so it takes the
-    steps it would take alone.  Returns (f, frames, converged), one entry
-    per start.
+    without a second pass; the trial's f comes from the same pass
+    (``_grad_skew``), so K is never formed.  Frames rotate T in slots 1
+    and 2 only (``_rotate_two_slots``), since f and its gradient cannot
+    see slot 3 turn.  The stop tests run in full only in a round where
+    some restart can stop, and the stack is compacted only in a round
+    where one does.  Each restart keeps its own count of accepted steps,
+    so it takes the steps it would take alone.  Returns (f, frames,
+    converged), one entry per start.
     """
     R = np.array(starts, dtype=float)
     r = len(R)
-    H = _rotate_two_slots(T, R)
-    f = _block_tau_h(H, M)
-    A = _grad_skew(H, M)
+    f, A = _grad_skew(_rotate_two_slots(T, R), M)
     aa = np.einsum("kij,kij->k", A, A)
     t = np.minimum(np.maximum(1.0 / np.maximum(np.sqrt(aa), 1.0), 1e-12), 1e4)
     t[~np.isfinite(aa)] = np.nan  # not 1e-12: a Cayley step cannot take inf
@@ -441,9 +459,7 @@ def _stacked_descent(T, starts, M, max_iters, floor):
                 except np.linalg.LinAlgError:
                     t[k] = np.nan
             armijo = 5e-5 * t * aa
-        Ht = _rotate_two_slots(T, Rt)
-        ft = _block_tau_h(Ht, M)
-        G = _grad_skew(Ht, M)
+        ft, G = _grad_skew(_rotate_two_slots(T, Rt), M)
         ag = np.einsum("kij,kij->k", A, G)
         gg = np.einsum("kij,kij->k", G, G)
         ok = ft <= f - armijo

@@ -223,7 +223,7 @@ def test_gradient_matches_finite_differences():
         M = _block_mask(P)
         R = Frame.random(n, rng).matrix
         H = _rotate_dense(h.dense_view, R)
-        A = _grad_skew(H, M)
+        _, A = _grad_skew(H, M)
         for _ in range(4):
             S = rng.standard_normal((n, n))
             S = S - S.T
@@ -283,7 +283,7 @@ def _reference_descend(T, R0, M, max_iters, tol, flat_steps=None):
     R = np.array(R0, dtype=float)
     H = _rotate_two_slots(T, R)
     f = float(_block_tau_h(H, M))
-    A = _grad_skew(H, M)
+    _, A = _grad_skew(H, M)
     aa = _dot(A, A)
     gnorm = float(np.linalg.norm(A)) if former else math.sqrt(aa)
     t = min(max(1.0 / max(gnorm, 1.0), 1e-12), 1e4)
@@ -309,7 +309,7 @@ def _reference_descend(T, R0, M, max_iters, tol, flat_steps=None):
         if not accepted:
             converged = stationary
             break
-        G = _grad_skew(Ht, M)
+        _, G = _grad_skew(Ht, M)
         if former:
             num, denom = aa, _dot(A, A - G)
             positive = denom > 1e-30
@@ -356,7 +356,7 @@ def _ten_step_stacked_descent(T, starts, M, max_iters, floor):
     moved = np.arange(r)
     while True:
         if moved.size:
-            G = _grad_skew(H[moved], M)
+            _, G = _grad_skew(H[moved], M)
             g = np.linalg.norm(G, axis=(-2, -1))
             last_A, last_t = prev_A[moved], prev_t[moved]
             num = np.einsum("kij,kij->k", last_A, last_A)
@@ -735,8 +735,9 @@ def test_random_restarts_converge_for_n_9_to_12(monkeypatch):
     # 192 restarts converge (96 under the ten-step window, 190 with the
     # first Barzilai-Borwein quotient alone, whose other 2 stopped at
     # max_iters).  The round bound, 1.25x the 201.3 rounds per call
-    # measured (365.7 with the first quotient alone), fails a stopping rule
-    # that runs restarts to max_iters.
+    # measured when it was set (217.8 now, with the two-slot rotation and f
+    # from the gradient pass; 365.7 with the first quotient alone), fails a
+    # stopping rule that runs restarts to max_iters.
     verdicts = []
     stacked_descent = delta_mod._stacked_descent
 

@@ -2,10 +2,12 @@
 
 Every Gauss-equation quantity comes from ``_sectional_matrix``: tau is
 half the sum of K over a slab, and the descent weighs K with a 0/1 block
-mask.  ``_ricci``, K's row sums on its diagonal, gives tau less tau of a
-hyperplane.  The references below sum the same terms from slices of T, one
-block at a time; the summation order differs, so values agree to 1e-12
-relative (floored at 1, the scale of the random entries), not bit for bit.
+mask, zero on the diagonal, and reads that sum from the trace of its
+gradient product (``_grad_skew``).  ``_ricci``, K's row sums on its
+diagonal, gives tau less tau of a hyperplane.  The references below sum
+the same terms from slices of T, one block at a time; the summation order
+differs, so values agree to 1e-12 relative (floored at 1, the scale of the
+random entries), not bit for bit.
 K contracts slot 3 with itself, so the descent rotates only slots 1 and 2
 (``_rotate_two_slots``); the full rotation is the reference there.
 """
@@ -22,7 +24,13 @@ from deltainv import (
     universal_check,
 )
 from deltainv.bounds import optimal_coefficients, rhs_value
-from deltainv.delta import _block_mask, _block_tau_h, _cayley_step, _grad_skew
+from deltainv.delta import (
+    _block_mask,
+    _block_tau_h,
+    _cayley_step,
+    _gap_terms,
+    _grad_skew,
+)
 from deltainv.errors import RankDeficientFrame
 from deltainv.tensors import (
     _orthonormalize_rows,
@@ -158,8 +166,10 @@ def test_mask_objective_gradient_and_gap_match_block_loops(P):
         h = random_cubic_form(P.n, 1.0, rng)
         R = Frame.random(P.n, rng)
         H = _rotate_dense(h.dense_view, R.matrix)
+        f, A = _grad_skew(H, M)
         assert _close(_block_tau_h(H, M), _block_tau_h_sliced(H, blocks0))
-        assert _close(_grad_skew(H, M), _grad_skew_sliced(H, blocks0))
+        assert _close(f, _block_tau_h_sliced(H, blocks0))
+        assert _close(A, _grad_skew_sliced(H, blocks0))
         for cval in C_VALUES:
             rhs = rhs_value(optimal_coefficients(P), mean_curvature_sq(h), cval)
             ref = rhs - (
@@ -201,10 +211,11 @@ def test_descent_kernels_on_a_stack_of_frames_match_per_frame_calls(n):
     S = S - S.swapaxes(-1, -2)
     t = rng.uniform(0.1, 2.0, s)
     H = _rotate_dense(T, Q)
-    f, A, C = _block_tau_h(H, M), _grad_skew(H, M), _cayley_step(Q, S, t)
+    (f, A), C = _grad_skew(H, M), _cayley_step(Q, S, t)
     for k in range(s):
         assert _close(H[k], _rotate_dense(T, Q[k]))
         assert _close(f[k], _block_tau_h_sliced(H[k], blocks0))
+        assert _close(_block_tau_h(H, M)[k], _block_tau_h_sliced(H[k], blocks0))
         assert _close(A[k], _grad_skew_sliced(H[k], blocks0))
         assert _close(C[k], _cayley_step(Q[k], S[k], t[k]))
 
@@ -226,10 +237,68 @@ def test_two_slot_rotation_keeps_K_objective_and_gradient(n):
             assert _close(_sectional_matrix(two), _sectional_matrix(full))
             assert _close(_block_tau_h(two, M), _block_tau_h(full, M))
             former = _three_slot_grad_skew(full, M)
-            assert _close(_grad_skew(two, M), former)
-            assert _close(_grad_skew(full, M), former)
+            assert _close(_grad_skew(two, M)[1], former)
+            assert _close(_grad_skew(full, M)[1], former)
         ref = np.einsum("Aa,Bb,abc->ABc", Q[1], Q[1], T)
         assert _close(_rotate_two_slots(T, Q)[1], ref)
+
+
+def _mask_with_diagonal(P):
+    """The former block mask, from the index blocks: 1 where i and j, equal
+    or not, lie in one leading block."""
+    M = np.zeros((P.n, P.n))
+    for idx in _leading_blocks0(P):
+        M[np.ix_(idx, idx)] = 1.0
+    return M
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_gradient_pass_f_is_the_K_form_of_the_block_taus(n):
+    # 1/2 tr G of the gradient pass against 1/2 <M, K>, on every partition of
+    # n, one frame and a stack, rotated in two slots and in all three
+    rng = np.random.default_rng([71, n])
+    s = 4
+    for P in enumerate_partitions(n):
+        M = _block_mask(P)
+        T = random_cubic_form(n, 1.0, rng).dense_view
+        Q = _orthonormalize_rows(rng.standard_normal((s, n, n)))
+        for R in (Q, Q[0]):
+            for H in (_rotate_two_slots(T, R), _rotate_dense(T, R)):
+                f, _ = _grad_skew(H, M)
+                ref = _block_tau_h(H, M)
+                assert np.shape(f) == np.shape(ref)
+                scale = np.maximum(1.0, np.abs(ref))
+                assert (np.abs(f - ref) <= 1e-13 * scale).all(), P
+
+
+def test_block_mask_has_a_zero_diagonal():
+    # every admissible P with n <= 12: only pairs i != j in a leading block
+    for n in range(3, 13):
+        for P in enumerate_partitions(n):
+            M = _block_mask(P)
+            assert not np.diag(M).any(), P
+            off_diagonal = _mask_with_diagonal(P)
+            np.fill_diagonal(off_diagonal, 0.0)
+            assert np.array_equal(M, off_diagonal), P
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_gap_terms_and_universal_check_ignore_the_mask_diagonal(n):
+    # K's diagonal is exactly zero, so the gap of the former mask, which
+    # carried M_ii = 1 on the leading blocks, is the same bit for bit
+    rng = np.random.default_rng([73, n])
+    for P in enumerate_partitions(n):
+        a, off_block = _gap_terms(P)
+        assert a == float(optimal_coefficients(P).a)
+        former_off = 1.0 - _mask_with_diagonal(P)
+        outside = ~np.eye(n, dtype=bool)
+        assert np.array_equal(off_block[outside], former_off[outside])
+        for _ in range(3):
+            h = random_cubic_form(n, 1.0, rng)
+            R = Frame.random(n, rng)
+            K = _sectional_matrix(_rotate_dense(h.dense_view, R.matrix))
+            gap = a * mean_curvature_sq(h) - 0.5 * float((former_off * K).sum())
+            assert universal_check(h, P, R) == gap, P
 
 
 def test_dependent_row_in_a_stack_raises():
