@@ -85,6 +85,15 @@ class BoundRow:
             return "not_applicable"
         return "ok" if gap_passes(self.gap) else "violated"
 
+    @property
+    def fractions(self) -> tuple:
+        """(a_num, a_den, b_num, b_den) of the coefficients, or four Nones
+        for a row whose bound does not apply."""
+        if self.coeffs is None:
+            return (None,) * 4
+        a, b = self.coeffs.a, self.coeffs.b
+        return a.numerator, a.denominator, b.numerator, b.denominator
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -133,10 +142,7 @@ class InequalityReport:
                         if r.coeffs
                         else "bound not defined for this partition type"
                     ),
-                    "a_num": r.coeffs.a.numerator if r.coeffs else None,
-                    "a_den": r.coeffs.a.denominator if r.coeffs else None,
-                    "b_num": r.coeffs.b.numerator if r.coeffs else None,
-                    "b_den": r.coeffs.b.denominator if r.coeffs else None,
+                    **dict(zip(("a_num", "a_den", "b_num", "b_den"), r.fractions)),
                     "rhs": finite_or_none(r.rhs),
                     "gap": finite_or_none(r.gap),
                     "verdict": r.verdict,
@@ -155,10 +161,7 @@ class InequalityReport:
                 [
                     label,
                     r.source,
-                    r.coeffs.a.numerator if r.coeffs else "",
-                    r.coeffs.a.denominator if r.coeffs else "",
-                    r.coeffs.b.numerator if r.coeffs else "",
-                    r.coeffs.b.denominator if r.coeffs else "",
+                    *r.fractions,  # csv writes None as an empty field
                     "" if r.rhs is None else repr(r.rhs),
                     repr(self.delta.value),
                     "" if r.gap is None else repr(r.gap),

@@ -48,7 +48,7 @@ from .tensors import (
     _as_integer,
     _as_list,
     _as_object,
-    _as_real,
+    _as_scale,
     _check_blocks,
     _haar_rows,
     ambient_value,
@@ -112,14 +112,8 @@ class CampaignConfig:
                 for p in _as_list(self.partitions, "partitions")
             )
             object.__setattr__(self, "partitions", partitions)
-        # uniform draws on [-scale, scale] need the width 2 * scale finite
-        scale = _as_real(self.tensor_scale, "tensor_scale")
+        scale = _as_scale(self.tensor_scale, "tensor_scale")
         object.__setattr__(self, "tensor_scale", scale)
-        if not (self.tensor_scale > 0 and math.isfinite(2.0 * self.tensor_scale)):
-            raise FormatError(
-                "tensor_scale must be positive with 2 * tensor_scale finite, "
-                f"got {self.tensor_scale!r}"
-            )
         _partition_pool(self)  # an n or a partition that fits nothing fails here
 
     @classmethod

@@ -171,11 +171,8 @@ def cmd_matrix(args) -> int:
     P = PartitionSpec(args.n, _parse_partition(args.partition))
     try:
         C = Fraction(args.C)
-        float(2 * (C + 1)), float(2 * C - 1)  # the float matrices' extreme entries
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise FormatError(
-            f"coefficient {args.C!r} must be a number with 2(C + 1) and 2C - 1 finite"
-        )
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"coefficient {args.C!r} is not a finite number")
     bundle = build_M(P, args.ell, C)
     psd, eig_min = psd_verdict(bundle)
     minors = [_float_or_none(d) for d in bundle.minors]

@@ -74,12 +74,12 @@ from functools import lru_cache
 import numpy as np
 
 from .quadforms import optimal_coefficients
-from .errors import DimensionMismatch
 from .tensors import (
     CubicForm,
     Frame,
     PartitionSpec,
     _as_integer,
+    _check_frame,
     _check_partition,
     _haar_rows,
     _ricci,
@@ -651,6 +651,5 @@ def universal_check(h: CubicForm, P: PartitionSpec, R: Frame) -> float:
     a |H|^2 - ``_delta_h``.
     """
     _check_partition(h, P)
-    if R.n != h.n:
-        raise DimensionMismatch(f"frame n={R.n} does not match tensor n={h.n}")
+    _check_frame(h, R)
     return _gap_terms(P)[0] * mean_curvature_sq(h) - _delta_h(h, P, R)

@@ -298,7 +298,11 @@ def _random_traceless_block(size: int, rng: np.random.Generator):
 
 def random_witness(theorem: int, P: PartitionSpec, seed: int) -> CubicForm:
     """Seeded random equality witness with nonzero mean curvature.  The
-    seed must be an integer >= 0 (FormatError otherwise)."""
+    theorem must be the integer 1 or 2 (InvariantViolation otherwise) and
+    the seed an integer >= 0 (FormatError otherwise)."""
+    theorem = _as_integer(theorem, "theorem", InvariantViolation)
+    if theorem not in (1, 2):
+        raise InvariantViolation(f"theorem must be 1 or 2, got {theorem!r}")
     seed = _as_integer(seed, "seed", least=0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, theorem)))
     if theorem == 1:
@@ -308,16 +312,14 @@ def random_witness(theorem: int, P: PartitionSpec, seed: int) -> CubicForm:
             _random_traceless_block(size, rng) for size in P.blocks
         ]
         return build_t1(EqualityParamsT1(P, lambdas, inblock))
-    if theorem == 2:
-        minimal = min(P.blocks)
-        inblock = []
-        for size in P.blocks:
-            arr = _random_traceless_block(size, rng)
-            if size == minimal:
-                # plant a definite trace on each index of the block
-                signs = rng.choice([-1.0, 1.0], size=size)
-                t = signs * rng.uniform(0.5, 2.0, size=size)
-                arr = arr + _with_partial_traces(t)
-            inblock.append(arr)
-        return build_t2(EqualityParamsT2(P, inblock))
-    raise InvariantViolation(f"theorem must be 1 or 2, got {theorem!r}")
+    minimal = min(P.blocks)
+    inblock = []
+    for size in P.blocks:
+        arr = _random_traceless_block(size, rng)
+        if size == minimal:
+            # plant a definite trace on each index of the block
+            signs = rng.choice([-1.0, 1.0], size=size)
+            t = signs * rng.uniform(0.5, 2.0, size=size)
+            arr = arr + _with_partial_traces(t)
+        inblock.append(arr)
+    return build_t2(EqualityParamsT2(P, inblock))

@@ -18,8 +18,12 @@ The coefficients live here too: ``_threshold`` is that C in closed form,
 and THEOREM1, THEOREM2 and LEGACY_CD are n^2 times it (LEGACY_CDVV has its
 own closed form); ``bounds`` re-exports them and evaluates right-hand sides.
 
-A bundle reads C once as an exact Fraction (every finite float is one), so
-its minors and their sign verdicts are exact; only M and M' are floats.
+C is read once, by ``_coefficient``, as an exact Fraction (every finite
+float is one), so a bundle's minors and their sign verdicts are exact.
+Only M, M' and the residual-index matrix are floats, and C must keep
+their extreme entries 2(C + 1) and 2C - 1 finite floats: any other C is a
+FormatError.  ell and t are integers as ``tensors._as_integer`` reads
+them (2.0 is 2; 2.5, true and "2" are a BadBlockIndex).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import BadBlockIndex, CaseMismatch, EmptyList, FormatError, NotApplicable
-from .tensors import PartitionSpec, ambient_value
+from .tensors import PartitionSpec, _as_integer, ambient_value
 
 # Bound sources; THEOREM2 is also the saturating case of critical_C
 THEOREM1 = "THEOREM1"
@@ -105,9 +109,27 @@ def det_recursive(values: Sequence[Number]) -> Number:
 
 
 def _check_ell(P: PartitionSpec, ell: int) -> int:
-    if not 1 <= int(ell) <= P.k:
+    """ell, an integer as ``_as_integer`` reads it, in 1..k; else
+    BadBlockIndex."""
+    ell = _as_integer(ell, "ell", BadBlockIndex)
+    if not 1 <= ell <= P.k:
         raise BadBlockIndex(f"ell={ell} outside 1..{P.k}")
-    return int(ell)
+    return ell
+
+
+def _coefficient(C) -> Fraction:
+    """C as an exact Fraction: a rational as it is, any other number as
+    ``ambient_value`` reads it (a finite float).  The float matrices'
+    extreme entries 2(C + 1) and 2C - 1 must be finite floats too;
+    FormatError otherwise."""
+    if isinstance(C, bool) or not isinstance(C, numbers.Rational):
+        C = ambient_value(C, "C", FormatError)
+    C = Fraction(C)
+    try:
+        float(2 * (C + 1)), float(2 * C - 1)
+    except OverflowError:
+        raise FormatError("C must keep 2(C + 1) and 2C - 1 within float range")
+    return C
 
 
 def _threshold(P: PartitionSpec, m: int) -> Fraction:
@@ -214,8 +236,9 @@ def optimal_coefficients(P: PartitionSpec) -> BoundCoefficients:
 class QuadraticFormBundle:
     """Matrix data of the block quadratic form for one (partition, ell, C).
 
-    Built from P, ell (checked to lie in 1..k) and C alone, kept as
-    ``Fraction(C)`` (FormatError for a C that is not a finite number).
+    Built from P, ell (an integer in 1..k, else BadBlockIndex) and C alone,
+    C read first and kept as ``Fraction(C)``: FormatError for a C that is
+    not a finite number or whose 2(C + 1) or 2C - 1 overflows a float.
     ``M`` is twice the matrix of the form in the diagonal variables x_A.
     ``Mprime`` is its compression onto the block-average vectors, and
     ``minors`` are the exact leading principal minors of M'' = M'/(2C-1), a
@@ -230,11 +253,9 @@ class QuadraticFormBundle:
     minors: tuple = field(init=False)
 
     def __post_init__(self):
-        P, C = self.P, self.C
+        P = self.P
+        C = _coefficient(self.C)
         ell = _check_ell(P, self.ell)
-        if isinstance(C, bool) or not isinstance(C, numbers.Rational):
-            C = ambient_value(C, "C", FormatError)  # a finite float
-        C = Fraction(C)
         two_c_minus_1 = 2 * C - 1
         diag = [] if two_c_minus_1 == 0 else [
             d / two_c_minus_1 for d in _reduced_diagonal(P, ell, C)
@@ -274,14 +295,16 @@ def build_statement2_matrix(P: PartitionSpec, t: int, C: Number) -> np.ndarray:
 
     Same block recipe with the special role moved to the residual block:
     the diagonal entry at t drops from 2(C+1) to 2C because the square of
-    h_{tt} is not subtracted there.
+    h_{tt} is not subtracted there.  C is read as a bundle reads it, and t
+    must be an integer index of the residual block (BadBlockIndex).
     """
     if P.residual < 1:
         raise CaseMismatch("the residual-index form needs a nonempty residual block")
+    Cf = float(_coefficient(C))
+    t = _as_integer(t, "t", BadBlockIndex)
     residual = P.index_blocks[P.k]
     if t not in residual:
         raise BadBlockIndex(f"t={t} not in the residual block {residual}")
-    Cf = float(C)
     M = _fill_blocks(P, Cf, distinguished=0)
     M[t - 1, t - 1] = 2 * Cf
     return M

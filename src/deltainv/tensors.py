@@ -93,6 +93,15 @@ def _as_real(value, what: str, error=FormatError) -> float:
         raise error(f"{what} is an integer beyond float range")
 
 
+def _as_scale(value, what: str) -> float:
+    """A number > 0 as ``_as_real`` reads it, with 2 * value finite (the
+    width of a uniform draw on [-value, value]), else FormatError."""
+    v = _as_real(value, what)
+    if not (v > 0 and math.isfinite(2.0 * v)):
+        raise FormatError(f"{what} must be positive with 2 * {what} finite, got {v!r}")
+    return v
+
+
 def _as_real_array(values, what: str, error=FormatError) -> np.ndarray:
     """Nested lists of numbers, each as in ``_as_real``, as a float array; a
     numpy array of integers or floats passes whole.  ``error`` otherwise."""
@@ -254,9 +263,10 @@ class CubicForm:
     @classmethod
     def _of_values(cls, n: int, values) -> "CubicForm":
         """From finite values listed in canonical triple order, so no triple
-        needs the checks ``__init__`` makes."""
+        needs the checks ``__init__`` makes; n is a dimension that
+        ``_check_dimension`` has already read."""
         h = object.__new__(cls)
-        h._set_dense(_check_dimension(n), values)
+        h._set_dense(n, values)
         return h
 
     def __setattr__(self, name, value):
@@ -304,6 +314,8 @@ class CubicForm:
         return self._dense.copy()
 
     def scaled(self, t: float) -> "CubicForm":
+        """t h, for a number t as ``_as_real`` reads it."""
+        t = _as_real(t, "t")
         return CubicForm(self.n, {k: t * v for k, v in self.entries.items()})
 
     def allclose(self, other: "CubicForm", tol: float = 1e-12) -> bool:
@@ -356,7 +368,10 @@ def symmetrize(raw: Mapping, n: int) -> CubicForm:
 
 
 def random_cubic_form(n: int, scale: float, rng: np.random.Generator) -> CubicForm:
-    """I.i.d. uniform entries on [-scale, scale] over canonical triples."""
+    """I.i.d. uniform entries on [-scale, scale] over canonical triples;
+    n is read by ``_check_dimension`` and scale by ``_as_scale``."""
+    n = _check_dimension(n)
+    scale = _as_scale(scale, "scale")
     values = rng.uniform(-scale, scale, size=len(_canonical_triples(n)))
     return CubicForm._of_values(n, values)
 
@@ -467,6 +482,12 @@ def _check_partition(h: CubicForm, P: PartitionSpec):
         raise InadmissiblePartition(
             f"partition is for n={P.n} but the tensor has n={h.n}"
         )
+
+
+def _check_frame(h: CubicForm, R: Frame):
+    """DimensionMismatch unless the frame R is of the dimension of h."""
+    if R.n != h.n:
+        raise DimensionMismatch(f"frame n={R.n} does not match tensor n={h.n}")
 
 
 def enumerate_partitions(n: int) -> list[PartitionSpec]:
@@ -621,8 +642,7 @@ def _rotate_two_slots(T, R):
 
 def rotate(h: CubicForm, frame: Frame) -> CubicForm:
     """Express h in the rotated orthonormal frame given by the rows of R."""
-    if h.n != frame.n:
-        raise DimensionMismatch(f"tensor n={h.n} vs frame n={frame.n}")
+    _check_frame(h, frame)
     return CubicForm.from_dense(_rotate_dense(h.dense_view, frame.matrix), atol=1e-6)
 
 

@@ -564,6 +564,26 @@ def test_random_witness_takes_an_integral_float_seed():
     assert random_witness(1, P, seed=2.0).entries == random_witness(1, P, seed=2).entries
 
 
+@pytest.mark.parametrize("theorem", [True, 1.5, "1", None])
+def test_random_witness_rejects_a_theorem_that_is_not_an_integer(theorem):
+    # True once built a theorem-1 witness; 1.5 raised a TypeError
+    with pytest.raises(InvariantViolation, match="theorem must be an integer"):
+        random_witness(theorem, PartitionSpec(5, (2, 2)), seed=3)
+
+
+def test_random_witness_rejects_a_negative_theorem_before_it_seeds():
+    # SeedSequence once raised a ValueError on the negative entropy word
+    with pytest.raises(InvariantViolation, match="theorem must be 1 or 2"):
+        random_witness(-1, PartitionSpec(5, (2, 2)), seed=3)
+
+
+def test_random_witness_reads_an_integral_float_theorem():
+    P = PartitionSpec(5, (2, 2))
+    assert np.array_equal(
+        random_witness(1.0, P, seed=3).dense_view, random_witness(1, P, seed=3).dense_view
+    )
+
+
 def test_t2_inblock_three_distinct_indices_free():
     # blocks (2, 3): the size-3 block has a 3-distinct-index in-block entry
     P = PartitionSpec(5, (2, 3))

@@ -380,6 +380,69 @@ def test_bundle_reads_a_float_coefficient_as_its_exact_fraction():
         assert psd_verdict_minors(bundle) == psd_verdict_minors(exact)
 
 
+_ELL_READERS = {
+    "build_M": lambda P, ell: build_M(P, ell, Fraction(1, 6)),
+    "critical_C": lambda P, ell: critical_C(P, ell, STATEMENT_I),
+    "kernel_solution_theorem2": kernel_solution_theorem2,
+}
+
+
+@pytest.mark.parametrize("ell", [1.5, 2.9, True, "1", None])
+@pytest.mark.parametrize("reader", sorted(_ELL_READERS))
+def test_ell_must_be_an_integer(reader, ell):
+    # int() once truncated 2.9 to 2 and took True and "1" as 1
+    with pytest.raises(BadBlockIndex, match="ell must be an integer"):
+        _ELL_READERS[reader](PartitionSpec(5, (2, 3)), ell)
+
+
+def test_build_m_reads_an_integral_float_ell_bit_for_bit():
+    P = PartitionSpec(5, (2, 3))
+    bundle, exact = build_M(P, 2.0, Fraction(1, 6)), build_M(P, 2, Fraction(1, 6))
+    assert type(bundle.ell) is int and bundle.ell == 2
+    assert np.array_equal(bundle.M, exact.M) and bundle.minors == exact.minors
+    assert np.array_equal(bundle.Mprime, exact.Mprime)
+
+
+@pytest.mark.parametrize(
+    "C", [9e307, -9e307, 1e308, Fraction(10**400)],
+    ids=["9e307", "-9e307", "1e308", "10^400"],
+)
+def test_bundle_refuses_a_coefficient_whose_entries_overflow(C):
+    # C itself is a finite float or an exact rational, but 2(C + 1) or
+    # 2C - 1 is not a finite float
+    with pytest.raises(FormatError, match="within float range"):
+        build_M(PartitionSpec(5, (2, 3)), 1, C)
+
+
+def test_bundle_reads_the_coefficient_before_ell():
+    with pytest.raises(FormatError):
+        build_M(PartitionSpec(5, (2, 3)), 9, 1e308)
+
+
+@pytest.mark.parametrize("t", [5.5, True, "5"])
+def test_statement2_matrix_t_must_be_an_integer(t):
+    with pytest.raises(BadBlockIndex, match="t must be an integer"):
+        build_statement2_matrix(PartitionSpec(5, (2, 2)), t, Fraction(1, 6))
+
+
+def test_statement2_matrix_reads_an_integral_float_t():
+    P = PartitionSpec(5, (2, 2))
+    M = build_statement2_matrix(P, 5.0, Fraction(1, 6))
+    assert np.array_equal(M, build_statement2_matrix(P, 5, Fraction(1, 6)))
+
+
+@pytest.mark.parametrize(
+    "C", [float("inf"), float("nan"), None, "x", True, 10**400],
+    ids=["inf", "nan", "none", "string", "true", "10^400"],
+)
+def test_statement2_matrix_refuses_what_the_bundle_refuses(C):
+    P = PartitionSpec(5, (2, 2))
+    with pytest.raises(FormatError):
+        build_statement2_matrix(P, 5, C)
+    with pytest.raises(FormatError):
+        build_M(P, 1, C)
+
+
 def test_minors_empty_at_two_c_equal_one():
     P = PartitionSpec(5, (2, 2))
     bundle = build_M(P, 1, Fraction(1, 2))

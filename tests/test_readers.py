@@ -19,11 +19,19 @@ from deltainv import (
     Frame,
     InvariantViolation,
     PartitionSpec,
+    STATEMENT_I,
+    STATEMENT_II,
+    THEOREM2,
     UnsupportedDimension,
+    build_M,
+    build_statement2_matrix,
+    critical_C,
+    kernel_solution_theorem2,
     lagrangian_check,
     lemma1_roundtrip,
     potential_from_tensor,
     random_cubic_form,
+    random_witness,
 )
 
 # ---------------------------------------------------------------------------
@@ -164,6 +172,8 @@ def _arrays(depth: int):
     return st.one_of(regular, ragged, _JSON)
 
 
+_CASES = [STATEMENT_I, STATEMENT_II, THEOREM2]
+
 _READERS = {
     "CubicForm": (
         st.tuples(
@@ -208,6 +218,31 @@ _READERS = {
         lambda v: EqualityParamsT2(PartitionSpec(5, (2, 3)), v),
     ),
     "CubicPotential": (_arrays(3), CubicPotential),
+    "build_M": (
+        st.tuples(st.integers(0, 3) | _JSON, _JSON),
+        lambda v: build_M(PartitionSpec(5, (2, 2)), *v),
+    ),
+    "critical_C": (
+        st.tuples(st.integers(0, 3) | _JSON, st.sampled_from(_CASES) | _JSON),
+        lambda v: critical_C(PartitionSpec(5, (2, 2)), *v),
+    ),
+    "kernel_solution_theorem2": (
+        st.integers(0, 3) | _JSON,
+        lambda ell: kernel_solution_theorem2(PartitionSpec(4, (2, 2)), ell),
+    ),
+    "build_statement2_matrix": (
+        st.tuples(st.integers(0, 6) | _JSON, _JSON),
+        lambda v: build_statement2_matrix(PartitionSpec(5, (2, 2)), *v),
+    ),
+    "random_witness": (
+        st.tuples(st.sampled_from([1, 2]) | _JSON, st.just(0) | _JSON),
+        lambda v: random_witness(v[0], PartitionSpec(5, (2, 2)), v[1]),
+    ),
+    "random_cubic_form": (
+        st.tuples(st.integers(1, 13) | _JSON, _JSON),
+        lambda v: random_cubic_form(*v, np.random.default_rng(0)),
+    ),
+    "CubicForm.scaled": (_JSON, _H3.scaled),
     **{name: (_arrays(1), read) for name, read in _POINT_READERS.items()},
 }
 

@@ -31,7 +31,7 @@ from deltainv import (
     tau_subspace,
 )
 from deltainv.bounds import evaluate
-from deltainv.delta import delta_coordinate_oracle, delta_invariant
+from deltainv.delta import delta_coordinate_oracle, delta_invariant, universal_check
 from deltainv.tensors import _as_real_array, ambient_value
 
 
@@ -220,6 +220,39 @@ def test_rotate_dimension_mismatch():
     h = CubicForm.zero(3)
     with pytest.raises(DimensionMismatch):
         rotate(h, Frame.identity(4))
+
+
+def test_rotate_and_universal_check_share_the_frame_rule():
+    h, R = CubicForm.zero(3), Frame.identity(4)
+    with pytest.raises(DimensionMismatch) as rotated:
+        rotate(h, R)
+    with pytest.raises(DimensionMismatch) as checked:
+        universal_check(h, PartitionSpec(3, (2,)), R)
+    assert str(rotated.value) == str(checked.value) == "frame n=4 does not match tensor n=3"
+
+
+def test_random_cubic_form_reads_its_dimension():
+    with pytest.raises(UnsupportedDimension):
+        random_cubic_form(1.5, 1.0, np.random.default_rng(0))
+    a = random_cubic_form(5.0, 1.0, np.random.default_rng(3))
+    assert a.n == 5 and a.allclose(random_cubic_form(5, 1.0, np.random.default_rng(3)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "scale", [float("nan"), float("inf"), 1e308, -1, 0, True, "1", None],
+    ids=["nan", "inf", "1e308", "negative", "zero", "true", "string", "none"],
+)
+def test_random_cubic_form_refuses_a_bad_scale(scale):
+    # 0 once drew the zero tensor; nan, inf, 1e308 and -1 raised from numpy
+    rng = np.random.default_rng(0)
+    with pytest.raises(FormatError, match="scale must be"):
+        random_cubic_form(4, scale, rng)
+
+
+@pytest.mark.parametrize("t", ["a", None, True], ids=["string", "none", "true"])
+def test_scaled_refuses_a_factor_that_is_not_a_number(t):
+    with pytest.raises(FormatError, match="t must be a number"):
+        CubicForm(3, {(1, 1, 1): 1.0}).scaled(t)
 
 
 @settings(max_examples=40, deadline=None)
