@@ -78,11 +78,9 @@ from .quadforms import (
     build_statement2_matrix,
     critical_C,
     det_closed,
-    det_recursive,
     kernel_solution_theorem2,
     psd_verdict,
     psd_verdict_minors,
-    reduce_M,
 )
 from .tensors import (
     CubicForm,
@@ -94,6 +92,5 @@ from .tensors import (
     rotate,
     scalar_curvature,
     sectional_curvature,
-    symmetrize,
     tau_subspace,
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -169,9 +168,6 @@ class InequalityReport:
                 ]
             )
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False)
 
 
 def evaluate(h: CubicForm, c, P: PartitionSpec, opts=None) -> InequalityReport:

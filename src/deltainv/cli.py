@@ -94,12 +94,7 @@ def _load_tensor(path: str) -> CubicForm:
 
 def _optimizer_options(args) -> OptimizerOptions:
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        return OptimizerOptions(
-            restarts=args.restarts, max_iters=args.max_iters, seed=seed
-        )
-    except ValueError as exc:
-        raise FormatError(f"invalid optimizer option: {exc}")
+    return OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters, seed=seed)
 
 
 def _add_optimizer_flags(parser):
@@ -153,7 +148,7 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
-        print(report.to_json())
+        print(json.dumps(report.to_json_dict(), indent=2, allow_nan=False))
     d, rhs = report.delta, [row.rhs for row in report.rows if row.rhs is not None]
     finite = _all_finite(d.value, d.certified_lower, d.tau_total, report.hsq, *rhs)
     return 0 if finite and not report.violated else 1

@@ -123,7 +123,7 @@ class OptimizerOptions:
     most ``max_iters`` accepted steps; ``_stacked_descent`` states the
     rules that stop a restart and when it has converged.  ``restarts`` and
     ``max_iters`` (>= 1) and ``seed`` (>= 0, seeding the random starts) are
-    integers, not booleans.  A bad value raises ValueError.
+    integers, not booleans.  A bad value raises FormatError.
     """
 
     restarts: int = 16
@@ -132,7 +132,7 @@ class OptimizerOptions:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
-            value = _as_integer(getattr(self, name), name, ValueError, least)
+            value = _as_integer(getattr(self, name), name, least=least)
             object.__setattr__(self, name, value)
 
 

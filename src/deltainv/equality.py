@@ -168,7 +168,7 @@ def _assemble(P: PartitionSpec, inblock, V) -> CubicForm:
         T[np.ix_(idx, idx, idx)] = arr
     x, a = np.nonzero(V)
     T[a, a, x] = T[a, x, a] = T[x, a, a] = V[x, a]
-    return CubicForm.from_dense(T, atol=1e-12)
+    return CubicForm.from_dense(T)
 
 
 def build_t1(params: EqualityParamsT1) -> CubicForm:

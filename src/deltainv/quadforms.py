@@ -56,7 +56,7 @@ Number = Union[float, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# The closed-form determinant and its recursion
+# The closed-form determinant
 # ---------------------------------------------------------------------------
 
 
@@ -81,26 +81,6 @@ def det_closed(values: Sequence[Number]) -> Number:
                 prod = prod * s
         acc = acc + prod
     return total + acc
-
-
-def det_recursive(values: Sequence[Number]) -> Number:
-    """Same determinant via the two-term recursion.
-
-    Delta(A_1..A_m) = (A_m + A_{m-1} - 2) Delta(A_1..A_{m-1})
-                      - (A_{m-1} - 1)^2 Delta(A_1..A_{m-2}),
-    with Delta(A_1) = A_1 and Delta(A_1, A_2) = A_1 A_2 - 1.
-    """
-    vals = list(values)
-    if not vals:
-        raise EmptyList("determinant of an empty matrix")
-    if len(vals) == 1:
-        return vals[0]
-    prev2 = vals[0]
-    prev1 = vals[0] * vals[1] - 1
-    for m in range(2, len(vals)):
-        cur = (vals[m] + vals[m - 1] - 2) * prev1 - (vals[m - 1] - 1) ** 2 * prev2
-        prev2, prev1 = prev1, cur
-    return prev1
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +220,12 @@ class QuadraticFormBundle:
     C read first and kept as ``Fraction(C)``: FormatError for a C that is
     not a finite number or whose 2(C + 1) or 2C - 1 overflows a float.
     ``M`` is twice the matrix of the form in the diagonal variables x_A.
-    ``Mprime`` is its compression onto the block-average vectors, and
-    ``minors`` are the exact leading principal minors of M'' = M'/(2C-1), a
-    tuple (empty when 2C = 1).  The float matrices are read-only.
+    ``Mprime`` is its compression V M V^T onto the block-average vectors
+    v_i = indicator(block i)/n_i, in closed form: 2C at (ell, ell),
+    2C - 1 + 3/n_{k+1} at the residual position, 2(C + 1/n_i) elsewhere on
+    the diagonal, and 2C - 1 off it.  ``minors`` are the exact leading
+    principal minors of M'' = M'/(2C-1), a tuple (empty when 2C = 1).  The
+    float matrices are read-only.
     """
 
     P: PartitionSpec
@@ -257,14 +240,15 @@ class QuadraticFormBundle:
         C = _coefficient(self.C)
         ell = _check_ell(P, self.ell)
         two_c_minus_1 = 2 * C - 1
-        diag = [] if two_c_minus_1 == 0 else [
-            d / two_c_minus_1 for d in _reduced_diagonal(P, ell, C)
-        ]
+        reduced = _reduced_diagonal(P, ell, C)
+        diag = [] if two_c_minus_1 == 0 else [d / two_c_minus_1 for d in reduced]
         minors = tuple(det_closed(diag[: j + 1]) for j in range(len(diag)))
+        Mprime = np.full((len(reduced), len(reduced)), 2 * float(C) - 1.0)
+        np.fill_diagonal(Mprime, [float(d) for d in reduced])
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "M", _fill_blocks(P, float(C), distinguished=ell))
-        object.__setattr__(self, "Mprime", reduce_M(self))
+        object.__setattr__(self, "Mprime", Mprime)
         object.__setattr__(self, "minors", minors)
         self.M.flags.writeable = self.Mprime.flags.writeable = False
 
@@ -310,14 +294,10 @@ def build_statement2_matrix(P: PartitionSpec, t: int, C: Number) -> np.ndarray:
     return M
 
 
-def _reduced_dims(P: PartitionSpec) -> list[int]:
-    """Block sizes, the residual block's last when it is nonempty."""
-    return [m for m in P.blocks + (P.residual,) if m]
-
-
 def _reduced_diagonal(P: PartitionSpec, ell: int, C: Fraction) -> list[Fraction]:
-    """Exact diagonal of M' in the block-average basis."""
-    dims = _reduced_dims(P)
+    """Exact diagonal of M' in the block-average basis: one entry per block,
+    the residual block's last when it is nonempty."""
+    dims = [m for m in P.blocks + (P.residual,) if m]
     out = []
     for i, m in enumerate(dims, start=1):
         if i == ell:
@@ -326,19 +306,6 @@ def _reduced_diagonal(P: PartitionSpec, ell: int, C: Fraction) -> list[Fraction]
             out.append(2 * C - 1 + Fraction(3, m))
         else:
             out.append(2 * (C + Fraction(1, m)))
-    return out
-
-
-def reduce_M(bundle: QuadraticFormBundle) -> np.ndarray:
-    """Compression of M onto the block-average vectors v_i = indicator/n_i.
-
-    Entries in closed form: 2C at (ell, ell), 2C - 1 + 3/n_{k+1} at the
-    residual position, 2(C + 1/n_i) elsewhere on the diagonal, and 2C - 1
-    off the diagonal.  Equals V M V^T for V stacking the v_i.
-    """
-    diag = [float(d) for d in _reduced_diagonal(bundle.P, bundle.ell, bundle.C)]
-    out = np.full((len(diag), len(diag)), 2 * float(bundle.C) - 1.0)
-    np.fill_diagonal(out, diag)
     return out
 
 
@@ -387,9 +354,3 @@ def kernel_solution_theorem2(P: PartitionSpec, ell: int):
         Fraction(1) if i == ell else Fraction(ni, ni + 2)
         for i, ni in enumerate(P.blocks, start=1)
     ]
-
-
-def block_average_vectors(P: PartitionSpec) -> np.ndarray:
-    """Rows v_i = (1/n_i) * indicator(block i), residual block included."""
-    dims = _reduced_dims(P)
-    return (np.arange(len(dims))[:, None] == P.owner) / np.array(dims)[:, None]

@@ -53,6 +53,10 @@ MAX_DIMENSION = 12
 
 _FRAME_RANK_TOL = 1e-6
 
+# relative asymmetry that ``CubicForm.from_dense`` averages away: far above
+# the roundoff of a rotation (below 1e-15) and far below any real asymmetry
+_DENSE_SYMMETRY_TOL = 1e-8
+
 
 def _check_dimension(n) -> int:
     n = _as_integer(n, "dimension", UnsupportedDimension)
@@ -230,7 +234,8 @@ class CubicForm:
 
     The tensor is held once, as an exactly symmetric dense (n, n, n) array;
     ``entries`` derives the canonical nonzero entries on sorted triples
-    from it.  Instances are immutable.
+    from it.  ``CubicForm(n)`` is the zero tensor.  Instances are
+    immutable.
     """
 
     __slots__ = ("n", "_dense")
@@ -273,18 +278,14 @@ class CubicForm:
         raise AttributeError("CubicForm is immutable")
 
     @classmethod
-    def zero(cls, n: int) -> "CubicForm":
-        return cls(n, {})
-
-    @classmethod
-    def from_dense(cls, array, atol: float = 1e-8) -> "CubicForm":
+    def from_dense(cls, array) -> "CubicForm":
         """Build from a dense (n, n, n) array, which must be symmetric.
 
-        Roundoff-level asymmetry (below ``atol`` relative to the largest
-        entry) is averaged away; anything larger raises ConflictingEntry,
-        as ``_as_cube`` reads it.  An exactly symmetric array is kept.
+        Roundoff-level asymmetry (below 1e-8 relative to the largest entry)
+        is averaged away; anything larger raises ConflictingEntry, as
+        ``_as_cube`` reads it.  An exactly symmetric array is kept.
         """
-        sym = _as_cube(array, "dense array", atol)
+        sym = _as_cube(array, "dense array", _DENSE_SYMMETRY_TOL)
         n = _check_dimension(sym.shape[0])
         a, b, c = (np.array(_canonical_triples(n)) - 1).T
         return cls._of_values(n, sym[a, b, c])
@@ -310,18 +311,10 @@ class CubicForm:
         """Read-only dense (n, n, n) array; exactly symmetric."""
         return self._dense
 
-    def dense(self):
-        return self._dense.copy()
-
     def scaled(self, t: float) -> "CubicForm":
         """t h, for a number t as ``_as_real`` reads it."""
         t = _as_real(t, "t")
         return CubicForm(self.n, {k: t * v for k, v in self.entries.items()})
-
-    def allclose(self, other: "CubicForm", tol: float = 1e-12) -> bool:
-        return self.n == other.n and bool(
-            np.allclose(self._dense, other._dense, rtol=0.0, atol=tol)
-        )
 
     def __repr__(self):
         return f"CubicForm(n={self.n}, nnz={len(self.entries)})"
@@ -356,15 +349,6 @@ class CubicForm:
                 )
             entries[triple] = _entry_value(item["value"], idx)
         return cls._of_values(n, [entries.get(t, 0.0) for t in _canonical_triples(n)])
-
-
-def symmetrize(raw: Mapping, n: int) -> CubicForm:
-    """Canonicalize a sparse index->value mapping into a CubicForm.
-
-    Triples may be given in any order; permutation-equivalent triples with
-    different values raise ConflictingEntry, unlisted triples are zero.
-    """
-    return CubicForm(n, raw)
 
 
 def random_cubic_form(n: int, scale: float, rng: np.random.Generator) -> CubicForm:
@@ -603,9 +587,6 @@ class Frame:
         """Read-only (n, n) array; row A is the A-th basis vector."""
         return self._rows
 
-    def transposed(self) -> "Frame":
-        return Frame(self._rows.T)
-
     def __repr__(self):
         return f"Frame(n={self.n})"
 
@@ -643,7 +624,7 @@ def _rotate_two_slots(T, R):
 def rotate(h: CubicForm, frame: Frame) -> CubicForm:
     """Express h in the rotated orthonormal frame given by the rows of R."""
     _check_frame(h, frame)
-    return CubicForm.from_dense(_rotate_dense(h.dense_view, frame.matrix), atol=1e-6)
+    return CubicForm.from_dense(_rotate_dense(h.dense_view, frame.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -706,10 +687,16 @@ def _tau_dense(T, idx0, cval: float) -> float:
 def tau_subspace(h: CubicForm, c, indices: Iterable[int]) -> float:
     """tau of the span of the listed coordinate directions.
 
-    Sets with fewer than two elements return 0 by the empty-sum convention.
+    ``indices`` is any iterable (a list, tuple, set or range) of 1-based
+    indices, else FormatError.  Sets with fewer than two elements return 0
+    by the empty-sum convention.
     """
     cval = ambient_value(c)
-    idx = sorted({_as_index(v, h.n, "the subspace") for v in indices})
+    try:
+        items = list(indices)
+    except TypeError:
+        raise FormatError(f"the subspace must list its indices, got {indices!r}")
+    idx = sorted({_as_index(v, h.n, "the subspace") for v in items})
     return _tau_dense(h.dense_view, [v - 1 for v in idx], cval)
 
 

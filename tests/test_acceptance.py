@@ -27,7 +27,6 @@ from deltainv import (
     delta_coordinate_oracle,
     delta_invariant,
     det_closed,
-    det_recursive,
     enumerate_partitions,
     evaluate,
     kernel_solution_theorem2,
@@ -42,7 +41,7 @@ from deltainv import (
 )
 from deltainv.campaign import CampaignConfig, CampaignSummary, campaign_csv, run_campaign
 from deltainv.quadforms import THEOREM2 as CASE_THEOREM2
-from deltainv.quadforms import block_average_vectors
+from test_quadforms import block_average_vectors, det_recursive
 
 
 def _verdict(number: int, label: str, ok: bool, started: float, detail: str = ""):

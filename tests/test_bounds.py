@@ -160,7 +160,7 @@ def test_extended_theorem1_example_value():
 
 
 def test_evaluate_zero_tensor_constant_curvature():
-    h = CubicForm.zero(3)
+    h = CubicForm(3)
     P = PartitionSpec(3, (2,))
     report = evaluate(h, 1.0, P, OPTS)
     assert report.delta.value == pytest.approx(2.0, abs=1e-9)

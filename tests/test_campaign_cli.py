@@ -142,7 +142,7 @@ def test_cli_delta(tensor_file, capsys):
 
 def test_cli_verify_zero_tensor(tmp_path, capsys):
     path = tmp_path / "zero.json"
-    path.write_text(json.dumps(CubicForm.zero(3).to_json_dict()))
+    path.write_text(json.dumps(CubicForm(3).to_json_dict()))
     code, out, _ = run_cli(
         capsys, "verify", str(path), "--partition", "2", "--restarts", "3"
     )
@@ -330,7 +330,7 @@ def test_cli_input_errors(tmp_path, capsys):
     assert code == 2
 
     good = tmp_path / "zero.json"
-    good.write_text(json.dumps(CubicForm.zero(3).to_json_dict()))
+    good.write_text(json.dumps(CubicForm(3).to_json_dict()))
     code, _, err = run_cli(capsys, "verify", str(good), "--partition", "9")
     assert code == 2
     assert json.loads(err.strip())["error"] == "InadmissiblePartition"

@@ -11,6 +11,7 @@ import pytest
 from deltainv import (
     CubicForm,
     DimensionMismatch,
+    FormatError,
     Frame,
     InadmissiblePartition,
     OptimizerOptions,
@@ -129,7 +130,7 @@ def test_oracle_dp_matches_enumeration(P):
     theorem = 2 if P.saturating else 1
     tensors = (
         [random_cubic_form(P.n, 1.0, rng) for _ in range(3)]
-        + [CubicForm.zero(P.n)]
+        + [CubicForm(P.n)]
         + [_integer_form(P.n, rng) for _ in range(4)]
         + [random_witness(theorem, P, seed=s) for s in range(2)]
     )
@@ -153,13 +154,13 @@ def test_oracle_dp_matches_enumeration_large(n, blocks):
 
 
 def test_oracle_zero_tensor():
-    h = CubicForm.zero(5)
+    h = CubicForm(5)
     for blocks in [(2,), (2, 2), (3,)]:
         assert delta_coordinate_oracle(h, 0.0, PartitionSpec(5, blocks)).value == 0.0
 
 
 def test_oracle_constant_curvature():
-    h = CubicForm.zero(3)
+    h = CubicForm(3)
     res = delta_coordinate_oracle(h, 1.0, PartitionSpec(3, (2,)))
     # tau = 3, every plane has tau(L) = 1
     assert res.value == pytest.approx(2.0)
@@ -176,7 +177,7 @@ def test_oracle_equality_witness(t1_witness_n3):
 
 
 def test_oracle_partition_mismatch():
-    h = CubicForm.zero(4)
+    h = CubicForm(4)
     with pytest.raises(InadmissiblePartition):
         delta_coordinate_oracle(h, 0.0, PartitionSpec(5, (2,)))
 
@@ -191,7 +192,7 @@ def test_assignment_enumeration_dedupes_equal_blocks():
 
 
 def test_oracle_tie_break_lexicographic():
-    h = CubicForm.zero(4)
+    h = CubicForm(4)
     res = delta_coordinate_oracle(h, 1.0, PartitionSpec(4, (2,)))
     assert res.assignment == ((1, 2),)
 
@@ -960,7 +961,7 @@ def test_a_singular_cayley_solve_spends_only_the_singular_restarts(monkeypatch):
 
 
 def test_optimizer_zero_tensor_matches_oracle():
-    h = CubicForm.zero(4)
+    h = CubicForm(4)
     P = PartitionSpec(4, (2,))
     res = delta_invariant(h, 0.7, P, OptimizerOptions(restarts=4))
     oracle = delta_coordinate_oracle(h, 0.7, P)
@@ -1011,7 +1012,7 @@ def test_optimizer_frame_covariance():
 
 def test_optimizer_constant_curvature_closed_form():
     for n, blocks in [(4, (2,)), (4, (3,)), (5, (2, 2)), (6, (2, 3)), (6, (5,))]:
-        h = CubicForm.zero(n)
+        h = CubicForm(n)
         P = PartitionSpec(n, blocks)
         res = delta_invariant(h, 1.0, P, OptimizerOptions(restarts=3))
         assert res.value == pytest.approx(float(shared_b(P)), abs=1e-9)
@@ -1046,7 +1047,7 @@ def test_optimizer_options_validation():
         {"restarts": 2.5}, {"restarts": True}, {"max_iters": 2.5},
         {"seed": 1.5}, {"seed": "3"}, {"seed": False},
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             OptimizerOptions(**bad)
     # an integral float is read as its int, as in JSON input
     assert OptimizerOptions(restarts=3.0, seed=np.int64(2)) == OptimizerOptions(
@@ -1086,7 +1087,7 @@ def test_optimizer_options_reject_a_tol_that_is_not_a_number(tol):
 
 
 def test_universal_check_zero_tensor():
-    h = CubicForm.zero(3)
+    h = CubicForm(3)
     P = PartitionSpec(3, (2,))
     assert universal_check(h, P, Frame.identity(3)) == pytest.approx(0.0)
 

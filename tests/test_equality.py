@@ -148,7 +148,7 @@ def reference_build_t1(params):
                 a0 = a - 1
                 for p in ((a0, a0, r0), (a0, r0, a0), (r0, a0, a0)):
                     T[p] = v
-    return CubicForm.from_dense(T, atol=1e-12)
+    return CubicForm.from_dense(T)
 
 
 def reference_build_t2(params):
@@ -178,7 +178,7 @@ def reference_build_t2(params):
                     a0 = a - 1
                     for p in ((a0, a0, b0), (a0, b0, a0), (b0, a0, a0)):
                         T[p] = v
-    return CubicForm.from_dense(T, atol=1e-12)
+    return CubicForm.from_dense(T)
 
 
 def reference_check_t1(h, P, tol=1e-10):
@@ -338,7 +338,7 @@ def test_checkers_match_index_loop_reference(P):
 
 def _perturbed(h, position, eps=1e-3):
     """h with eps added to one entry (all of its symmetric positions)."""
-    T = h.dense()
+    T = h.dense_view.copy()
     for p in set(itertools.permutations(position)):
         T[p] += eps
     return CubicForm.from_dense(T)
@@ -467,9 +467,7 @@ def test_check_t1_detects_injected_defect(t1_witness_n3):
     h, P = t1_witness_n3
     perturbed = dict(h.entries)
     perturbed[(1, 2, 3)] = 1e-3
-    from deltainv import symmetrize
-
-    bad = symmetrize(perturbed, 3)
+    bad = CubicForm(3, perturbed)
     violations = check_t1(bad, P)
     assert len(violations) == 1
     assert violations[0].bullet == "bullet1"
@@ -595,9 +593,7 @@ def test_t2_inblock_three_distinct_indices_free():
     perturbed_entries = dict(h.entries)
     key = (3, 4, 5)
     perturbed_entries[key] = perturbed_entries.get(key, 0.0) + 0.1
-    from deltainv import symmetrize
-
-    perturbed = symmetrize(perturbed_entries, 5)
+    perturbed = CubicForm(5, perturbed_entries)
     assert check_t2(perturbed, P) == []
     report = evaluate(perturbed, 0.0, P, OPTS)
     assert report.row(THEOREM2).gap == pytest.approx(0.0, abs=1e-5)

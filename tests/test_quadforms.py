@@ -23,15 +23,43 @@ from deltainv import (
     coeff_theorem2,
     critical_C,
     det_closed,
-    det_recursive,
     enumerate_partitions,
     kernel_solution_theorem2,
     psd_verdict,
     psd_verdict_minors,
-    reduce_M,
 )
 from deltainv.quadforms import THEOREM2 as CASE_THEOREM2
-from deltainv.quadforms import _reduced_diagonal, block_average_vectors
+from deltainv.quadforms import _reduced_diagonal
+
+
+def det_recursive(values):
+    """Oracle for ``det_closed``: the determinant of the matrix with the
+    given diagonal and ones elsewhere, by the two-term recursion
+
+    Delta(A_1..A_m) = (A_m + A_{m-1} - 2) Delta(A_1..A_{m-1})
+                      - (A_{m-1} - 1)^2 Delta(A_1..A_{m-2}),
+
+    with Delta(A_1) = A_1 and Delta(A_1, A_2) = A_1 A_2 - 1."""
+    vals = list(values)
+    if len(vals) == 1:
+        return vals[0]
+    prev2, prev1 = vals[0], vals[0] * vals[1] - 1
+    for m in range(2, len(vals)):
+        cur = (vals[m] + vals[m - 1] - 2) * prev1 - (vals[m - 1] - 1) ** 2 * prev2
+        prev2, prev1 = prev1, cur
+    return prev1
+
+
+def block_average_vectors(P):
+    """Rows v_i = indicator(block i) / n_i over the nonempty blocks, the
+    residual block last: M' is V M V^T for V stacking them."""
+    rows = []
+    for block in P.index_blocks:
+        if block:
+            v = np.zeros(P.n)
+            v[[a - 1 for a in block]] = 1.0 / len(block)
+            rows.append(v)
+    return np.array(rows)
 
 
 def statement1_gap(P, ell, C, x):
@@ -166,8 +194,6 @@ def test_det_matches_dense_lu():
 def test_det_empty_rejected():
     with pytest.raises(EmptyList):
         det_closed([])
-    with pytest.raises(EmptyList):
-        det_recursive([])
 
 
 def test_det_product_form_when_no_entry_is_one():
@@ -332,7 +358,7 @@ def test_reduce_matches_numeric_compression():
         bundle = build_M(P, ell, C)
         V = block_average_vectors(P)
         numeric = V @ bundle.M @ V.T
-        assert np.max(np.abs(reduce_M(bundle) - numeric)) < 1e-12
+        assert np.max(np.abs(bundle.Mprime - numeric)) < 1e-12
 
 
 def test_reduced_ell_entry_independent_of_block_size():

@@ -18,6 +18,7 @@ from deltainv import (
     FormatError,
     Frame,
     InvariantViolation,
+    OptimizerOptions,
     PartitionSpec,
     STATEMENT_I,
     STATEMENT_II,
@@ -32,6 +33,7 @@ from deltainv import (
     potential_from_tensor,
     random_cubic_form,
     random_witness,
+    tau_subspace,
 )
 
 # ---------------------------------------------------------------------------
@@ -77,7 +79,7 @@ def test_cube_reader_errors(caller, case):
 
 
 def test_potential_refuses_one_ulp_of_asymmetry():
-    a = random_cubic_form(4, 1.0, np.random.default_rng(5)).dense()
+    a = random_cubic_form(4, 1.0, np.random.default_rng(5)).dense_view.copy()
     a[0, 1, 2] = np.nextafter(a[0, 1, 2], np.inf)
     with pytest.raises(ConflictingEntry):
         CubicPotential(a)
@@ -243,6 +245,22 @@ _READERS = {
         lambda v: random_cubic_form(*v, np.random.default_rng(0)),
     ),
     "CubicForm.scaled": (_JSON, _H3.scaled),
+    "tau_subspace": (
+        st.tuples(
+            st.just(0.5) | _JSON,
+            _JSON | st.lists(st.integers(0, 4) | _SCALARS, max_size=4)
+            | st.frozensets(st.integers(0, 4), max_size=4),
+        ),
+        lambda v: tau_subspace(_H3, *v),
+    ),
+    "OptimizerOptions": (
+        st.fixed_dictionaries(
+            {},
+            optional={name: st.integers(-2, 4) | _JSON
+                      for name in ("restarts", "max_iters", "seed")},
+        ),
+        lambda kwargs: OptimizerOptions(**kwargs),
+    ),
     **{name: (_arrays(1), read) for name, read in _POINT_READERS.items()},
 }
 

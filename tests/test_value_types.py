@@ -3,6 +3,7 @@ every public input type takes exactly the settings pinned here."""
 
 import ast
 import dataclasses
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -129,3 +130,52 @@ _INPUT_FIELDS = {
 def test_input_types_take_exactly_the_pinned_settings(cls):
     names = tuple(f.name for f in dataclasses.fields(cls) if f.init)
     assert names == _INPUT_FIELDS[cls]
+
+
+# The public surface, pinned: a new alias, route or knob shows up here.
+_PUBLIC_NAMES = [
+    "ALL_SOURCES", "BadBlockIndex", "BoundCoefficients", "CampaignConfig",
+    "CampaignSummary", "CaseMismatch", "ConflictingEntry", "CubicForm",
+    "CubicPotential", "DeltaResult", "DeltainvError", "DimensionMismatch",
+    "EmptyList", "EqualIndices", "EqualityParamsT1", "EqualityParamsT2",
+    "FormatError", "Frame", "ImmersionPoint", "InadmissiblePartition",
+    "IndexOutOfRange", "InequalityReport", "InvariantViolation", "LEGACY_CD",
+    "LEGACY_CDVV", "NotApplicable", "OptimizerOptions", "PartitionSpec",
+    "QuadraticFormBundle", "RankDeficientFrame", "STATEMENT_I", "STATEMENT_II",
+    "SingularMetric", "THEOREM1", "THEOREM2", "UnsupportedDimension",
+    "Violation", "build_M", "build_statement2_matrix", "build_t1", "build_t2",
+    "check_t1", "check_t2", "coeff_legacy_cd", "coeff_legacy_cdvv",
+    "coeff_theorem1", "coeff_theorem2", "critical_C", "delta_coordinate_oracle",
+    "delta_invariant", "det_closed", "enumerate_partitions", "evaluate",
+    "immerse", "kernel_solution_theorem2", "lagrangian_check",
+    "lemma1_roundtrip", "mean_curvature_sq", "optimal_coefficients",
+    "potential_from_tensor", "psd_verdict", "psd_verdict_minors",
+    "random_cubic_form", "random_witness", "rotate", "run_campaign",
+    "scalar_curvature", "second_fundamental_form_numeric",
+    "sectional_curvature", "shared_b", "tau_subspace", "universal_check",
+]
+
+_PUBLIC_ATTRIBUTES = {
+    "CubicForm": [
+        "dense_view", "entries", "from_dense", "from_json_dict", "lookup", "n",
+        "scaled", "to_json_dict",
+    ],
+    "Frame": ["identity", "matrix", "n", "random"],
+    "QuadraticFormBundle": ["C", "M", "Mprime", "P", "ell", "minors"],
+}
+
+
+def test_the_package_exports_exactly_the_pinned_names():
+    # submodules are left out: whether deltainv.cli is loaded depends on
+    # what else has been imported
+    names = sorted(
+        name for name, value in vars(deltainv).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == _PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLIC_ATTRIBUTES))
+def test_value_types_have_exactly_the_pinned_attributes(name):
+    value = _values()[name]
+    assert sorted(a for a in dir(value) if not a.startswith("_")) == _PUBLIC_ATTRIBUTES[name]
