@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
+import itertools
 import math
 import numbers
 import operator
@@ -132,6 +133,8 @@ def _as_list(values, what: str, length=None, error=FormatError) -> list:
 
 def _entry_value(value, key) -> float:
     """A tensor entry: a number as ``_as_real`` reads it, and finite."""
+    if type(value) is float and value - value == 0.0:  # finite: inf - inf is nan
+        return value
     v = _as_real(value, "entry value")
     if not math.isfinite(v):
         raise InvariantViolation(f"non-finite entry {v!r} at {key!r}")
@@ -150,17 +153,6 @@ def _as_object(data, what: str, required=(), optional=()) -> dict:
     if unknown:
         raise FormatError(f"unknown {what} fields: {sorted(unknown)}")
     return data
-
-
-@lru_cache(maxsize=None)
-def _canonical_triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    """All 1-based triples with A <= B <= C."""
-    return tuple(
-        (a, b, c)
-        for a in range(1, n + 1)
-        for b in range(a, n + 1)
-        for c in range(b, n + 1)
-    )
 
 
 def _as_index(value, n: int, where: str, *args) -> int:
@@ -188,15 +180,49 @@ def _validated_triple(key, n: int) -> tuple[int, int, int]:
     return tuple(sorted(_as_index(v, n, "triple {!r}", key) for v in raw))
 
 
-@lru_cache(maxsize=None)
-def _triple_positions(n: int):
-    """Flat (n^3,) table: position (a, b, c) -> index of its sorted triple."""
-    where = {t: k for k, t in enumerate(_canonical_triples(n))}
-    cube = range(1, n + 1)
-    return np.array(
-        [where[tuple(sorted((a, b, c)))] for a in cube for b in cube for c in cube],
-        dtype=np.intp,
-    )
+class _SlotTable:
+    """Where each entry of an (n, n, n) symmetric tensor lives among its
+    N = C(n + 2, 3) canonical values, for a dimension n that
+    ``_check_dimension`` has read.  Built once per n, by ``_slot_table``;
+    its arrays are read-only."""
+
+    __slots__ = ("triples", "slot", "gather", "index")
+
+    def __init__(self, n: int):
+        cube = range(1, n + 1)
+        # the 1-based triples with A <= B <= C, in slot order
+        self.triples = tuple(
+            (a, b, c) for a in cube for b in range(a, n + 1) for c in range(b, n + 1)
+        )
+        # each of those triples -> its slot
+        self.slot = {t: k for k, t in enumerate(self.triples)}
+        # flat (n^3,) position -> slot
+        self.gather = np.array(
+            [self.slot[tuple(sorted(t))] for t in itertools.product(cube, repeat=3)],
+            np.intp,
+        )
+        # the (3, N) 0-based axes of each slot
+        index = np.array(self.triples, dtype=np.intp).T - 1
+        for arr in (self.gather, index):
+            arr.flags.writeable = False
+        self.index = tuple(index)
+
+
+_slot_table = lru_cache(maxsize=None)(_SlotTable)
+
+
+def _triple_slot(key, n: int, slot: dict) -> int:
+    """The slot of ``key``'s sorted triple, read as ``_validated_triple``
+    reads it; a tuple or list of three sorted in-range ints is looked up
+    directly (the ``type`` tests keep True, 2.0 and np.int64(2), which
+    hash like ints, on the checked path)."""
+    if (type(key) is tuple or type(key) is list) and len(key) == 3:
+        a, b, c = key
+        if type(a) is int and type(b) is int and type(c) is int:
+            s = slot.get((a, b, c))
+            if s is not None:
+                return s
+    return slot[_validated_triple(key, n)]
 
 
 def _symmetrize_dense(arr):
@@ -244,30 +270,31 @@ class CubicForm:
         n = _check_dimension(n)
         if not isinstance(entries, (Mapping, type(None))):
             raise FormatError(f"entries must map triples to values, got {entries!r}")
-        seen: dict[tuple[int, int, int], float] = {}
+        table = _slot_table(n)
+        seen: dict[int, float] = {}  # slot -> value
         for key, value in (entries or {}).items():
-            triple = _validated_triple(key, n)
+            s = _triple_slot(key, n, table.slot)
             v = _entry_value(value, key)
-            if triple in seen and seen[triple] != v:
+            if seen.get(s, v) != v:
                 raise ConflictingEntry(
                     f"triple {key!r} conflicts with an earlier permutation-"
-                    f"equivalent entry ({seen[triple]} vs {v})"
+                    f"equivalent entry ({seen[s]} vs {v})"
                 )
-            seen[triple] = v
-        self._set_dense(n, [seen.get(t, 0.0) for t in _canonical_triples(n)])
+            seen[s] = v
+        self._set_dense(n, _slot_values(len(table.triples), seen))
 
     def _set_dense(self, n: int, values):
-        """Store finite values listed in canonical triple order as the dense
-        array; a zero value, -0.0 included, is stored as 0.0."""
+        """Store finite values listed in slot order (``_slot_table``) as the
+        dense array; a zero value, -0.0 included, is stored as 0.0."""
         values = np.asarray(values, dtype=float) + 0.0
-        dense = values[_triple_positions(n)].reshape(n, n, n)
+        dense = values[_slot_table(n).gather].reshape(n, n, n)
         dense.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_dense", dense)
 
     @classmethod
     def _of_values(cls, n: int, values) -> "CubicForm":
-        """From finite values listed in canonical triple order, so no triple
+        """From finite values listed in slot order, so no triple
         needs the checks ``__init__`` makes; n is a dimension that
         ``_check_dimension`` has already read."""
         h = object.__new__(cls)
@@ -287,8 +314,7 @@ class CubicForm:
         """
         sym = _as_cube(array, "dense array", _DENSE_SYMMETRY_TOL)
         n = _check_dimension(sym.shape[0])
-        a, b, c = (np.array(_canonical_triples(n)) - 1).T
-        return cls._of_values(n, sym[a, b, c])
+        return cls._of_values(n, sym[_slot_table(n).index])
 
     # -- access ---------------------------------------------------------
 
@@ -296,15 +322,17 @@ class CubicForm:
         a, b, c = _validated_triple((a, b, c), self.n)
         return float(self._dense[a - 1, b - 1, c - 1])
 
+    def _values(self) -> np.ndarray:
+        """The canonical values, in slot order."""
+        return self._dense[_slot_table(self.n).index]
+
     @property
     def entries(self) -> dict[tuple[int, int, int], float]:
         """Canonical nonzero entries, keyed by sorted 1-based triples."""
-        out = {}
-        for a, b, c in _canonical_triples(self.n):
-            v = float(self._dense[a - 1, b - 1, c - 1])
-            if v != 0.0:
-                out[(a, b, c)] = v
-        return out
+        values = self._values()
+        nonzero = np.flatnonzero(values).tolist()
+        triples = _slot_table(self.n).triples
+        return {triples[k]: v for k, v in zip(nonzero, values[nonzero].tolist())}
 
     @property
     def dense_view(self):
@@ -312,12 +340,22 @@ class CubicForm:
         return self._dense
 
     def scaled(self, t: float) -> "CubicForm":
-        """t h, for a number t as ``_as_real`` reads it."""
+        """t h, for a number t as ``_as_real`` reads it; InvariantViolation
+        at the first canonical triple whose t h_ABC is not finite.  A zero
+        entry stays zero, whatever t."""
         t = _as_real(t, "t")
-        return CubicForm(self.n, {k: t * v for k, v in self.entries.items()})
+        values = self._values()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.where(values != 0.0, t * values, 0.0)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            k = int(bad[0])
+            where = _slot_table(self.n).triples[k]
+            raise InvariantViolation(f"non-finite entry {float(out[k])!r} at {where!r}")
+        return CubicForm._of_values(self.n, out)
 
     def __repr__(self):
-        return f"CubicForm(n={self.n}, nnz={len(self.entries)})"
+        return f"CubicForm(n={self.n}, nnz={np.count_nonzero(self._values())})"
 
     # -- serialization ----------------------------------------------------
 
@@ -333,22 +371,36 @@ class CubicForm:
     def from_json_dict(cls, data) -> "CubicForm":
         """Load the JSON wire format; duplicate triples are a load error.
 
-        Each triple and value is checked once, here, and the checked values
-        go to the dense array without the checks of ``__init__``.
+        Each triple and value is checked once, here, and written to its
+        slot without the checks of ``__init__``.
         """
         data = _as_object(data, "tensor", required=("n",), optional=("entries",))
         n = _check_dimension(_as_integer(data["n"], "dimension"))
         raw_entries = _as_list(data.get("entries", []), "'entries'")
-        entries: dict[tuple[int, int, int], float] = {}
+        table = _slot_table(n)
+        seen: dict[int, float] = {}  # slot -> value
         for item in raw_entries:
-            idx = _as_object(item, "tensor entry", required=("idx", "value"))["idx"]
-            triple = _validated_triple(idx, n)
-            if triple in entries:
+            plain = type(item) is dict and len(item) == 2
+            if not (plain and "idx" in item and "value" in item):
+                _as_object(item, "tensor entry", required=("idx", "value"))
+            idx = item["idx"]
+            s = _triple_slot(idx, n, table.slot)
+            if s in seen:
                 raise ConflictingEntry(
                     f"duplicate or permutation-conflicting triple {idx!r}"
                 )
-            entries[triple] = _entry_value(item["value"], idx)
-        return cls._of_values(n, [entries.get(t, 0.0) for t in _canonical_triples(n)])
+            seen[s] = _entry_value(item["value"], idx)
+        return cls._of_values(n, _slot_values(len(table.triples), seen))
+
+
+def _slot_values(size: int, seen: dict) -> np.ndarray:
+    """The (size,) canonical values with seen[slot] at each written slot and
+    zero elsewhere."""
+    values = np.zeros(size)
+    values[np.fromiter(seen, np.intp, len(seen))] = np.fromiter(
+        seen.values(), float, len(seen)
+    )
+    return values
 
 
 def random_cubic_form(n: int, scale: float, rng: np.random.Generator) -> CubicForm:
@@ -356,7 +408,7 @@ def random_cubic_form(n: int, scale: float, rng: np.random.Generator) -> CubicFo
     n is read by ``_check_dimension`` and scale by ``_as_scale``."""
     n = _check_dimension(n)
     scale = _as_scale(scale, "scale")
-    values = rng.uniform(-scale, scale, size=len(_canonical_triples(n)))
+    values = rng.uniform(-scale, scale, size=len(_slot_table(n).triples))
     return CubicForm._of_values(n, values)
 
 

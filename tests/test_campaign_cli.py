@@ -220,6 +220,29 @@ def test_cli_construct_equality_entries_are_the_float_quotients(tmp_path, capsys
     assert entries == {(1, 1, 3): lam / 4, (2, 2, 3): lam / 4, (3, 3, 3): lam}
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: GAP_TOL is absolute, so the witness's rounding "
+    "gap -1.86e-9 on rhs 1.52e7 reads as a violation (lambdas 200 pass)",
+)
+def test_cli_large_equality_witness_verifies_without_violation(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"lambdas": [2000, 2000, 2000]}))
+    code, out, _ = run_cli(
+        capsys,
+        "construct-equality", "--theorem", "1", "--n", "5",
+        "--partition", "2", "--params", str(params),
+    )
+    assert code == 0
+    witness = tmp_path / "witness.json"
+    witness.write_text(out)
+    code, out, _ = run_cli(capsys, "verify", str(witness), "--partition", "2")
+    report = json.loads(out)
+    assert report["sharp"] is True
+    assert code == 0
+    assert all(row["verdict"] != "violated" for row in report["rows"])
+
+
 def test_cli_construct_equality_t2(tmp_path, capsys):
     inblock = [np.zeros((2, 2, 2)).tolist(), np.zeros((2, 2, 2)).tolist()]
     inblock[0][0][0][0] = 4.0

@@ -41,7 +41,6 @@ from deltainv.delta import (
     _start_stacks,
 )
 from deltainv.tensors import (
-    _canonical_triples,
     _ricci,
     _rotate_dense,
     _rotate_two_slots,
@@ -107,7 +106,7 @@ def _enumerated_oracle(h, c, P):
 
 def _integer_form(n, rng):
     """Entries in {-1, 0, 1}: every tau is exact, so exact ties abound."""
-    triples = _canonical_triples(n)
+    triples = list(itertools.combinations_with_replacement(range(1, n + 1), 3))
     values = rng.integers(-1, 2, size=len(triples)).astype(float)
     return CubicForm(n, dict(zip(triples, values)))
 
