@@ -133,8 +133,6 @@ def _as_list(values, what: str, length=None, error=FormatError) -> list:
 
 def _entry_value(value, key) -> float:
     """A tensor entry: a number as ``_as_real`` reads it, and finite."""
-    if type(value) is float and value - value == 0.0:  # finite: inf - inf is nan
-        return value
     v = _as_real(value, "entry value")
     if not math.isfinite(v):
         raise InvariantViolation(f"non-finite entry {v!r} at {key!r}")
@@ -344,15 +342,7 @@ class CubicForm:
         at the first canonical triple whose t h_ABC is not finite.  A zero
         entry stays zero, whatever t."""
         t = _as_real(t, "t")
-        values = self._values()
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.where(values != 0.0, t * values, 0.0)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            k = int(bad[0])
-            where = _slot_table(self.n).triples[k]
-            raise InvariantViolation(f"non-finite entry {float(out[k])!r} at {where!r}")
-        return CubicForm._of_values(self.n, out)
+        return CubicForm(self.n, {k: t * v for k, v in self.entries.items()})
 
     def __repr__(self):
         return f"CubicForm(n={self.n}, nnz={np.count_nonzero(self._values())})"
@@ -380,10 +370,7 @@ class CubicForm:
         table = _slot_table(n)
         seen: dict[int, float] = {}  # slot -> value
         for item in raw_entries:
-            plain = type(item) is dict and len(item) == 2
-            if not (plain and "idx" in item and "value" in item):
-                _as_object(item, "tensor entry", required=("idx", "value"))
-            idx = item["idx"]
+            idx = _as_object(item, "tensor entry", required=("idx", "value"))["idx"]
             s = _triple_slot(idx, n, table.slot)
             if s in seen:
                 raise ConflictingEntry(
