@@ -1,8 +1,8 @@
 """The one-pass tensor reader against the per-entry reader it replaced.
 
 ``CubicForm(n, entries)`` and ``CubicForm.from_json_dict`` write each value
-straight to its canonical slot, with a fast path for exact ints and finite
-floats.  The references below are the former per-entry loops: every triple
+straight to its canonical slot, with a fast path for triples of exact
+ints.  The references below are the former per-entry loops: every triple
 through ``_validated_triple``, every value through ``_as_real`` and a
 finiteness check, then the sorted triples written out one by one.  An
 accepted input must give the same dense array bit for bit, and a refused
