@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .delta import DeltaResult, _delta_h, delta_invariant
+from .delta import DeltaResult, _delta_h, _gap_terms, delta_invariant
 from .errors import NotApplicable
 from .quadforms import (  # the coefficient layer, re-exported here
     ALL_SOURCES,
@@ -181,7 +181,7 @@ def evaluate(h: CubicForm, c, P: PartitionSpec, opts=None) -> InequalityReport:
     cval = ambient_value(c)
     result = delta_invariant(h, cval, P, opts)
     hsq = mean_curvature_sq(h)
-    delta_h = _delta_h(h, P, result.frame)
+    delta_h = _delta_h(h, _gap_terms(P)[1], result.frame)
 
     rows = []
     coefficients = (coeff_theorem1, coeff_theorem2, coeff_legacy_cdvv, coeff_legacy_cd)

@@ -57,10 +57,10 @@ gradient pass forms, and each round of the descent makes one Gauss pass;
 M's diagonal is zero, like K's, so that trace has no exact-zero diagonal
 pair left to round or overflow.  K contracts the third slot of the
 tensor with itself, and an orthogonal rotation keeps each such
-contraction, so the descent never rotates slot 3: its frames turn slots
-1 and 2 (``tensors._rotate_two_slots``), and only the reported taus are
-read from the full rotation.  delta_h at a frame is 1/2 <J - M, K>
-(``_delta_h``).
+contraction, so neither the descent nor a gap rotates slot 3: their
+frames turn slots 1 and 2 (``tensors._rotate_two_slots``), and only the
+reported taus and the P = (n-1) scores are read from the full rotation.
+delta_h at a frame is 1/2 <J - M, K> (``_delta_h``).
 
 All randomness flows from a single 64-bit seed.
 """
@@ -634,11 +634,16 @@ def _gap_terms(P: PartitionSpec):
     return float(optimal_coefficients(P).a), off_block
 
 
-def _delta_h(h: CubicForm, P: PartitionSpec, R: Frame) -> float:
-    """delta_h at frame R, 1/2 <J - M, K> of the rotated tensor: tau minus
-    the block taus there, less b c."""
-    K = _sectional_matrix(_rotate_dense(h.dense_view, R.matrix))
-    return 0.5 * float((_gap_terms(P)[1] * K).sum())
+def _delta_h(h: CubicForm, off_block, R: Frame) -> float:
+    """delta_h at frame R, 1/2 <J - M, K> of the rotated tensor for the
+    off-block mask J - M of ``_gap_terms``: tau minus the block taus there,
+    less b c.
+
+    K cannot see slot 3 turn, so R rotates slots 1 and 2 alone
+    (``_rotate_two_slots``), and <J - M, K> is one dot product.
+    """
+    K = _sectional_matrix(_rotate_two_slots(h.dense_view, R.matrix))
+    return 0.5 * float(np.vdot(off_block, K))
 
 
 def universal_check(h: CubicForm, P: PartitionSpec, R: Frame) -> float:
@@ -652,4 +657,5 @@ def universal_check(h: CubicForm, P: PartitionSpec, R: Frame) -> float:
     """
     _check_partition(h, P)
     _check_frame(h, R)
-    return _gap_terms(P)[0] * mean_curvature_sq(h) - _delta_h(h, P, R)
+    a, off_block = _gap_terms(P)
+    return a * mean_curvature_sq(h) - _delta_h(h, off_block, R)

@@ -545,7 +545,8 @@ def _qr_rows(arr):
     Q, R = np.linalg.qr(arr.swapaxes(-1, -2))
     diag = np.diagonal(R, axis1=-2, axis2=-1)
     signs = np.where(diag < 0.0, -1.0, 1.0)
-    return (Q * signs[..., None, :]).swapaxes(-1, -2), diag
+    # + 0.0 stores as +0.0 each -0.0 that the QR or the sign flip leaves
+    return (Q * signs[..., None, :] + 0.0).swapaxes(-1, -2), diag
 
 
 def _orthonormalize_rows(arr):
@@ -673,7 +674,7 @@ def rotate(h: CubicForm, frame: Frame) -> CubicForm:
 
 def mean_curvature_sq(h: CubicForm) -> float:
     """Squared mean curvature (1/n^2) sum_C (sum_A h_{AAC})^2."""
-    traces = np.einsum("aac->c", h.dense_view)
+    traces = h.dense_view.trace()
     return float(traces @ traces) / h.n**2
 
 

@@ -8,13 +8,16 @@ diagonal, gives tau less tau of a hyperplane.  The references below sum
 the same terms from slices of T, one block at a time; the summation order
 differs, so values agree to 1e-12 relative (floored at 1, the scale of the
 random entries), not bit for bit.
-K contracts slot 3 with itself, so the descent rotates only slots 1 and 2
-(``_rotate_two_slots``); the full rotation is the reference there.
+K contracts slot 3 with itself, so the descent and every gap rotate only
+slots 1 and 2 (``_rotate_two_slots``); the full rotation is the reference
+there.
 """
 
 import numpy as np
 import pytest
 
+import deltainv.delta
+import deltainv.tensors
 from deltainv import (
     Frame,
     enumerate_partitions,
@@ -43,6 +46,8 @@ from deltainv.tensors import (
 )
 
 RTOL = 1e-12
+# two-slot gap against the full rotation, in units of n^2 max(1, max|h|)^2
+GAP_TOL = 4e-15
 C_VALUES = (-1.0, 0.0, 0.5)
 
 
@@ -296,9 +301,52 @@ def test_gap_terms_and_universal_check_ignore_the_mask_diagonal(n):
         for _ in range(3):
             h = random_cubic_form(n, 1.0, rng)
             R = Frame.random(n, rng)
-            K = _sectional_matrix(_rotate_dense(h.dense_view, R.matrix))
-            gap = a * mean_curvature_sq(h) - 0.5 * float((former_off * K).sum())
+            K = _sectional_matrix(_rotate_two_slots(h.dense_view, R.matrix))
+            gap = a * mean_curvature_sq(h) - 0.5 * float(np.vdot(former_off, K))
             assert universal_check(h, P, R) == gap, P
+
+
+def test_mean_curvature_sq_keeps_the_digits_of_the_einsum_traces():
+    # the descent's floor reads |H|^2, so a new way to take the traces must
+    # not move a digit of delta
+    rng = np.random.default_rng(83)
+    for n in range(2, 13):
+        for _ in range(20):
+            h = random_cubic_form(n, 1.0, rng)
+            traces = np.einsum("aac->c", h.dense_view)
+            assert mean_curvature_sq(h) == float(traces @ traces) / n**2, n
+
+
+def _gap_rotated_in_full(h, P, R):
+    """The gap from the full rotation and a product summed with .sum()."""
+    a, off_block = _gap_terms(P)
+    traces = np.einsum("aac->c", h.dense_view)
+    hsq = float(traces @ traces) / h.n**2
+    K = _sectional_matrix(_rotate_dense(h.dense_view, R.matrix))
+    return a * hsq - 0.5 * float((off_block * K).sum())
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_gap_rotates_two_slots_and_agrees_with_the_full_rotation(n, monkeypatch):
+    # K cannot see slot 3 turn, so the two-slot gap is the full rotation's
+    # up to rounding: over 3,000 seeded (h, P, R) at each n the two differed
+    # by at most 1.2e-15 n^2 max|h|^2
+    rng = np.random.default_rng([79, n])
+    cases = []
+    for P in enumerate_partitions(n):
+        for scale in (1e-3, 1.0, 1e3):
+            h = random_cubic_form(n, scale, rng)
+            R = Frame.random(n, rng)
+            cases.append((h, P, R, _gap_rotated_in_full(h, P, R)))
+
+    def refuse(*args):
+        raise AssertionError("universal_check rotated slot 3")
+
+    for module in (deltainv.delta, deltainv.tensors):
+        monkeypatch.setattr(module, "_rotate_dense", refuse)
+    for h, P, R, ref in cases:
+        scale = max(1.0, float(np.abs(h.dense_view).max()))
+        assert abs(universal_check(h, P, R) - ref) <= GAP_TOL * n**2 * scale**2, P
 
 
 def test_dependent_row_in_a_stack_raises():

@@ -1,6 +1,7 @@
 """Tensor storage, frames, and Gauss-equation curvature quantities."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +31,9 @@ from deltainv import (
     tau_subspace,
 )
 from deltainv.bounds import evaluate
+from deltainv.cli import main
 from deltainv.delta import delta_coordinate_oracle, delta_invariant, universal_check
-from deltainv.tensors import _as_real_array, ambient_value
+from deltainv.tensors import _as_real_array, _haar_rows, ambient_value
 
 
 def full_curvature_oracle(h, c):
@@ -523,6 +525,32 @@ def test_negative_zero_entries_are_stored_as_zero():
     h = CubicForm(3, {(1, 2, 3): -0.0, (1, 1, 1): 2.0})
     assert not np.signbit(h.dense_view).any()
     assert h.entries == {(1, 1, 1): 2.0}
+
+
+def _has_negative_zero(arr):
+    return bool((np.signbit(arr) & (arr == 0.0)).any())
+
+
+def test_frames_carry_no_negative_zero(tmp_path, capsys, t1_witness_n3):
+    # the QR's sign fix would leave -0.0 where it flips a zero; frames store
+    # every zero as +0.0, as tensors do, so the CLI prints no "-0.0"
+    rng = np.random.default_rng(17)
+    for n in range(2, 13):
+        assert not _has_negative_zero(Frame.identity(n).matrix), n
+        assert not _has_negative_zero(Frame.random(n, rng).matrix), n
+        # a draw with a zero row below the diagonal gives Q exact zeros
+        gauss = rng.standard_normal((3, n, n))
+        gauss[:, 1:, 0] = 0.0
+        assert not _has_negative_zero(_haar_rows(gauss)), n
+    h, _ = t1_witness_n3
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(h.to_json_dict()))
+    for command in ("delta", "verify"):
+        assert main([command, str(path), "--partition", "2", "--restarts", "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        frame = np.array((out["delta"] if command == "verify" else out)["frame"])
+        assert np.array_equal(frame, np.eye(3)), command
+        assert not _has_negative_zero(frame), command
 
 
 def test_frame_random_accepts_a_nearly_singular_draw():
