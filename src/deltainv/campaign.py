@@ -212,16 +212,13 @@ class _Draw(NamedTuple):
     gauss: np.ndarray
 
 
-@lru_cache(maxsize=None)
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """init and its count successive products by mult, modulo 2**32.  They
     are evolved as Python ints, so no numpy scalar can warn on overflow."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    out = np.array(consts, dtype=np.uint32)
-    out.flags.writeable = False
-    return out
+    return np.array(consts, dtype=np.uint32)
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:

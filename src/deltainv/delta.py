@@ -388,9 +388,8 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     without a second pass; the trial's f comes from the same pass
     (``_grad_skew``), so K is never formed.  Frames rotate T in slots 1
     and 2 only (``_rotate_two_slots``), since f and its gradient cannot
-    see slot 3 turn.  The stop tests run in full only in a round where
-    some restart can stop, and the stack is compacted only in a round
-    where one does.  Each restart keeps its own count of accepted steps,
+    see slot 3 turn.  The stack is compacted only in a round where some
+    restart stops.  Each restart keeps its own count of accepted steps,
     so it takes the steps it would take alone.  Returns (f, frames,
     converged), one entry per start.
     """
@@ -408,43 +407,31 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     band_lo, band_hi = floor - eps, floor + eps
     lead = r  # the first start whose f has reached band_hi
     while True:
-        gnorm = np.sqrt(aa)
         # the decrease each Armijo test asks for, 1e-4 t |A|^2 / 2
         armijo = 5e-5 * t * aa
-        # a restart can stop only with its step spent or NaN, its |A| below
-        # _STATIONARY, its steps used up, or its f at the floor's band
-        # (fmin skips a NaN |A|; a NaN step already counts as spent)
-        if (
-            not t.min() > 1e-15
-            or np.fmin.reduce(gnorm) < _STATIONARY
-            or iters.max() >= max_iters
-            or ((f <= band_hi) & (row != lead)).any()
-        ):
-            stationary = gnorm < _STATIONARY
-            maxed = iters >= max_iters
-            # a NaN step, a step halved to 1e-15 without a decrease, or a
-            # stationary restart's Armijo test asking for less than f
-            # resolves
-            tiny = armijo <= 1e-15 * np.maximum(1.0, abs(f))
-            spent = ~(t > 1e-15) | (tiny & stationary)
-            reached = row[f <= band_hi]
-            if reached.size:
-                lead = min(lead, int(reached[0]))
-            floored = (f >= band_lo) & (f <= band_hi) & (row > lead)
-            stop = maxed | spent | floored
-            if stop.any():
-                gone = row[stop]
-                f_out[gone], R_out[gone] = f[stop], R[stop]
-                # out of steps: not converged; spent: by |A|; floored:
-                # converged
-                verdict = np.where(spent, stationary, floored) & ~maxed
-                converged[gone] = verdict[stop]
-                keep = ~stop
-                if not keep.any():
-                    return f_out, R_out, converged
-                R, f, A, aa, t, iters, row, armijo = (
-                    x[keep] for x in (R, f, A, aa, t, iters, row, armijo)
-                )
+        stationary = np.sqrt(aa) < _STATIONARY
+        maxed = iters >= max_iters
+        # a NaN step, a step halved to 1e-15 without a decrease, or a
+        # stationary restart's Armijo test asking for less than f resolves
+        tiny = armijo <= 1e-15 * np.maximum(1.0, abs(f))
+        spent = ~(t > 1e-15) | (tiny & stationary)
+        near = f <= band_hi
+        if near.any():
+            lead = min(lead, int(row[near][0]))
+        floored = near & (f >= band_lo) & (row > lead)
+        stop = maxed | spent | floored
+        if stop.any():
+            gone = row[stop]
+            f_out[gone], R_out[gone] = f[stop], R[stop]
+            # out of steps: not converged; spent: by |A|; floored: converged
+            verdict = np.where(spent, stationary, floored) & ~maxed
+            converged[gone] = verdict[stop]
+            keep = ~stop
+            if not keep.any():
+                return f_out, R_out, converged
+            R, f, A, aa, t, iters, row, armijo = (
+                x[keep] for x in (R, f, A, aa, t, iters, row, armijo)
+            )
 
         try:
             Rt = _cayley_step(R, A, -t)
@@ -476,13 +463,10 @@ def _stacked_descent(T, starts, M, max_iters, floor):
         np.divide(t * num, denom, out=bb, where=np.minimum(sy, denom) > 1e-30)
         t = np.where(ok, np.minimum(np.maximum(bb, 1e-12), 1e4), 0.5 * t)
         iters += ok
-        if ok.all():
-            R, f, A, aa = Rt, ft, G, gg
-        else:
-            frames = ok[:, None, None]
-            np.copyto(R, Rt, where=frames)
-            np.copyto(A, G, where=frames)
-            f, aa = np.where(ok, ft, f), np.where(ok, gg, aa)
+        frames = ok[:, None, None]
+        np.copyto(R, Rt, where=frames)
+        np.copyto(A, G, where=frames)
+        f, aa = np.where(ok, ft, f), np.where(ok, gg, aa)
 
 
 def _earliest_best(values) -> int:

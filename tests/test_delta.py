@@ -838,6 +838,23 @@ def test_one_block_with_a_non_finite_ricci_tensor_descends():
             assert not res.converged
 
 
+def test_a_nan_step_stops_its_restart_before_any_trial(monkeypatch):
+    # |A|^2 overflows at every start, so every first step is NaN: the
+    # spent-step stop ends each restart, unconverged, at its start, and no
+    # Cayley step is ever tried (without that stop the loop never ends)
+    h = CubicForm(4, {(1, 1, 1): 1e200, (1, 2, 3): -3e199, (2, 2, 4): 2e200})
+    P = PartitionSpec(4, (2, 2))
+    starts = np.stack([np.eye(4), Frame.random(4, np.random.default_rng(3)).matrix])
+
+    def no_trial(R, S, t):
+        raise AssertionError("a Cayley step was tried")
+
+    monkeypatch.setattr(delta_mod, "_cayley_step", no_trial)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, R, converged = _stacked_descent(h.dense_view, starts, _block_mask(P), 500, -np.inf)
+    assert np.array_equal(R, starts) and not converged.any()
+
+
 def test_huge_finite_entries_never_make_the_descent_raise():
     # one entry of 1e152..1e200 overflows some gradients; the descent stops
     # such a start (a NaN first step, or a rejected trial) instead of
