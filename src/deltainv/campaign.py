@@ -361,14 +361,18 @@ def campaign_csv(rows: Iterable[SampleResult], summary: CampaignSummary) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SAMPLE_CSV_COLUMNS)
+    labels = {}  # each partition's label, rendered once per call
     for row in rows:
         summary.update(row)
+        label = labels.get(row.partition)
+        if label is None:
+            label = labels[row.partition] = "+".join(map(str, row.partition))
         writer.writerow(
             [
                 row.index,
                 f"{row.seed[0]}:{row.seed[1]}",
                 row.n,
-                "+".join(str(b) for b in row.partition),
+                label,
                 repr(row.c),
                 repr(row.gap),
             ]

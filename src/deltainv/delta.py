@@ -35,7 +35,7 @@ closed form:
   every rule that stops a restart and when it counts as converged.
   The optimal bound, delta_h <= a |H|^2 once its c terms cancel, makes
   floor = 1/2 sum K - a |H|^2 a certified lower bound on the descent's
-  objective.  A restart that comes within 1e-12 relative of it
+  objective.  A restart that comes within 2.5e-11 relative of it
   behind an earlier restart that reached it stops, because it can no
   longer win; the earliest such restart runs on, so the result does not
   change.
@@ -104,10 +104,10 @@ _STACK = 64
 # relative margin by which a later restart must beat the best so far to win
 # (``_earliest_best``), and relative half-width of the band around the
 # certified floor in which a restart behind one that reached it stops
-# (``_stacked_descent``); the floor rule keeps the winner because the band
-# is far narrower than the margin
+# (``_stacked_descent``); the floor rule keeps the winner because the band's
+# full width, 5e-11, is less than the margin
 _BEST_RTOL = 1e-10
-_FLOOR_RTOL = 1e-12
+_FLOOR_RTOL = _BEST_RTOL / 4
 
 # |A| below which a restart is stationary (``_stacked_descent``)
 _STATIONARY = 1e-7
@@ -273,8 +273,10 @@ def delta_coordinate_oracle(h: CubicForm, c, P: PartitionSpec) -> DeltaResult:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _block_mask(P: PartitionSpec) -> np.ndarray:
-    """0/1 (n, n) mask M with M_ij = 1 when i != j share a leading block.
+    """Read-only 0/1 (n, n) mask M with M_ij = 1 when i != j share a
+    leading block, built once per partition.
 
     The diagonal is zero: K's is zero, so <M, K> does not read it, and
     ``_grad_skew``'s trace form of f would otherwise carry the pairs
@@ -284,7 +286,9 @@ def _block_mask(P: PartitionSpec) -> np.ndarray:
     own = P.owner
     same = (own[:, None] == own) & (own < P.k)
     np.fill_diagonal(same, False)
-    return same.astype(float)
+    mask = same.astype(float)
+    mask.flags.writeable = False
+    return mask
 
 
 def _block_tau_h(H, M):
@@ -315,9 +319,13 @@ def _grad_skew(H, M):
     (n, n, n), or a stack (..., n, n, n) of them.
     """
     n = H.shape[-1]
-    W = -M[:, :, None] * H
-    # einsum's diagonal of W is a writable view: W[..., a, a, c]
-    np.einsum("...iic->...ic", W)[...] += M @ np.einsum("...iic->...ic", H)
+    # H[..., a, a, c] is row a (n + 1) of the (n^2, n) reshape; W is built
+    # in that contiguous shape, so its diagonal is a writable strided view
+    flat = H.shape[:-3] + (n * n, n)
+    diag = (..., slice(None, None, n + 1), slice(None))
+    Hf = H.reshape(flat)
+    W = -M.reshape(n * n, 1) * Hf
+    W[diag] += M @ Hf[diag]
     rows = H.shape[:-3] + (n, n * n)
     G = W.reshape(rows) @ H.reshape(rows).swapaxes(-1, -2)
     return 0.5 * np.einsum("...ii->...", G), 2.0 * (G - G.swapaxes(-1, -2))
@@ -373,14 +381,20 @@ def _stacked_descent(T, starts, M, max_iters, floor):
 
     ``floor`` is a certified lower bound on f (``delta_invariant`` passes
     the one the optimal bound gives); -inf turns this rule off.  A restart
-    whose f lies within eps = _FLOOR_RTOL * max(1, |floor|) of the floor
-    stops, converged, once a lower-indexed restart of the stack has
-    reached floor + eps.  f never rises, so that restart ends at
-    most eps above the floor, and this one could win only by ending more
-    than _BEST_RTOL below it: far further below the floor than the bound
-    allows.  The earliest restart in the band runs on under the rules
-    above, and one below the band, a violation of the bound, is never
-    stopped by this rule.
+    whose f lies within eps = _FLOOR_RTOL * max(1, |floor|) of the floor,
+    2.5e-11 relative, stops, converged, once a lower-indexed restart of the
+    stack has reached floor + eps.  f never rises, so that restart ends at
+    most eps above the floor.  This one stops no lower than floor - eps, so
+    it cannot beat that restart by _BEST_RTOL > 2 eps; run on, it could only
+    by going below floor + eps - _BEST_RTOL, 7.5e-11 relative below the
+    floor, further than the bound allows.  (A still earlier restart that
+    ends above the band, but within _BEST_RTOL of the lead, keeps the win
+    from the lead; a stopped restart that would have ended more than
+    _BEST_RTOL below it no longer takes the win, and the value then moves
+    by less than _BEST_RTOL relative.  No tested set shows that case.)  The
+    earliest restart in the band runs on under the rules above, and one
+    below the band, a violation of the bound, is never stopped by this
+    rule.
 
     The arrays hold only the running restarts, the working stack.  One
     round makes one Armijo trial for each of them and takes the gradient
@@ -416,7 +430,9 @@ def _stacked_descent(T, starts, M, max_iters, floor):
         tiny = armijo <= 1e-15 * np.maximum(1.0, abs(f))
         spent = ~(t > 1e-15) | (tiny & stationary)
         near = f <= band_hi
-        if near.any():
+        # rows ascend, so no working restart can lower a lead at or below
+        # the first of them
+        if lead > row[0] and near.any():
             lead = min(lead, int(row[near][0]))
         floored = near & (f >= band_lo) & (row > lead)
         stop = maxed | spent | floored
@@ -426,9 +442,9 @@ def _stacked_descent(T, starts, M, max_iters, floor):
             # out of steps: not converged; spent: by |A|; floored: converged
             verdict = np.where(spent, stationary, floored) & ~maxed
             converged[gone] = verdict[stop]
-            keep = ~stop
-            if not keep.any():
+            if len(gone) == len(row):
                 return f_out, R_out, converged
+            keep = np.flatnonzero(~stop)
             R, f, A, aa, t, iters, row, armijo = (
                 x[keep] for x in (R, f, A, aa, t, iters, row, armijo)
             )

@@ -687,7 +687,9 @@ def _sectional_matrix(T):
     S is 1/2 1^T K 1 + c C(|S|, 2).  The diagonal, zero in exact arithmetic,
     is set to zero.
     """
-    D = np.einsum("...iic->...ic", T)
+    m = T.shape[-2]
+    # D[..., i, c] = T[..., i, i, c]: the rows i (m + 1) of the (m^2, n) reshape
+    D = T.reshape(T.shape[:-3] + (m * m, T.shape[-1]))[..., :: m + 1, :]
     K = D @ D.swapaxes(-1, -2) - np.einsum("...ijc,...ijc->...ij", T, T)
     np.einsum("...ii->...i", K)[...] = 0.0  # a writeable view of the diagonal
     return K

@@ -34,6 +34,7 @@ from deltainv.delta import (
     _block_tau_h,
     _cayley_step,
     _earliest_best,
+    _gap_terms,
     _grad_skew,
     _haar_starts,
     _oracle_start_frame,
@@ -44,6 +45,7 @@ from deltainv.tensors import (
     _ricci,
     _rotate_dense,
     _rotate_two_slots,
+    _sectional_matrix,
     _tau_dense,
     mean_curvature_sq,
     scalar_curvature,
@@ -629,13 +631,15 @@ def _descending(cases):
 def test_witness_descent_rounds_stay_few(monkeypatch):
     # a round is one stacked Armijo trial, one _cayley_step call; the loop
     # before the resolution stop made 50.9 per witness, mostly trials f
-    # could not resolve, 29.7 before the floor rule and 23.6 with the first
-    # Barzilai-Borwein quotient alone.  The bound is 1.15x the 23.90
-    # measured per descending call with the alternating step (1,004 rounds
-    # over the 42 witnesses with P != (n-1); 21.65 over all 54 when P = (n-1)
-    # descended too)
-    _, rounds, _ = _counted_sweep(monkeypatch, _witnesses())
-    assert rounds / _descending(_witnesses()) <= 1.15 * 23.90
+    # could not resolve, 29.7 before the floor rule, 23.6 with the first
+    # Barzilai-Borwein quotient alone and 23.90 with the floor band at
+    # 1e-12.  The bounds are 1.15x the 22.86 rounds and 221.1 frame trials
+    # measured per descending call with the band at _BEST_RTOL / 4 (960
+    # rounds and 9,288 trials over the 42 witnesses with P != (n-1), against
+    # 1,004 and 9,938 with the 1e-12 band)
+    _, rounds, trials = _counted_sweep(monkeypatch, _witnesses())
+    assert rounds / _descending(_witnesses()) <= 1.15 * 22.86
+    assert trials / _descending(_witnesses()) <= 1.15 * 221.1
 
 
 @lru_cache(maxsize=None)
@@ -654,11 +658,29 @@ def _rotated_witnesses():
 def test_rotated_witness_descent_rounds_stay_few(monkeypatch):
     # a Haar frame hides the witness's blocks, so every restart descends
     # from far off: 60.8 rounds per call with the first Barzilai-Borwein
-    # quotient alone.  The bound is 1.15x the 49.31 measured per descending
-    # call with the alternating step (3,550 rounds over the 72 witnesses
-    # with P != (n-1); 46.65 over all 79 when P = (n-1) descended too)
-    _, rounds, _ = _counted_sweep(monkeypatch, _rotated_witnesses())
-    assert rounds / _descending(_rotated_witnesses()) <= 1.15 * 49.31
+    # quotient alone and 49.67 with the floor band at 1e-12.  The bounds
+    # are 1.15x the 48.42 rounds and 475.9 frame trials measured per
+    # descending call with the band at _BEST_RTOL / 4 (3,486 rounds and
+    # 34,268 trials over the 72 witnesses with P != (n-1), against 3,576
+    # and 36,388 with the 1e-12 band)
+    _, rounds, trials = _counted_sweep(monkeypatch, _rotated_witnesses())
+    assert rounds / _descending(_rotated_witnesses()) <= 1.15 * 48.42
+    assert trials / _descending(_rotated_witnesses()) <= 1.15 * 475.9
+
+
+@lru_cache(maxsize=None)
+def _near_witnesses():
+    """The 54 witnesses, each plus 8e-7 times a seeded random tensor.  No
+    longer sharp, so the best f ends above the floor by about eps^2: on all
+    42 that descend, between 1.3e-12 and 2.0e-11 relative of it, outside
+    the former 1e-12 band and inside _FLOOR_RTOL = 2.5e-11."""
+    rng = np.random.default_rng(97)
+    return tuple(
+        (CubicForm.from_dense(
+            h.dense_view + 8e-7 * random_cubic_form(P.n, 1.0, rng).dense_view
+        ), P)
+        for h, P in _witnesses()
+    )
 
 
 def _floor_free(monkeypatch):
@@ -672,12 +694,15 @@ def _floor_free(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cases", [_witnesses, _rotated_witnesses], ids=["canonical", "rotated"]
+    "cases",
+    [_witnesses, _rotated_witnesses, _near_witnesses],
+    ids=["canonical", "rotated", "near-equality"],
 )
 def test_floor_rule_keeps_every_result_bit_for_bit(monkeypatch, cases):
     # the floor rule stops only restarts behind an earlier one that reached
     # the certified minimum: the winner, its frame and converged stay the
-    # same, bit for bit, in fewer rounds
+    # same, bit for bit, in fewer rounds.  The near-equality set puts its
+    # minima where only the band's outer part reaches
     new, rounds, _ = _counted_sweep(monkeypatch, cases())
     _floor_free(monkeypatch)
     free, free_rounds, _ = _counted_sweep(monkeypatch, cases())
@@ -686,6 +711,38 @@ def test_floor_rule_keeps_every_result_bit_for_bit(monkeypatch, cases):
         assert np.array_equal(a.frame.matrix, b.frame.matrix), P
         assert a.converged == b.converged, P
     assert rounds < free_rounds
+
+
+def test_floor_band_is_narrower_than_the_winner_margin():
+    # a restart stopped by the floor rule ends at or above floor - eps, and
+    # the lead it stopped behind at or below floor + eps, so it cannot beat
+    # the lead by the _BEST_RTOL that ``_earliest_best`` asks of a later
+    # restart while 2 eps < _BEST_RTOL.  Run on, it could win only by going
+    # below floor + eps - _BEST_RTOL: a violation of the bound of at least
+    # 7.5e-11 relative, at eps = _BEST_RTOL / 4
+    assert 2 * delta_mod._FLOOR_RTOL < delta_mod._BEST_RTOL
+
+
+def test_near_equality_minima_lie_in_the_band_beyond_1e_12(monkeypatch):
+    # every descending near-equality winner ends between 1e-12 and
+    # _FLOOR_RTOL relative above its floor; the results are those of the
+    # former 1e-12 band bit for bit, in fewer frame trials
+    cases = _near_witnesses()
+    results, _, trials = _counted_sweep(monkeypatch, cases)
+    for (h, P), res in zip(cases, results):
+        if P.blocks == (P.n - 1,):
+            continue
+        a, _ = _gap_terms(P)
+        floor = 0.5 * float(_sectional_matrix(h.dense_view).sum()) - a * mean_curvature_sq(h)
+        gap = universal_check(h, P, res.frame) / max(1.0, abs(floor))
+        assert 1e-12 < gap < delta_mod._FLOOR_RTOL, P
+    monkeypatch.setattr(delta_mod, "_FLOOR_RTOL", 1e-12)
+    former, _, former_trials = _counted_sweep(monkeypatch, cases)
+    for (_, P), a, b in zip(cases, results, former):
+        assert a.value == b.value and a.tau_blocks == b.tau_blocks, P
+        assert np.array_equal(a.frame.matrix, b.frame.matrix), P
+        assert a.converged == b.converged, P
+    assert trials < former_trials
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -276,6 +276,66 @@ def test_gradient_pass_f_is_the_K_form_of_the_block_taus(n):
                 assert (np.abs(f - ref) <= 1e-13 * scale).all(), P
 
 
+def _einsum_sectional_matrix(T):
+    """``_sectional_matrix`` as it read its diagonals before, through einsum
+    views; the strided views must give its K bit for bit."""
+    D = np.einsum("...iic->...ic", T)
+    K = D @ D.swapaxes(-1, -2) - np.einsum("...ijc,...ijc->...ij", T, T)
+    np.einsum("...ii->...i", K)[...] = 0.0
+    return K
+
+
+def _einsum_grad_skew(H, M):
+    """``_grad_skew`` as it read and wrote W's diagonal before, through
+    einsum views."""
+    n = H.shape[-1]
+    W = -M[:, :, None] * H
+    np.einsum("...iic->...ic", W)[...] += M @ np.einsum("...iic->...ic", H)
+    rows = H.shape[:-3] + (n, n * n)
+    G = W.reshape(rows) @ H.reshape(rows).swapaxes(-1, -2)
+    return 0.5 * np.einsum("...ii->...", G), 2.0 * (G - G.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_strided_diagonals_give_the_einsum_kernels_bit_for_bit(n):
+    # every layout the callers pass: one tensor, a stack, the slab copies
+    # T[S, S, :] of _tau_dense and sectional_curvature, stacked slabs; and a
+    # strided stack, which the reshape copies
+    rng = np.random.default_rng([89, n])
+    T = random_cubic_form(n, 1.0, rng).dense_view
+    stack = np.stack([random_cubic_form(n, 1.0, rng).dense_view for _ in range(4)])
+    layouts = [T, stack, stack[::2]]
+    for m in range(1, n + 1):
+        idx = np.sort(rng.choice(n, size=m, replace=False))
+        layouts += [T[idx[:, None], idx], T[np.ix_(idx, idx)], stack[:, idx][:, :, idx]]
+    for X in layouts:
+        assert np.array_equal(_sectional_matrix(X), _einsum_sectional_matrix(X))
+    # the gradient pass on one rotated tensor and on (r, n, n, n) stacks
+    Q = _orthonormalize_rows(rng.standard_normal((5, n, n)))
+    for P in enumerate_partitions(n):
+        M = _block_mask(P)
+        for H in (
+            _rotate_two_slots(T, Q[0]),
+            _rotate_two_slots(T, Q),
+            _rotate_dense(T, Q[1]),
+            _rotate_dense(T, Q),
+            stack,
+        ):
+            f, A = _grad_skew(H, M)
+            ref_f, ref_A = _einsum_grad_skew(H, M)
+            assert np.array_equal(f, ref_f) and np.array_equal(A, ref_A), P
+
+
+def test_block_mask_is_cached_and_read_only():
+    # every caller shares one mask per partition, so none may write to it
+    P = enumerate_partitions(5)[-1]
+    M = _block_mask(P)
+    assert _block_mask(P) is M
+    assert not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 1] = 0.0
+
+
 def test_block_mask_has_a_zero_diagonal():
     # every admissible P with n <= 12: only pairs i != j in a leading block
     for n in range(3, 13):
