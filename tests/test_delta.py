@@ -725,23 +725,21 @@ def test_floor_band_is_narrower_than_the_winner_margin():
 
 def test_near_equality_minima_lie_in_the_band_beyond_1e_12(monkeypatch):
     # every descending near-equality winner ends between 1e-12 and
-    # _FLOOR_RTOL relative above its floor; the results are those of the
-    # former 1e-12 band bit for bit, in fewer frame trials
+    # _FLOOR_RTOL relative above its floor, so there the band stops
+    # restarts that the former 1e-12 band let run; the floor-rule test
+    # above checks that their results stay the same
     cases = _near_witnesses()
     results, _, trials = _counted_sweep(monkeypatch, cases)
     for (h, P), res in zip(cases, results):
         if P.blocks == (P.n - 1,):
             continue
         a, _ = _gap_terms(P)
-        floor = 0.5 * float(_sectional_matrix(h.dense_view).sum()) - a * mean_curvature_sq(h)
+        K = _sectional_matrix(h.dense_view)
+        floor = 0.5 * float(K.sum()) - a * mean_curvature_sq(h)
         gap = universal_check(h, P, res.frame) / max(1.0, abs(floor))
         assert 1e-12 < gap < delta_mod._FLOOR_RTOL, P
     monkeypatch.setattr(delta_mod, "_FLOOR_RTOL", 1e-12)
-    former, _, former_trials = _counted_sweep(monkeypatch, cases)
-    for (_, P), a, b in zip(cases, results, former):
-        assert a.value == b.value and a.tau_blocks == b.tau_blocks, P
-        assert np.array_equal(a.frame.matrix, b.frame.matrix), P
-        assert a.converged == b.converged, P
+    _, _, former_trials = _counted_sweep(monkeypatch, cases)
     assert trials < former_trials
 
 
