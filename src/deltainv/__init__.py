@@ -10,22 +10,7 @@ as an explicit gradient-graph Lagrangian immersion.
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    ALL_SOURCES,
-    LEGACY_CD,
-    LEGACY_CDVV,
-    THEOREM1,
-    THEOREM2,
-    BoundCoefficients,
-    InequalityReport,
-    coeff_legacy_cd,
-    coeff_legacy_cdvv,
-    coeff_theorem1,
-    coeff_theorem2,
-    evaluate,
-    optimal_coefficients,
-    shared_b,
-)
+from .bounds import InequalityReport, evaluate
 from .campaign import CampaignConfig, CampaignSummary, run_campaign
 from .delta import (
     DeltaResult,
@@ -71,16 +56,28 @@ from .immersion import (
     second_fundamental_form_numeric,
 )
 from .quadforms import (
+    ALL_SOURCES,
+    LEGACY_CD,
+    LEGACY_CDVV,
     STATEMENT_I,
     STATEMENT_II,
+    THEOREM1,
+    THEOREM2,
+    BoundCoefficients,
     QuadraticFormBundle,
     build_M,
     build_statement2_matrix,
+    coeff_legacy_cd,
+    coeff_legacy_cdvv,
+    coeff_theorem1,
+    coeff_theorem2,
     critical_C,
     det_closed,
     kernel_solution_theorem2,
+    optimal_coefficients,
     psd_verdict,
     psd_verdict_minors,
+    shared_b,
 )
 from .tensors import (
     CubicForm,

@@ -1,8 +1,8 @@
 """Right-hand sides of the four bounds and inequality verdict reports.
 
-The exact coefficients of  a * ||H||^2 + b * c  are built in ``quadforms``
-and re-exported here; floating point enters only when a right-hand side is
-evaluated against data.
+The exact coefficients of  a * ||H||^2 + b * c  are built in ``quadforms``;
+floating point enters only when a right-hand side is evaluated against
+data.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from typing import Optional
 
 from .delta import DeltaResult, _delta_h, _gap_terms, delta_invariant
 from .errors import NotApplicable
-from .quadforms import (  # the coefficient layer, re-exported here
+from .quadforms import (
     ALL_SOURCES,
-    LEGACY_CD,
-    LEGACY_CDVV,
     THEOREM1,
     THEOREM2,
     BoundCoefficients,
@@ -26,8 +24,7 @@ from .quadforms import (  # the coefficient layer, re-exported here
     coeff_legacy_cdvv,
     coeff_theorem1,
     coeff_theorem2,
-    optimal_coefficients,
-    shared_b,
+    optimal_coefficients,  # perfbench calls and traces bounds.optimal_coefficients
 )
 from .tensors import (
     CubicForm,

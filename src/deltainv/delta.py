@@ -516,8 +516,7 @@ def _oracle_start_frame(P: PartitionSpec, assignment) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _haar_starts(n: int, count: int, seed: int):
-    """The first ``count`` seeded Haar-random starts of size n, read-only,
-    and the state of the seed's generator after drawing them.
+    """The first ``count`` seeded Haar-random starts of size n, read-only.
 
     One standard_normal((count, n, n)) and one stacked QR, bit for bit the
     frames ``Frame.random`` gives called once per start; cached, so a call
@@ -527,7 +526,7 @@ def _haar_starts(n: int, count: int, seed: int):
     gauss = rng.standard_normal((count, n, n))
     frames = _haar_rows(gauss) if count else gauss
     frames.flags.writeable = False
-    return frames, rng.bit_generator.state
+    return frames
 
 
 def _start_stacks(P: PartitionSpec, assignment, restarts: int, seed: int):
@@ -535,20 +534,19 @@ def _start_stacks(P: PartitionSpec, assignment, restarts: int, seed: int):
 
     The identity and the oracle permutation come first and always run; then
     seeded Haar-random frames up to ``restarts`` starts in all.  The first
-    stack's random frames come from ``_haar_starts``; each later stack
-    draws its own with one standard_normal((m, n, n)) and one stacked QR
-    from the generator state the first left, so no start depends on the
-    stack it falls in, and the cache holds at most one stack per
-    (n, count, seed).
+    stack's random frames come from ``_haar_starts``; past it, the seed's
+    generator is made afresh and skips the first stack's draws, and each
+    later stack draws its own with one standard_normal((m, n, n)) and one
+    stacked QR, so no start depends on the stack it falls in, and the cache
+    holds at most one stack per (n, count, seed).
     """
     fixed = np.stack([np.eye(P.n), _oracle_start_frame(P, assignment)])
     total = max(restarts, len(fixed))
     first = min(total, _STACK)
-    frames, state = _haar_starts(P.n, first - len(fixed), seed)
-    yield np.concatenate([fixed, frames])
+    yield np.concatenate([fixed, _haar_starts(P.n, first - len(fixed), seed)])
     if first < total:
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = state
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng.standard_normal((first - len(fixed), P.n, P.n))
         for lo in range(first, total, _STACK):
             gauss = rng.standard_normal((min(_STACK, total - lo), P.n, P.n))
             yield _haar_rows(gauss)

@@ -13,10 +13,10 @@ F with J F_* e_C recovers f_{x_A x_B x_C} = a_{ABC} at every point.
 
 On a Lagrangian immersion J F_* e_C is normal, which `lagrangian_check`
 measures, so <h(e_A, e_B), J F_* e_C> = <F_AB, J F_* e_C> and the
-recovery is one pairing with no tangential projection.  With the exact
-polynomial derivatives the round trip holds by construction; the
-finite-difference path, which evaluates F alone and shares no formula
-with the polynomials, is the independent check.
+recovery is one pairing with no tangential projection.  F_A and F_AB come
+from central differences of evaluations of F alone, which share no
+formula with the coefficients, so the round trip is a check that can
+fail; F is quadratic, so only rounding separates its result from a.
 """
 
 from __future__ import annotations
@@ -160,35 +160,28 @@ def _fd_derivatives(f: CubicPotential, x):
     return first, second
 
 
-def second_fundamental_form_numeric(
-    f: CubicPotential, x, fd: bool = False
-) -> np.ndarray:
+def second_fundamental_form_numeric(f: CubicPotential, x) -> np.ndarray:
     """Recover <h(e_A, e_B), J F_* e_C> as the pairing <F_AB, J F_* e_C>.
 
     J F_* e_C is normal on the Lagrangian image, so the tangential part of
     F_AB pairs to zero with it and no projection is taken.  The components
     refer to the coordinate frame F_* e_C, which is orthonormal only where
-    the Hessian of f vanishes (in particular at the origin).
-
-    The pair (F_A, F_AB) is exact polynomial data by default, which makes
-    the pairing return the coefficients by construction; with ``fd=True``
-    it comes from central differences of evaluations of F alone.
+    the Hessian of f vanishes (in particular at the origin).  F_A and F_AB
+    are the central differences of ``_fd_derivatives``.
     """
-    x = f._point(x)
-    if fd:
-        tangents, second = _fd_derivatives(f, x)
-    else:
-        tangents = immerse(f, x).tangents
-        second = np.zeros((2 * f.n, f.n, f.n))
-        second[f.n:] = f.third_derivatives()  # f_{x_j x_A x_B} in slot j
+    tangents, second = _fd_derivatives(f, f._point(x))
     return np.einsum("iab,ic->abc", second, _apply_j(tangents))
 
 
 def lemma1_roundtrip(a: CubicForm, x=None) -> float:
     """Largest deviation between the recovered form and the target tensor.
 
-    Zero in exact arithmetic at every point; the contract is 1e-8 at the
-    origin and 1e-6 on the ball of radius 0.25 for moderate tensors.
+    Zero in exact arithmetic at every point; in floating point it is the
+    rounding of the finite differences.  The contract, relative to
+    max(1, max |a|), is 1e-8 at the origin and 1e-6 on the ball of radius
+    0.25; over 400 random tensors with n = 2-12 and scales 1e-3 to 1e3 it
+    read at most 3.8e-16 at the origin and 2.3e-9 at radius 0.25, where
+    one point raised SingularMetric.
     Raises SingularMetric when the induced metric is too ill-conditioned
     for the comparison to be meaningful.
     """

@@ -439,7 +439,7 @@ def test_start_stacks_are_the_per_start_frames(monkeypatch, restarts):
 
 
 def test_cached_start_frames_are_read_only():
-    frames, _ = _haar_starts(5, 14, 11)
+    frames = _haar_starts(5, 14, 11)
     assert len(frames) == 14 and not frames.flags.writeable
     with pytest.raises(ValueError):
         frames[0, 0, 0] = 1.0
@@ -451,7 +451,7 @@ def test_cached_start_frames_are_read_only():
 @pytest.mark.parametrize("restarts", [1, 16, 200])
 def test_repeat_calls_give_equal_start_stacks(restarts):
     # the second call reads the first stack's frames from the cache and, past
-    # _STACK starts, draws on from the generator state cached beside them
+    # _STACK starts, draws on from a fresh generator that skips them
     P = PartitionSpec(6, (2, 3))
     assignment = ((1, 2), (3, 4, 5))
     first = list(_start_stacks(P, assignment, restarts, 5))
@@ -470,7 +470,7 @@ def test_many_restarts_cache_at_most_one_stack_of_frames():
     assert sum(sizes) == 10_000 and max(sizes) == delta_mod._STACK
     assert _haar_starts.cache_info().currsize == 1
     # the one cached entry is the first stack's random frames
-    frames, _ = _haar_starts(4, delta_mod._STACK - 2, 9)
+    frames = _haar_starts(4, delta_mod._STACK - 2, 9)
     assert _haar_starts.cache_info().hits == 1
     assert len(frames) == delta_mod._STACK - 2
 
@@ -764,6 +764,89 @@ def test_floor_above_the_minimum_never_cuts_a_violation_short(kind, n):
     got, _, _ = _stacked_descent(T, stack, M, 500, floor)
     won = got[_earliest_best(got.tolist())]
     assert abs(won - best) <= 1e-12 * max(1.0, abs(best)), P
+
+
+def _single_start_rounds(monkeypatch, T, R0, M, max_iters):
+    """One start descended alone with no floor: its f and frame at each
+    round, from the first to the one it stops in, and its (f, frame,
+    converged).  A round's trial frame is kept when the next round starts
+    from it bit for bit; then its f is the trial's, else f stays."""
+    cayley_step, grad_skew = delta_mod._cayley_step, delta_mod._grad_skew
+    trials, trial_f = [], []
+
+    def cayley_recorded(R, S, t):
+        moved = cayley_step(R, S, t)
+        trials.append((R[0].copy(), moved[0].copy()))
+        return moved
+
+    def grad_recorded(H, M):
+        f, A = grad_skew(H, M)
+        trial_f.append(float(f[0]))
+        return f, A
+
+    with monkeypatch.context() as m:
+        m.setattr(delta_mod, "_cayley_step", cayley_recorded)
+        m.setattr(delta_mod, "_grad_skew", grad_recorded)
+        f_end, R_end, converged = _stacked_descent(T, R0[None], M, max_iters, -np.inf)
+    f, R = [trial_f[0]], [R0]
+    for k, (start, moved) in enumerate(trials):
+        assert np.array_equal(start, R[k])
+        R.append(trials[k + 1][0] if k + 1 < len(trials) else R_end[0])
+        f.append(trial_f[k + 1] if np.array_equal(R[-1], moved) else f[k])
+    assert f[-1] == f_end[0]
+    return f, R, (f_end[0], R_end[0], bool(converged[0]))
+
+
+def _replay_floor_rule(runs, floor):
+    """Each start's (f, frame, converged) under the floor rule, replayed
+    round by round on the starts' single-start runs, and the (round, lead)
+    of every move of the lead: the earliest start that has reached
+    floor + eps while working.  A start in the band behind the lead stops
+    there, converged; any other ends as it does alone."""
+    eps = delta_mod._FLOOR_RTOL * max(1.0, abs(floor))
+    lead, out, moves = len(runs), [None] * len(runs), []
+    for k in itertools.count():
+        working = [s for s, result in enumerate(out) if result is None]
+        if not working:
+            return out, moves
+        near = [s for s in working if runs[s][0][k] <= floor + eps]
+        if near and near[0] < lead:
+            lead = near[0]
+            moves.append((k, lead))
+        for s in working:
+            f, R, alone = runs[s]
+            if k == len(f) - 1:
+                out[s] = alone
+            elif s > lead and floor - eps <= f[k] <= floor + eps:
+                out[s] = (f[k], R[k], True)
+
+
+def test_floor_rule_stops_each_restart_behind_the_earliest_lead(monkeypatch):
+    # witnesses in a Haar frame, from six Haar starts: later starts often
+    # reach the band first, and the lead then moves back to an earlier
+    # start while later ones still run (in 20 of the 26 cases; 106 of the
+    # 156 restarts stop in the band).  Each restart must end as the replay
+    # of the rule on its own single-start run says, bit for bit
+    rng = np.random.default_rng(79)
+    moved_back = floored = 0
+    for i, P in enumerate(P for n in range(4, 8) for P in enumerate_partitions(n)):
+        h = rotate(random_witness(2 if P.saturating else 1, P, seed=i),
+                   Frame.random(P.n, rng))
+        if P.blocks == (P.n - 1,):
+            continue
+        T, M = h.dense_view, _block_mask(P)
+        a, _ = _gap_terms(P)
+        floor = 0.5 * float(_sectional_matrix(T).sum()) - a * mean_curvature_sq(h)
+        starts = np.stack([Frame.random(P.n, rng).matrix for _ in range(6)])
+        runs = [_single_start_rounds(monkeypatch, T, R0, M, 500) for R0 in starts]
+        want, moves = _replay_floor_rule(runs, floor)
+        f, R, converged = _stacked_descent(T, starts, M, 500, floor)
+        for s, (want_f, want_R, want_converged) in enumerate(want):
+            assert f[s] == want_f and np.array_equal(R[s], want_R), (P, s)
+            assert converged[s] == want_converged, (P, s)
+        moved_back += len(moves) > 1
+        floored += sum(w is not run[2] for w, run in zip(want, runs))
+    assert moved_back >= 10 and floored >= 10
 
 
 @pytest.mark.parametrize("n", range(3, 13))

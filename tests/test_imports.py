@@ -61,3 +61,35 @@ def test_package_import_graph_is_acyclic():
     graph = _relative_imports()
     assert "delta" in graph["bounds"]
     assert _find_cycle(graph) is None
+
+
+# bounds imports one name it does not use: perfbench calls and traces it as
+# deltainv.bounds.optimal_coefficients
+_KEPT_UNUSED = {("bounds", "optimal_coefficients")}
+
+
+def _unused_imports(source: str) -> set[str]:
+    """The names that the imports of ``source`` bind, anywhere in the file,
+    and that no expression in it reads; ``import a.b`` binds ``a``."""
+    tree = ast.parse(source)
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to export; every other module only to use
+    source = "from __future__ import annotations\nimport os.path\nfrom .a import b as c\nos\n"
+    assert _unused_imports(source) == {"c"}
+    unused = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "__init__"
+        for name in _unused_imports(path.read_text(encoding="utf-8"))
+    }
+    assert unused == _KEPT_UNUSED
