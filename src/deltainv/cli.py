@@ -15,7 +15,8 @@ finite; a delta value, certified lower bound, tau, |H|^2, right-hand side
 or round-trip error that is not finite; a matrix minor or least
 eigenvalue that is not finite as a float), 2 input error, which
 includes a JSON input object (tensor file or entry, params file, campaign
-config) with a missing or unknown key.
+config) with a missing or unknown key, and an ``immersion-check`` point
+where the induced metric's condition number exceeds 1e6 (SingularMetric).
 Errors, an option that argparse rejects included, are reported as one JSON
 object on stderr; ``--help`` and ``--version`` print as usual.
 The environment variable DELTAINV_SEED supplies the default seed.

@@ -27,7 +27,8 @@ closed form:
   batched Cayley solves, and per-restart backtracking from a trial step
   that alternates the two Barzilai-Borwein quotients (Barzilai & Borwein,
   IMA J. Numer. Anal. 1988), <s,s>/<s,y> after an even count of accepted
-  steps and <s,y>/<y,y> after an odd one.  The arrays hold only the
+  steps and <s,y>/<y,y> after an odd one, clamped to [1e-12, t_max] so that
+  every Cayley solve is well conditioned.  The arrays hold only the
   running restarts: each round makes one trial step and takes one
   gradient for all of them, and the stack is compacted only when a
   restart stops.  Each restart takes the steps a descent from its start
@@ -364,7 +365,10 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     <s, s>/<s, y> after an even count of accepted steps and <s, y>/<y, y>
     after an odd one, or 2t where the quotient is not positive.  Both
     read |A|^2, <A, G> and |G|^2, formed once per round.  Steps are
-    clamped to [1e-12, 1e4], and a rejected trial halves its step.
+    clamped to [1e-12, t_max] with t_max = min(1e4, 1e9 / (4 n |h|^2)), and
+    a rejected trial halves its step.  |A| <= 4 |G| <= 4 n |H|^2 = 4 n |h|^2
+    on every frame, so no trial turns a frame by more than t |A| / 2 <= 5e8:
+    I + tA/2, with singular values >= 1 and condition <= ~5e8, is solvable.
 
     A restart stops after ``max_iters`` accepted steps, not converged; when
     its step is NaN or halved to 1e-15 without an Armijo decrease; or, once
@@ -373,11 +377,9 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     resolve (the resolution stop; t <= 1e4 makes it end any restart with
     |A| < 4.4e-8 at once).  Stopped by either of the last two rules, it is
     converged when |A| < 1e-7.  Non-finite input ends the loop, through NaN
-    steps or steps halved away; a start whose |A|^2 overflows steps NaN, and
-    so does a restart whose Cayley system I + tA/2 is singular (a step near
-    1e138 / |A| on huge finite tensors), found by solving frame by frame in
-    the round where the stacked solve fails; the other restarts take their
-    trials in that round.
+    steps or steps halved away.  A start whose |A|^2 is NaN steps NaN; one
+    whose |A|^2 overflows has t_max below 1e-15, and where |h|^2 overflows
+    t_max is 0; each stops at its start before any trial.
 
     ``floor`` is a certified lower bound on f (``delta_invariant`` passes
     the one the optimal bound gives); -inf turns this rule off.  A restart
@@ -409,10 +411,11 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     """
     R = np.array(starts, dtype=float)
     r = len(R)
+    # min(1e4, 1e9 / (4 n |h|^2)), with no division by zero
+    t_max = 1e9 / max(4.0 * R.shape[-1] * float(np.vdot(T, T)), 1e5)
     f, A = _grad_skew(_rotate_two_slots(T, R), M)
     aa = np.einsum("kij,kij->k", A, A)
-    t = np.minimum(np.maximum(1.0 / np.maximum(np.sqrt(aa), 1.0), 1e-12), 1e4)
-    t[~np.isfinite(aa)] = np.nan  # not 1e-12: a Cayley step cannot take inf
+    t = np.minimum(np.maximum(1.0 / np.maximum(np.sqrt(aa), 1.0), 1e-12), t_max)
     iters = np.zeros(r, dtype=int)
     row = np.arange(r)  # the start each working restart came from
     f_out, R_out = np.empty(r), np.empty_like(R)
@@ -449,19 +452,7 @@ def _stacked_descent(T, starts, M, max_iters, floor):
                 x[keep] for x in (R, f, A, aa, t, iters, row, armijo)
             )
 
-        try:
-            Rt = _cayley_step(R, A, -t)
-        except np.linalg.LinAlgError:
-            # I + tA/2 is singular for some restart: solve frame by frame;
-            # a singular one keeps its frame, and its NaN step and Armijo
-            # decrease reject the trial and stop it next round
-            Rt = R.copy()
-            for k in range(len(t)):
-                try:
-                    Rt[k] = _cayley_step(R[k], A[k], -t[k])
-                except np.linalg.LinAlgError:
-                    t[k] = np.nan
-            armijo = 5e-5 * t * aa
+        Rt = _cayley_step(R, A, -t)
         ft, G = _grad_skew(_rotate_two_slots(T, Rt), M)
         ag = np.einsum("kij,kij->k", A, G)
         gg = np.einsum("kij,kij->k", G, G)
@@ -477,7 +468,7 @@ def _stacked_descent(T, starts, M, max_iters, floor):
         denom = np.where(odd, sy, sy - ag + gg)
         bb = 2.0 * t
         np.divide(t * num, denom, out=bb, where=np.minimum(sy, denom) > 1e-30)
-        t = np.where(ok, np.minimum(np.maximum(bb, 1e-12), 1e4), 0.5 * t)
+        t = np.where(ok, np.minimum(np.maximum(bb, 1e-12), t_max), 0.5 * t)
         iters += ok
         frames = ok[:, None, None]
         np.copyto(R, Rt, where=frames)

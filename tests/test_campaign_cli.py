@@ -811,9 +811,9 @@ def test_cli_verify_non_finite_delta_exits_1(tmp_path, capsys, fmt, c, exit_code
         assert math.isfinite(float(rows[0]["delta"])) == (exit_code == 0)
 
 
-def test_cli_delta_of_a_tensor_whose_cayley_solve_is_singular(tmp_path, capsys):
-    # the descent's first step makes I + tA/2 singular; the round ends, the
-    # call does not
+def test_cli_delta_of_a_tensor_near_1e75_exits_0(tmp_path, capsys):
+    # the step clamp stops every restart at its start before any trial; the
+    # call reports the best start, unconverged, at least the oracle's value
     h = random_cubic_form(5, 1e75, np.random.default_rng(0))
     path = tmp_path / "big.json"
     path.write_text(json.dumps(h.to_json_dict()))
@@ -961,6 +961,23 @@ def test_cli_immersion_check_bad_point_is_input_error(
     )
     assert code == 2 and out == ""
     assert _single_json_error(err)["error"] == error
+
+
+def test_cli_immersion_check_at_an_ill_conditioned_metric_is_input_error(tmp_path, capsys):
+    # at (1, 0, 0) the induced metric of h_111 = 1000 has condition number
+    # 1 + 1000^2, above ROUNDTRIP_COND_LIMIT = 1e6: no recovery is reported
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"n": 3, "entries": [{"idx": [1, 1, 1], "value": 1000}]}))
+    at = tmp_path / "at.json"
+    at.write_text("[1, 0, 0]")
+    code, out, err = run_cli(
+        capsys, "immersion-check", "--tensor", str(tensor), "--at", str(at)
+    )
+    assert code == 2 and out == ""
+    assert _single_json_error(err) == {
+        "error": "SingularMetric",
+        "message": "induced metric condition number 1.000e+06",
+    }
 
 
 def test_cli_matrix_overflowing_coefficient_is_input_error(capsys):

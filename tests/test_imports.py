@@ -93,3 +93,63 @@ def test_every_imported_name_is_used():
         for name in _unused_imports(path.read_text(encoding="utf-8"))
     }
     assert unused == _KEPT_UNUSED
+
+
+# argparse calls this override itself; nothing in the package names it
+_KEPT_UNREAD = {"cli._Parser._parse_optional"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _unread_private_names(sources: dict[str, str]) -> set[str]:
+    """The module-level private functions, classes and constants, and the
+    private methods, of ``sources`` (module name -> source) that no
+    expression reads outside their own definition, in any of the modules:
+    "module.name" or "module.Class.method"."""
+    defined, reads = {}, {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in filter(_private, names):
+                defined[f"{module}.{name}"] = (name, module, node)
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and _private(item.name):
+                    defined[f"{module}.{node.name}.{item.name}"] = (item.name, module, item)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((module, node.lineno))
+    return {
+        key
+        for key, (name, module, node) in defined.items()
+        if all(
+            where == module and node.lineno <= line <= node.end_lineno
+            for where, line in reads.get(name, ())
+        )
+    }
+
+
+def test_every_private_name_is_read():
+    # a private helper, class, constant or method that nothing in the
+    # package reads outside its own definition is dead code
+    sources = {
+        "a": "def _used():\n    pass\ndef _dead():\n    _dead()\n_LIMIT = 1\n"
+             "class C:\n    def _m(self):\n        pass\n    def __init__(self):\n        pass\n",
+        "b": "from .a import _used\n_used()\n",
+    }
+    assert _unread_private_names(sources) == {"a._dead", "a._LIMIT", "a.C._m"}
+    package = {
+        path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")
+    }
+    assert _unread_private_names(package) == _KEPT_UNREAD
