@@ -1065,6 +1065,33 @@ def test_entries_near_1e75_keep_the_value_at_least_the_oracle():
                         assert res.value >= lowest - 1e-10 * abs(lowest)
 
 
+@pytest.mark.parametrize(
+    "seed, blocks", [(0, (2,)), ([0, 5], (2, 2))], ids=["rng-0", "rng-0-5"]
+)
+def test_a_huge_tensor_runs_rounds_past_its_first(monkeypatch, seed, blocks):
+    # entries near 1e10: t_max = 1e9 / (4 n |h|^2) is near 1e-14, above the
+    # 1e-15 spent rule, so the restarts make trials round after round (four
+    # stacked solves in each case) and every one turns its frames by at
+    # most 5e8 (1e7 measured).  Entries of 1e11 and up stop every restart
+    # at its start before any trial; ROADMAP item 11's scale normalization
+    # would let them descend
+    h = random_cubic_form(5, 1e10, np.random.default_rng(seed))
+    cayley_step = delta_mod._cayley_step
+    rounds, turns = [], []
+
+    def counted(R, S, t):
+        rounds.append(len(R))
+        turns.append(np.ravel(np.abs(t) * np.linalg.norm(S, axis=(-2, -1)) / 2))
+        return cayley_step(R, S, t)
+
+    monkeypatch.setattr(delta_mod, "_cayley_step", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = delta_invariant(h, 0.0, PartitionSpec(5, blocks))
+    assert len(rounds) > 1
+    assert (np.concatenate(turns) <= 5e8).all()
+    assert res.value >= res.certified_lower
+
+
 def test_no_cayley_step_turns_a_frame_by_more_than_5e8(monkeypatch):
     # t_max = min(1e4, 1e9 / (4 n |h|^2)) and |A| <= 4 n |h|^2, so every
     # trial has t |A| / 2 <= 5e8 and its system I + tA/2 is solvable: no

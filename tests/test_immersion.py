@@ -180,18 +180,25 @@ def test_second_form_exact_at_origin():
 
 
 def test_second_form_away_from_origin():
-    # the recovery identity holds pointwise, not only at the origin: five
-    # points within 0.3 of it (rng 101) and one within 0.2 (rng 103)
+    # the recovery identity holds pointwise, not only at the origin
     rng = np.random.default_rng(101)
-    cases = [
-        (random_cubic_form(3, 1.5, rng), rng.uniform(-0.3, 0.3, size=3))
-        for _ in range(5)
-    ]
-    rng = np.random.default_rng(103)
-    cases.append((random_cubic_form(3, 1.0, rng), rng.uniform(-0.2, 0.2, size=3)))
-    for a, x in cases:
-        got = second_fundamental_form_numeric(potential_from_tensor(a), x)
+    for _ in range(5):
+        a = random_cubic_form(3, 1.5, rng)
+        f = potential_from_tensor(a)
+        x = rng.uniform(-0.3, 0.3, size=3)
+        got = second_fundamental_form_numeric(f, x)
         assert np.max(np.abs(got - a.dense_view)) < 1e-8
+
+
+def test_second_form_fd_path_agrees():
+    # the finite-difference recovery against a at a point within 0.2 of
+    # the origin
+    rng = np.random.default_rng(103)
+    a = random_cubic_form(3, 1.0, rng)
+    f = potential_from_tensor(a)
+    x = rng.uniform(-0.2, 0.2, size=3)
+    got = second_fundamental_form_numeric(f, x)
+    assert np.max(np.abs(got - a.dense_view)) < 1e-8
 
 
 class _GradientOnly(CubicPotential):
