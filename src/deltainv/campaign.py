@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .bounds import gap_passes
-from .delta import universal_check
+from .delta import DEFAULT_SEED, universal_check
 from .errors import FormatError, InadmissiblePartition
 from .tensors import (
     MAX_DIMENSION,
@@ -117,16 +117,15 @@ class CampaignConfig:
         _partition_pool(self)  # an n or a partition that fits nothing fails here
 
     @classmethod
-    def from_json_dict(cls, data, default_seed=None) -> "CampaignConfig":
-        """The config of a JSON object keyed by field names.  Without a
-        "seed" key the seed is ``default_seed()``, when that is given."""
+    def from_json_dict(cls, data) -> "CampaignConfig":
+        """The config of a JSON object keyed by field names.  A key left
+        out takes its field's default, and a missing "seed" is
+        ``DEFAULT_SEED`` (0); only "samples" is required."""
         names = [f.name for f in fields(cls)]
         required = [f.name for f in fields(cls) if f.default is MISSING]
-        if default_seed is not None:
-            required.remove("seed")
+        required.remove("seed")
         kwargs = dict(_as_object(data, "campaign config", required, names))
-        if "seed" not in kwargs:
-            kwargs["seed"] = default_seed()
+        kwargs.setdefault("seed", DEFAULT_SEED)
         return cls(**kwargs)
 
 

@@ -19,7 +19,7 @@ config) with a missing or unknown key, and an ``immersion-check`` point
 where the induced metric's condition number exceeds 1e6 (SingularMetric).
 Errors, an option that argparse rejects included, are reported as one JSON
 object on stderr; ``--help`` and ``--version`` print as usual.
-The environment variable DELTAINV_SEED supplies the default seed.
+``--seed`` and a ``sample`` config's "seed" default to 0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -37,7 +36,7 @@ import numpy as np
 from . import __version__
 from .bounds import evaluate
 from .campaign import CampaignConfig, CampaignSummary, campaign_csv, run_campaign
-from .delta import DEFAULT_SEED, OptimizerOptions, delta_invariant
+from .delta import OptimizerOptions, delta_invariant
 from .equality import EqualityParamsT1, EqualityParamsT2, build_t1, build_t2
 from .errors import CaseMismatch, DeltainvError, FormatError
 from .immersion import lagrangian_check, lemma1_roundtrip, potential_from_tensor
@@ -50,22 +49,10 @@ from .quadforms import (
     psd_verdict,
     psd_verdict_minors,
 )
-from .tensors import CubicForm, PartitionSpec, _as_integer, _as_object
+from .tensors import CubicForm, PartitionSpec, _as_object
 from .tensors import finite_or_none
 
-SEED_ENV = "DELTAINV_SEED"
-
 _OPTIMIZER_DEFAULTS = OptimizerOptions()
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return _as_integer(int(raw), SEED_ENV, least=0)
-    except ValueError:
-        raise FormatError(f"{SEED_ENV} must be an integer, got {raw!r}")
 
 
 def _parse_partition(raw: str) -> tuple[int, ...]:
@@ -90,8 +77,9 @@ def _load_tensor(path: str) -> CubicForm:
 
 
 def _optimizer_options(args) -> OptimizerOptions:
-    seed = args.seed if args.seed is not None else _default_seed()
-    return OptimizerOptions(restarts=args.restarts, max_iters=args.max_iters, seed=seed)
+    return OptimizerOptions(
+        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed
+    )
 
 
 def _add_optimizer_flags(parser):
@@ -107,9 +95,8 @@ def _add_optimizer_flags(parser):
         help="most accepted steps per start; the README's `converged` "
         "paragraph gives every stopping rule (default %(default)s)",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"seed >= 0 of the random starts; defaults to "
-                        f"${SEED_ENV} or {DEFAULT_SEED}")
+    parser.add_argument("--seed", type=int, default=_OPTIMIZER_DEFAULTS.seed,
+                        help="seed >= 0 of the random starts (default %(default)s)")
 
 
 def _all_finite(*values: float) -> bool:
@@ -222,7 +209,7 @@ def cmd_immersion_check(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    config = CampaignConfig.from_json_dict(_load_json(args.config), _default_seed)
+    config = CampaignConfig.from_json_dict(_load_json(args.config))
     summary = CampaignSummary()
     if args.out:
         # opened before the run, so an unwritable path fails at once

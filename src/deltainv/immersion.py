@@ -189,6 +189,9 @@ def lemma1_roundtrip(a: CubicForm, x=None) -> float:
     x = np.zeros(a.n) if x is None else x
     cond = float(np.linalg.cond(immerse(f, x).metric))
     if not np.isfinite(cond) or cond > ROUNDTRIP_COND_LIMIT:
-        raise SingularMetric(f"induced metric condition number {cond:.3e}")
+        raise SingularMetric(
+            f"induced metric condition number {cond!r} is not at most "
+            f"ROUNDTRIP_COND_LIMIT = {ROUNDTRIP_COND_LIMIT!r}"
+        )
     recovered = second_fundamental_form_numeric(f, x)
     return float(np.max(np.abs(recovered - a.dense_view)))

@@ -638,15 +638,9 @@ def test_cli_sample_non_finite_c_value_leaves_out_file_alone(tmp_path, capsys, n
     assert out_path.read_bytes() == b"keep this"
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
-@pytest.mark.parametrize("command", ["delta", "verify"])
-def test_cli_negative_seed_is_input_error(tensor_file, capsys, monkeypatch, command, source):
-    argv = [command, tensor_file, "--partition", "2"]
-    if source == "flag":
-        argv += ["--seed", "-1"]
-    else:
-        monkeypatch.setenv("DELTAINV_SEED", "-1")
-    code, out, err = run_cli(capsys, *argv)
+@pytest.mark.parametrize("command", ["delta", "verify"], ids=["delta-flag", "verify-flag"])
+def test_cli_negative_seed_is_input_error(tensor_file, capsys, command):
+    code, out, err = run_cli(capsys, command, tensor_file, "--partition", "2", "--seed", "-1")
     assert code == 2 and out == ""
     assert _single_json_error(err)["error"] == "FormatError"
 
@@ -669,33 +663,24 @@ def test_cli_verify_reports_violations_with_exit_1(tensor_file, capsys, monkeypa
     assert code == 1
 
 
-def test_cli_seed_env_default(tensor_file, capsys, monkeypatch):
-    monkeypatch.setenv("DELTAINV_SEED", "123")
-    code, out, _ = run_cli(
-        capsys, "delta", tensor_file, "--partition", "2", "--restarts", "4"
-    )
-    assert code == 0
-    monkeypatch.setenv("DELTAINV_SEED", "not-an-int")
-    code, _, err = run_cli(
-        capsys, "delta", tensor_file, "--partition", "2", "--restarts", "4"
-    )
-    assert code == 2
+def test_cli_delta_output_does_not_read_the_environment(huge_entry_file, capsys, monkeypatch):
+    # a seed comes from --seed alone: an exported DELTAINV_SEED is not read,
+    # here where seed 5 would change the reported value (see the xfails below)
+    argv = ("delta", huge_entry_file, "--partition", "2")
+    monkeypatch.delenv("DELTAINV_SEED", raising=False)
+    unset = run_cli(capsys, *argv)
+    monkeypatch.setenv("DELTAINV_SEED", "5")
+    assert run_cli(capsys, *argv) == unset
+    assert unset[0] == 0 and json.loads(unset[1])["value"] == 0.0
 
 
-def test_cli_sample_seed_env_default(tmp_path, capsys, monkeypatch):
-    # a config without "seed" takes DELTAINV_SEED; one with it never reads it
+def test_cli_sample_config_without_seed_takes_seed_0(tmp_path, capsys):
     unseeded, seeded = tmp_path / "unseeded.json", tmp_path / "seeded.json"
     unseeded.write_text(json.dumps({"samples": 5, "n_range": [3, 4]}))
-    seeded.write_text(json.dumps({"seed": 17, "samples": 5, "n_range": [3, 4]}))
-    monkeypatch.setenv("DELTAINV_SEED", "17")
-    code, from_env, _ = run_cli(capsys, "sample", "--config", str(unseeded))
-    assert code == 0
-    monkeypatch.setenv("DELTAINV_SEED", "not-an-int")
-    code, from_file, _ = run_cli(capsys, "sample", "--config", str(seeded))
-    assert code == 0 and from_file == from_env
-    code, out, err = run_cli(capsys, "sample", "--config", str(unseeded))
-    assert code == 2 and out == ""
-    assert _single_json_error(err)["error"] == "FormatError"
+    seeded.write_text(json.dumps({"seed": 0, "samples": 5, "n_range": [3, 4]}))
+    from_default = run_cli(capsys, "sample", "--config", str(unseeded))
+    assert from_default[0] == 0 and from_default[1] != ""
+    assert run_cli(capsys, "sample", "--config", str(seeded)) == from_default
 
 
 def run_cli_process(*argv):
@@ -824,14 +809,36 @@ def test_cli_delta_of_a_tensor_near_1e75_exits_0(tmp_path, capsys):
     assert data["value"] >= data["certified_lower"]
 
 
-def test_cli_delta_of_a_huge_finite_entry_prints_strict_json(tmp_path, capsys):
-    # the descent's gradient overflows here; it must stop, not raise
+@pytest.fixture
+def huge_entry_file(tmp_path):
+    """n = 3 with h_111 = 1e155 alone: |h|^2 overflows, and delta is exactly 0."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"n": 3, "entries": [{"idx": [1, 1, 1], "value": 1e155}]}))
-    code, out, err = run_cli(capsys, "delta", str(path), "--partition", "2")
+    return str(path)
+
+
+def test_cli_delta_of_a_huge_finite_entry_prints_strict_json(huge_entry_file, capsys):
+    # the descent's gradient overflows here; it must stop, not raise
+    code, out, err = run_cli(capsys, "delta", huge_entry_file, "--partition", "2")
     assert err == ""
     data = json.loads(out, parse_constant=_reject_constant)
     assert code == 0 and data["value"] == 0.0
+
+
+@pytest.mark.parametrize("seed", ["3", "5"])
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 11: the descent's absolute max(1, |.|) floors act at "
+    "a scale where |h|^2 overflows, so 7 of seeds 0-19 report delta near 1e291 "
+    "(seed 5: 4.99e291), unconverged, where delta is exactly 0",
+)
+def test_cli_delta_of_a_huge_finite_entry_is_zero_at_other_seeds(huge_entry_file, capsys, seed):
+    code, out, err = run_cli(
+        capsys, "delta", huge_entry_file, "--partition", "2", "--seed", seed
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["value"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -976,7 +983,8 @@ def test_cli_immersion_check_at_an_ill_conditioned_metric_is_input_error(tmp_pat
     assert code == 2 and out == ""
     assert _single_json_error(err) == {
         "error": "SingularMetric",
-        "message": "induced metric condition number 1.000e+06",
+        "message": "induced metric condition number 1000001.0 is not at most "
+        "ROUNDTRIP_COND_LIMIT = 1000000.0",
     }
 
 

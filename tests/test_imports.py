@@ -153,3 +153,33 @@ def test_every_private_name_is_read():
         path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")
     }
     assert _unread_private_names(package) == _KEPT_UNREAD
+
+
+# a result depends only on the arguments and input files it is given
+_ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(source: str) -> list[int]:
+    """The lines of ``source`` that name ``os.environ``, ``os.getenv`` or
+    their bytes forms, as an attribute, a bare name or an imported name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READERS
+        or isinstance(node, ast.Name) and node.id in _ENVIRONMENT_READERS
+        or isinstance(node, ast.ImportFrom)
+        and any(a.name in _ENVIRONMENT_READERS for a in node.names)
+    )
+
+
+def test_no_module_reads_the_process_environment():
+    source = (
+        "import os\nfrom os import getenv\nos.environ.get('A')\n"
+        "getenv('B')\nos.getenv('C')\nos.path.join('a')\n"
+    )
+    assert _environment_reads(source) == [2, 3, 4, 5]
+    reads = {
+        path.stem: _environment_reads(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    assert {module: lines for module, lines in reads.items() if lines} == {}
