@@ -34,12 +34,16 @@ closed form:
   restart stops.  Each restart takes the steps a descent from its start
   alone would take, up to float rounding; ``_stacked_descent`` states
   every rule that stops a restart and when it counts as converged.
-  The optimal bound, delta_h <= a |H|^2 once its c terms cancel, makes
-  floor = 1/2 sum K - a |H|^2 a certified lower bound on the descent's
-  objective.  A restart that comes within 2.5e-11 relative of it
-  behind an earlier restart that reached it stops, because it can no
-  longer win; the earliest such restart runs on, so the result does not
-  change.
+  The optimal bound under test, delta_h <= a |H|^2 once its c terms
+  cancel, would make floor = 1/2 sum K - a |H|^2 a lower bound on the
+  descent's objective.  A restart that comes within 2.5e-11 relative of
+  it behind an earlier restart that reached it stops, because it can no
+  longer win unless the bound fails; the earliest such restart runs on,
+  so the result does not change.  Ky Fan's principle gives a proved
+  lower bound, the sum of the N smallest eigenvalues of the curvature
+  operator on 2-vectors (``_ky_fan_floor``), which assumes nothing of
+  the bound under test.  Once a restart reaches it, every later restart
+  of its stack stops and no later stack is drawn, since none can win.
 * For one block of size n - 1, ``delta_invariant`` needs no descent:
   tau - tau(u^perp) = Ric(u, u) for a unit u, so delta(n-1) is the top
   eigenvalue of the Ricci tensor, plus (n - 1) c, and Ric's eigenbasis
@@ -47,7 +51,9 @@ closed form:
   exact, always converged, and the same for every ``OptimizerOptions``.
 
 All read the single Gauss-sum kernel, the c-free matrix K of ``tensors``,
-or its row sums, the c-free Ricci tensor (``tensors._ricci``).
+or its row sums, the c-free Ricci tensor (``tensors._ricci``); the proved
+bound reads the curvature operator on 2-vectors, which holds K on its
+diagonal (``tensors._curvature_operator``).
 Every tau carries c C(dim L, 2), so delta = delta_h + b c exactly, with
 b = C(n, 2) - sum C(n_i, 2): c is added only to the reported taus.  The
 descent weighs K with the 0/1 block mask M (M_ij = 1 when i != j share
@@ -82,6 +88,7 @@ from .tensors import (
     _as_integer,
     _check_frame,
     _check_partition,
+    _curvature_operator,
     _haar_rows,
     _ricci,
     _rotate_dense,
@@ -104,7 +111,8 @@ _STACK = 64
 
 # relative margin by which a later restart must beat the best so far to win
 # (``_earliest_best``), and relative half-width of the band around the
-# certified floor in which a restart behind one that reached it stops
+# assumed floor in which a restart behind one that reached it stops, and of
+# the reach above the proved bound past which every later restart stops
 # (``_stacked_descent``); the floor rule keeps the winner because the band's
 # full width, 5e-11, is less than the margin
 _BEST_RTOL = 1e-10
@@ -303,6 +311,33 @@ def _block_tau_h(H, M):
     return 0.5 * (M * _sectional_matrix(H)).sum(axis=(-2, -1))
 
 
+def _ky_fan_floor(T, M):
+    """A proved lower bound on the descent's f = 1/2 <M, K>, or -inf.
+
+    At any frame f sums the curvature operator Q (``_curvature_operator``)
+    over the N = 1/2 sum M orthonormal 2-vectors e_i ^ e_j of the blocks,
+    so by Ky Fan's principle (PNAS 35, 1949) it is at least the sum of Q's
+    N smallest eigenvalues.  This needs nothing of the inequality under
+    test.  The float sum is off by at most
+    gamma = 2 N eps (C(n, 2) |Q|_F + (n + 1) |h|^2): Q's entries, sums of
+    2n products, are off by a matrix of Frobenius norm at most
+    (n + 1) eps |h|^2, which moves a sum of N eigenvalues by N times that;
+    ``eigvalsh`` moves each eigenvalue by about C(n, 2) eps |Q|_2, and the
+    sum of N adds N^1.5 eps |Q|_F.  The bound is -inf where Q is not
+    finite or gamma exceeds 1/2 _FLOOR_RTOL max(1, |bound|).
+    """
+    Q = _curvature_operator(T)
+    if not np.isfinite(Q).all():
+        return -np.inf
+    n, N = T.shape[-1], int(M.sum()) // 2
+    bound = float(np.linalg.eigvalsh(Q)[:N].sum())
+    size = len(Q) * float(np.linalg.norm(Q)) + (n + 1) * float(np.vdot(T, T))
+    gamma = 2.0 * N * np.finfo(float).eps * size
+    if not gamma <= 0.5 * _FLOOR_RTOL * max(1.0, abs(bound)):
+        return -np.inf
+    return bound
+
+
 def _grad_skew(H, M):
     """(f, A): f = 1/2 <M, K> of H, and the skew gradient A with d/dt
     f(cay(tS) R) at t=0 equal to <A, S>/2.
@@ -354,7 +389,7 @@ def _cayley_step(R, S, t):
     return moved
 
 
-def _stacked_descent(T, starts, M, max_iters, floor):
+def _stacked_descent(T, starts, M, max_iters, floor, certified):
     """Descend every frame of an (r, n, n) stack of starts at once.
 
     Each restart is a gradient descent along R(t) = cay(-t A) R for the
@@ -381,13 +416,14 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     whose |A|^2 overflows has t_max below 1e-15, and where |h|^2 overflows
     t_max is 0; each stops at its start before any trial.
 
-    ``floor`` is a certified lower bound on f (``delta_invariant`` passes
-    the one the optimal bound gives); -inf turns this rule off.  A restart
-    whose f lies within eps = _FLOOR_RTOL * max(1, |floor|) of the floor,
-    2.5e-11 relative, stops, converged, once a lower-indexed restart of the
-    stack has reached floor + eps.  f never rises, so that restart ends at
-    most eps above the floor.  This one stops no lower than floor - eps, so
-    it cannot beat that restart by _BEST_RTOL > 2 eps; run on, it could only
+    ``floor`` is the lower bound on f that the inequality under test would
+    give (``delta_invariant`` passes the optimal bound's); it is assumed,
+    not proved, and -inf turns this rule off.  A restart whose f lies
+    within eps = _FLOOR_RTOL * max(1, |floor|) of the floor, 2.5e-11
+    relative, stops, converged, once a lower-indexed restart of the stack
+    has reached floor + eps.  f never rises, so that restart ends at most
+    eps above the floor.  This one stops no lower than floor - eps, so it
+    cannot beat that restart by _BEST_RTOL > 2 eps; run on, it could only
     by going below floor + eps - _BEST_RTOL, 7.5e-11 relative below the
     floor, further than the bound allows.  (A still earlier restart that
     ends above the band, but within _BEST_RTOL of the lead, keeps the win
@@ -397,6 +433,16 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     earliest restart in the band runs on under the rules above, and one
     below the band, a violation of the bound, is never stopped by this
     rule.
+
+    ``certified`` is a proved lower bound on f, good to within
+    1/2 _FLOOR_RTOL max(1, |certified|) in floats (``_ky_fan_floor``); -inf
+    turns this rule off.  Once a restart's f reaches
+    certified + _FLOOR_RTOL * max(1, |certified|), every higher-indexed
+    restart stops, converged, wherever its f lies: no frame's f is below
+    the bound, so none can beat that restart by _BEST_RTOL (the caveat in
+    parentheses above holds here too).  That restart and every earlier one
+    run on under the other rules.  This rule reads nothing of the
+    inequality under test, so it hides no violation.
 
     The arrays hold only the running restarts, the working stack.  One
     round makes one Armijo trial for each of them and takes the gradient
@@ -423,6 +469,8 @@ def _stacked_descent(T, starts, M, max_iters, floor):
     eps = _FLOOR_RTOL * max(1.0, abs(floor))
     band_lo, band_hi = floor - eps, floor + eps
     lead = r  # the first start whose f has reached band_hi
+    proved_hi = certified + _FLOOR_RTOL * max(1.0, abs(certified))
+    proved = r  # the first start whose f has reached proved_hi
     while True:
         # the decrease each Armijo test asks for, 1e-4 t |A|^2 / 2
         armijo = 5e-5 * t * aa
@@ -438,12 +486,16 @@ def _stacked_descent(T, starts, M, max_iters, floor):
         if lead > row[0] and near.any():
             lead = min(lead, int(row[near][0]))
         floored = near & (f >= band_lo) & (row > lead)
-        stop = maxed | spent | floored
+        if proved > row[0] and (reached := f <= proved_hi).any():
+            proved = min(proved, int(row[reached][0]))
+        behind = row > proved
+        stop = maxed | spent | floored | behind
         if stop.any():
             gone = row[stop]
             f_out[gone], R_out[gone] = f[stop], R[stop]
-            # out of steps: not converged; spent: by |A|; floored: converged
-            verdict = np.where(spent, stationary, floored) & ~maxed
+            # out of steps: not converged; spent: by |A|; floored, or behind
+            # a restart at the proved bound: converged
+            verdict = np.where(spent, stationary, floored) & ~maxed | behind
             converged[gone] = verdict[stop]
             if len(gone) == len(row):
                 return f_out, R_out, converged
@@ -487,13 +539,14 @@ def _earliest_best(values) -> int:
     return best
 
 
-def _descend(T, starts, M, max_iters, floor):
+def _descend(T, starts, M, max_iters, floor, certified):
     """Descend an (r, n, n) stack of starts; the earliest best restart.
 
     Returns one (f_min, frame, converged) triple, converged and the use of
-    the certified ``floor`` as defined by ``_stacked_descent``.
+    the assumed ``floor`` and the proved ``certified`` bound as defined by
+    ``_stacked_descent``.
     """
-    f, R, converged = _stacked_descent(T, starts, M, max_iters, floor)
+    f, R, converged = _stacked_descent(T, starts, M, max_iters, floor, certified)
     best = _earliest_best(f.tolist())
     return float(f[best]), R[best], bool(converged[best])
 
@@ -581,14 +634,20 @@ def delta_invariant(
         f = _block_tau_h(_rotate_dense(T, starts), M)
         R, converged = starts[_earliest_best(f.tolist())], True
     else:
-        # the optimal bound, delta_h <= a |H|^2, bounds the descent's f, the
-        # h part of the block taus, from below
+        # the optimal bound under test, delta_h <= a |H|^2, would bound the
+        # descent's f, the h part of the block taus, from below; Ky Fan's
+        # bound does so for every tensor
         a, _ = _gap_terms(P)
         floor = 0.5 * float(_sectional_matrix(T).sum()) - a * mean_curvature_sq(h)
-        winners = [
-            _descend(T, stack, M, opts.max_iters, floor)
-            for stack in _start_stacks(P, oracle.assignment, opts.restarts, opts.seed)
-        ]
+        certified = _ky_fan_floor(T, M)
+        proved_hi = certified + _FLOOR_RTOL * max(1.0, abs(certified))
+        winners = []
+        for stack in _start_stacks(P, oracle.assignment, opts.restarts, opts.seed):
+            winners.append(_descend(T, stack, M, opts.max_iters, floor, certified))
+            # no later stack can beat a winner at the proved bound, so none
+            # is drawn
+            if winners[-1][0] <= proved_hi:
+                break
         _, R, converged = winners[_earliest_best([w[0] for w in winners])]
 
     assignment = tuple(P.index_blocks[: P.k])

@@ -12,7 +12,9 @@ the Gauss-equation sectional curvatures c + K[i, j] (``_sectional_matrix``):
 and tau of the span of an index set S is 1/2 1_S^T K 1_S + c C(|S|, 2).
 c is added only there: every delta is delta_h + b c, every gap c-free.
 The c-free Ricci tensor ``_ricci``, whose diagonal is K's row sums, gives
-tau less tau of a hyperplane in any direction.
+tau less tau of a hyperplane in any direction, and the c-free curvature
+operator on 2-vectors ``_curvature_operator``, which holds K on its
+diagonal, gives the descent's proved lower bound.
 
 Conventions
 -----------
@@ -693,6 +695,28 @@ def _sectional_matrix(T):
     K = D @ D.swapaxes(-1, -2) - np.einsum("...ijc,...ijc->...ij", T, T)
     np.einsum("...ii->...i", K)[...] = 0.0  # a writeable view of the diagonal
     return K
+
+
+def _curvature_operator(T):
+    """The c-free curvature operator Q on 2-vectors, a C(n, 2)-square:
+
+        Q[(ij), (kl)] = sum_C ( h_{ikC} h_{jlC} - h_{ilC} h_{jkC} ),
+
+    for i < j and k < l, rows and columns in ``np.triu_indices(n, 1)``
+    order.  T is a dense (n, n, n) tensor.  Q is symmetric, its diagonal at
+    e_i ^ e_j is K[i, j], so tr Q = 1/2 sum K = tau_h, and rotating h by R
+    conjugates Q by the orthogonal Lambda^2 R, which keeps its eigenvalues.
+    """
+    n = T.shape[-1]
+    X = T.reshape(n * n, n)
+    # Y[i, j, k, l] = sum_C h_ikC h_jlC
+    Y = (X @ X.T).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    # the flat indices i n + j with i < j, ascending (np.triu_indices costs
+    # more than all the rest of this function at n <= 6)
+    index = np.arange(n)
+    pairs = np.flatnonzero(index[:, None] < index)
+    Q = (Y - Y.swapaxes(-1, -2)).reshape(n * n, n * n)
+    return Q[pairs[:, None], pairs]
 
 
 def _ricci(T):

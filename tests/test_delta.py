@@ -5,6 +5,7 @@ import math
 from dataclasses import fields
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,11 +38,13 @@ from deltainv.delta import (
     _gap_terms,
     _grad_skew,
     _haar_starts,
+    _ky_fan_floor,
     _oracle_start_frame,
     _stacked_descent,
     _start_stacks,
 )
 from deltainv.tensors import (
+    _curvature_operator,
     _ricci,
     _rotate_dense,
     _rotate_two_slots,
@@ -354,15 +357,16 @@ def _reference_descend(T, R0, M, max_iters, tol, flat_steps=None):
     return f, R, converged
 
 
-def _ten_step_stacked_descent(T, starts, M, max_iters, floor):
+def _ten_step_stacked_descent(T, starts, M, max_iters, floor, certified):
     """The stacked loop with the former ten-step flat window, kept as an
     oracle: on top of the shipped stops, ten accepted steps in a row that
     leave f unchanged to 1e-15 relative end a restart at any |A|, and so
-    does the former stop at |A| < 1e-9.  It predates the floor rule and
-    ignores ``floor``, and its step is the first Barzilai-Borwein quotient
-    alone.  Its trials go through ``delta_mod._cayley_step``, so a test
-    that counts them there counts this loop's too, and rotate T in slots 1
-    and 2 only, as the shipped loop does.
+    does the former stop at |A| < 1e-9.  It predates the floor rule and the
+    certified stop and ignores ``floor`` and ``certified``, and its step is
+    the first Barzilai-Borwein quotient alone.  Its trials go through
+    ``delta_mod._cayley_step``, so a test that counts them there counts
+    this loop's too, and rotate T in slots 1 and 2 only, as the shipped
+    loop does.
     """
     R = np.array(starts, dtype=float)
     r = len(R)
@@ -503,7 +507,7 @@ def _assert_stacked_matches_reference(
     for seed in range(2):
         h, P, starts = _descent_case(kind, n, seed)
         T, M = h.dense_view, _block_mask(P)
-        f, R, converged = descent(T, np.stack(starts), M, max_iters, -np.inf)
+        f, R, converged = descent(T, np.stack(starts), M, max_iters, -np.inf, -np.inf)
         for i, R0 in enumerate(starts):
             ref_f, ref_R, ref_converged = _reference_descend(
                 T, R0, M, max_iters, 1e-9, flat_steps
@@ -655,22 +659,30 @@ def test_witness_descent_rounds_stay_few(monkeypatch):
     # 1e-12.  The bounds are 1.15x the 22.86 rounds and 221.1 frame trials
     # measured per descending call with the band at _BEST_RTOL / 4 (960
     # rounds and 9,288 trials over the 42 witnesses with P != (n-1), against
-    # 1,004 and 9,938 with the 1e-12 band)
+    # 1,004 and 9,938 with the 1e-12 band), all with the certified stop off
+    _proof_free(monkeypatch)
     _, rounds, trials = _counted_sweep(monkeypatch, _witnesses())
     assert rounds / _descending(_witnesses()) <= 1.15 * 22.86
     assert trials / _descending(_witnesses()) <= 1.15 * 221.1
 
 
 @lru_cache(maxsize=None)
-def _rotated_witnesses():
-    """One witness per partition with n = 3..9, in a seeded Haar frame."""
-    rng = np.random.default_rng(79)
+def _canonical_witnesses():
+    """One witness per partition with n = 3..9, the i-th of seed i."""
     return tuple(
-        (rotate(random_witness(2 if P.saturating else 1, P, seed=i),
-                Frame.random(P.n, rng)), P)
+        (random_witness(2 if P.saturating else 1, P, seed=i), P)
         for i, P in enumerate(
             P for n in range(3, 10) for P in enumerate_partitions(n)
         )
+    )
+
+
+@lru_cache(maxsize=None)
+def _rotated_witnesses():
+    """The canonical witnesses with n = 3..9, each in a seeded Haar frame."""
+    rng = np.random.default_rng(79)
+    return tuple(
+        (rotate(h, Frame.random(P.n, rng)), P) for h, P in _canonical_witnesses()
     )
 
 
@@ -681,7 +693,8 @@ def test_rotated_witness_descent_rounds_stay_few(monkeypatch):
     # are 1.15x the 48.42 rounds and 475.9 frame trials measured per
     # descending call with the band at _BEST_RTOL / 4 (3,486 rounds and
     # 34,268 trials over the 72 witnesses with P != (n-1), against 3,576
-    # and 36,388 with the 1e-12 band)
+    # and 36,388 with the 1e-12 band), all with the certified stop off
+    _proof_free(monkeypatch)
     _, rounds, trials = _counted_sweep(monkeypatch, _rotated_witnesses())
     assert rounds / _descending(_rotated_witnesses()) <= 1.15 * 48.42
     assert trials / _descending(_rotated_witnesses()) <= 1.15 * 475.9
@@ -706,10 +719,15 @@ def _floor_free(monkeypatch):
     """Make ``delta_invariant`` descend with the floor rule off."""
     stacked_descent = delta_mod._stacked_descent
 
-    def floor_free(T, starts, M, max_iters, floor):
-        return stacked_descent(T, starts, M, max_iters, -np.inf)
+    def floor_free(T, starts, M, max_iters, floor, certified):
+        return stacked_descent(T, starts, M, max_iters, -np.inf, certified)
 
     monkeypatch.setattr(delta_mod, "_stacked_descent", floor_free)
+
+
+def _proof_free(monkeypatch):
+    """Make ``delta_invariant`` descend with the certified stop off."""
+    monkeypatch.setattr(delta_mod, "_ky_fan_floor", lambda T, M: -np.inf)
 
 
 @pytest.mark.parametrize(
@@ -769,18 +787,18 @@ def test_floor_above_the_minimum_never_cuts_a_violation_short(kind, n):
     # a restart below its band is a violation, and the rule lets it run
     h, P, starts = _descent_case(kind, n, 5)
     T, M, stack = h.dense_view, _block_mask(P), np.stack(starts)
-    free = _stacked_descent(T, stack, M, 500, -np.inf)
+    free = _stacked_descent(T, stack, M, 500, -np.inf, -np.inf)
     # above every start, every restart stays below the band and runs as
     # if there were no floor
     start_f = _block_tau_h(_rotate_dense(T, stack), M)
-    above = _stacked_descent(T, stack, M, 500, float(start_f.max()) + 1.0)
+    above = _stacked_descent(T, stack, M, 500, float(start_f.max()) + 1.0, -np.inf)
     for got, want in zip(above, free):
         assert np.array_equal(got, want), P
     # just above the minimum, restarts pass through the band on the way
     # down; the winner is still the floor-free one
     best = free[0][_earliest_best(free[0].tolist())]
     floor = best + 1e-6 * max(1.0, abs(best))
-    got, _, _ = _stacked_descent(T, stack, M, 500, floor)
+    got, _, _ = _stacked_descent(T, stack, M, 500, floor, -np.inf)
     won = got[_earliest_best(got.tolist())]
     assert abs(won - best) <= 1e-12 * max(1.0, abs(best)), P
 
@@ -806,7 +824,9 @@ def _single_start_rounds(monkeypatch, T, R0, M, max_iters):
     with monkeypatch.context() as m:
         m.setattr(delta_mod, "_cayley_step", cayley_recorded)
         m.setattr(delta_mod, "_grad_skew", grad_recorded)
-        f_end, R_end, converged = _stacked_descent(T, R0[None], M, max_iters, -np.inf)
+        f_end, R_end, converged = _stacked_descent(
+            T, R0[None], M, max_iters, -np.inf, -np.inf
+        )
     f, R = [trial_f[0]], [R0]
     for k, (start, moved) in enumerate(trials):
         assert np.array_equal(start, R[k])
@@ -859,13 +879,204 @@ def test_floor_rule_stops_each_restart_behind_the_earliest_lead(monkeypatch):
         starts = np.stack([Frame.random(P.n, rng).matrix for _ in range(6)])
         runs = [_single_start_rounds(monkeypatch, T, R0, M, 500) for R0 in starts]
         want, moves = _replay_floor_rule(runs, floor)
-        f, R, converged = _stacked_descent(T, starts, M, 500, floor)
+        f, R, converged = _stacked_descent(T, starts, M, 500, floor, -np.inf)
         for s, (want_f, want_R, want_converged) in enumerate(want):
             assert f[s] == want_f and np.array_equal(R[s], want_R), (P, s)
             assert converged[s] == want_converged, (P, s)
         moved_back += len(moves) > 1
         floored += sum(w is not run[2] for w, run in zip(want, runs))
     assert moved_back >= 10 and floored >= 10
+
+
+# ---------------------------------------------------------------------------
+# the certified stop: Ky Fan's proved lower bound on f
+# ---------------------------------------------------------------------------
+
+
+def _pair_count(P):
+    """N = 1/2 sum M, the orthonormal 2-vectors e_i ^ e_j of the blocks."""
+    return sum(math.comb(b, 2) for b in P.blocks)
+
+
+def _ky_fan_rounding(T, P):
+    """The rounding bound gamma that ``_ky_fan_floor`` states:
+    2 N eps (C(n, 2) |Q|_F + (n + 1) |h|^2)."""
+    Q, n = _curvature_operator(T), P.n
+    size = math.comb(n, 2) * float(np.linalg.norm(Q)) + (n + 1) * float(np.vdot(T, T))
+    return 2.0 * _pair_count(P) * np.finfo(float).eps * size
+
+
+@lru_cache(maxsize=None)
+def _random_descent_cases():
+    """50 seeded random tensors, n = 4..10, each with a partition that
+    descends."""
+    rng = np.random.default_rng(101)
+    cases = []
+    for k in range(50):
+        parts = [P for P in enumerate_partitions(4 + k % 7) if P.blocks != (P.n - 1,)]
+        P = parts[k % len(parts)]
+        cases.append((random_cubic_form(P.n, 1.0, rng), P))
+    return tuple(cases)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [_witnesses, _rotated_witnesses, _near_witnesses, _random_descent_cases],
+    ids=["canonical", "rotated", "near-equality", "random"],
+)
+def test_ky_fan_floor_is_never_above_a_restarts_final_f(monkeypatch, cases):
+    # every frame's f sums Q over N orthonormal 2-vectors, so no restart
+    # ends below the bound; f itself rounds, and the largest excess
+    # measured is 1.9e-15 relative (rotated witnesses).  The bound is
+    # finite on every one of these tensors
+    ended = []
+    stacked_descent = delta_mod._stacked_descent
+
+    def recorded(T, starts, M, max_iters, floor, certified):
+        f, R, converged = stacked_descent(T, starts, M, max_iters, floor, certified)
+        ended.append((certified, f))
+        return f, R, converged
+
+    monkeypatch.setattr(delta_mod, "_stacked_descent", recorded)
+    _sweep(cases())
+    assert len(ended) == _descending(cases())
+    for bound, f in ended:
+        assert math.isfinite(bound)
+        assert (bound <= f + 1e-13 * np.maximum(1.0, np.abs(f))).all()
+
+
+def _exact_ky_fan_floor(T, N):
+    """The sum of the N smallest eigenvalues of Q, from T's float entries
+    taken exactly, in 50-digit mpmath."""
+    pairs = list(itertools.combinations(range(T.shape[-1]), 2))
+    with mpmath.workdps(50):
+        h = [[[mpmath.mpf(float(v)) for v in row] for row in plane] for plane in T]
+        Q = mpmath.matrix(len(pairs), len(pairs))
+        for p, (i, j) in enumerate(pairs):
+            for q, (k, l) in enumerate(pairs):
+                Q[p, q] = mpmath.fsum(
+                    a * b - c * d for a, b, c, d in zip(h[i][k], h[j][l], h[i][l], h[j][k])
+                )
+        eig = sorted(mpmath.eigsy(Q, eigvals_only=True))
+        return mpmath.fsum(eig[:N])
+
+
+def test_ky_fan_floor_rounding_stays_within_its_stated_bound():
+    # gamma covers the float error against a 50-digit eigen-sum, and the
+    # stop rule reads a finite bound only while gamma is at most
+    # 1/2 _FLOOR_RTOL max(1, |bound|); the errors measured on these ten
+    # tensors are at most 0.018 gamma, and gamma at most 1.2e-13 relative
+    rng = np.random.default_rng(103)
+    cases = [(random_cubic_form(n, 1.0, rng), P)
+             for n, P in ((4, PartitionSpec(4, (2,))), (5, PartitionSpec(5, (2, 2))),
+                          (6, PartitionSpec(6, (2, 3))), (6, PartitionSpec(6, (4,))))]
+    for P in (PartitionSpec(5, (2, 2)), PartitionSpec(6, (2,)), PartitionSpec(6, (3,))):
+        witness = random_witness(2 if P.saturating else 1, P, seed=3)
+        cases += [(witness, P), (rotate(witness, Frame.random(P.n, rng)), P)]
+    for h, P in cases:
+        T = h.dense_view
+        bound = _ky_fan_floor(T, _block_mask(P))
+        exact = _exact_ky_fan_floor(T, _pair_count(P))
+        gamma = _ky_fan_rounding(T, P)
+        assert abs(bound - exact) <= gamma, P
+        assert gamma <= 0.5 * delta_mod._FLOOR_RTOL * max(1.0, abs(bound)), P
+
+
+def test_ky_fan_floor_is_off_where_q_is_not_finite_or_rounds_too_coarsely():
+    P = PartitionSpec(4, (2,))
+    M = _block_mask(P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = CubicForm(4, {(1, 1, 1): 1e200, (1, 2, 3): -3e199, (2, 2, 4): 2e200})
+        assert _ky_fan_floor(huge.dense_view, M) == -np.inf
+    # h_111 alone is flat, Q = 0; in a Haar frame Q rounds at 1e-16 |h|^2,
+    # and at |h|^2 = 1e8 gamma is 2e-7, far above the band of a bound near 0
+    flat = rotate(CubicForm(4, {(1, 1, 1): 1e4}), Frame.random(4, np.random.default_rng(7)))
+    assert _ky_fan_rounding(flat.dense_view, P) > 1e-7
+    assert _ky_fan_floor(flat.dense_view, M) == -np.inf
+    # the same tensor at |h|^2 = 1 keeps a finite bound, 0 to rounding
+    unit = rotate(CubicForm(4, {(1, 1, 1): 1.0}), Frame.random(4, np.random.default_rng(7)))
+    assert abs(_ky_fan_floor(unit.dense_view, M)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [_witnesses, _rotated_witnesses, _near_witnesses],
+    ids=["canonical", "rotated", "near-equality"],
+)
+def test_certified_stop_keeps_every_result_bit_for_bit(monkeypatch, cases):
+    # the certified stop ends only restarts behind an earlier one that
+    # reached Ky Fan's proved bound on f, which no frame goes below: the
+    # winner, its frame, its taus and converged stay the same, bit for bit,
+    # in fewer rounds (canonical 960 -> 556, rotated 3,486 -> 3,411,
+    # near-equality 966 -> 673)
+    new, rounds, _ = _counted_sweep(monkeypatch, cases())
+    _proof_free(monkeypatch)
+    free, free_rounds, _ = _counted_sweep(monkeypatch, cases())
+    for (_, P), a, b in zip(cases(), new, free):
+        assert a.value == b.value and a.tau_blocks == b.tau_blocks, P
+        assert np.array_equal(a.frame.matrix, b.frame.matrix), P
+        assert a.converged == b.converged, P
+        assert a.certified_lower == b.certified_lower, P
+    assert rounds < free_rounds
+
+
+def test_canonical_witness_descent_rounds_stay_few_with_the_certified_stop(
+    monkeypatch,
+):
+    # the round-bound tests above measure with the certified stop off; this
+    # one pins what it saves on the canonical witnesses with n = 3..9: 2,736
+    # rounds and 23,342 frame trials over the 72 that descend (38.00 and
+    # 324.2 per call), against 3,352 and 29,748 with it off.  The bounds are
+    # 1.15x the measured values
+    _, rounds, trials = _counted_sweep(monkeypatch, _canonical_witnesses())
+    assert rounds / _descending(_canonical_witnesses()) <= 1.15 * 38.00
+    assert trials / _descending(_canonical_witnesses()) <= 1.15 * 324.2
+
+
+def test_no_stack_is_drawn_behind_a_winner_at_the_proved_bound(monkeypatch):
+    # at restarts=200 the starts come in four stacks (64, 64, 64, 8); once a
+    # stack's winner reaches the proved bound no later one can win, so none
+    # is drawn or descended.  20 of the 42 descending canonical witnesses
+    # stop after the first stack, and every result is the one with the
+    # certified stop off, bit for bit
+    opts = OptimizerOptions(restarts=200)
+    stacks = -(-opts.restarts // delta_mod._STACK)
+    descend, draw = delta_mod._descend, delta_mod._haar_rows
+    calls, draws = [], []
+
+    def counted(T, starts, M, max_iters, floor, certified):
+        out = descend(T, starts, M, max_iters, floor, certified)
+        calls.append((certified, out[0]))
+        return out
+
+    def drawn(gauss):
+        draws.append(len(gauss))
+        return draw(gauss)
+
+    monkeypatch.setattr(delta_mod, "_descend", counted)
+    monkeypatch.setattr(delta_mod, "_haar_rows", drawn)
+    cases = [(h, P) for h, P in _witnesses() if P.blocks != (P.n - 1,)]
+    new, stopped = [], 0
+    for h, P in cases:
+        calls.clear()
+        draws.clear()
+        new.append(delta_invariant(h, 0.0, P, opts))
+        bound, first = calls[0]
+        if first <= bound + delta_mod._FLOOR_RTOL * max(1.0, abs(bound)):
+            # only the first stack's random frames, if not cached
+            assert len(calls) == 1 and draws in ([], [delta_mod._STACK - 2]), P
+            stopped += 1
+        else:
+            assert len(calls) == stacks, P
+    assert stopped == 20
+    _proof_free(monkeypatch)
+    for (h, P), a in zip(cases, new):
+        calls.clear()
+        b = delta_invariant(h, 0.0, P, opts)
+        assert len(calls) == stacks
+        assert a.value == b.value and a.tau_blocks == b.tau_blocks, P
+        assert np.array_equal(a.frame.matrix, b.frame.matrix), P
+        assert a.converged == b.converged, P
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -948,7 +1159,7 @@ def test_one_block_closed_form_matches_top_ricci_eigenvalue_and_descent(n):
         top = float(np.linalg.eigvalsh(_ricci(T))[-1])
         assignment = delta_coordinate_oracle(h, 0.0, P).assignment
         starts = np.concatenate(list(_start_stacks(P, assignment, 16, 0)))
-        f, _, _ = _stacked_descent(T, starts, M, 500, -np.inf)
+        f, _, _ = _stacked_descent(T, starts, M, 500, -np.inf, -np.inf)
         for c in (-1.0, 0.0, 0.5):
             res = delta_invariant(h, c, P)
             assert res.converged
@@ -1008,7 +1219,9 @@ def test_a_nan_step_stops_its_restart_before_any_trial(monkeypatch):
 
     monkeypatch.setattr(delta_mod, "_cayley_step", no_trial)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, R, converged = _stacked_descent(h.dense_view, starts, _block_mask(P), 500, -np.inf)
+        _, R, converged = _stacked_descent(
+            h.dense_view, starts, _block_mask(P), 500, -np.inf, -np.inf
+        )
     assert np.array_equal(R, starts) and not converged.any()
 
 

@@ -4,7 +4,8 @@ Every Gauss-equation quantity comes from ``_sectional_matrix``: tau is
 half the sum of K over a slab, and the descent weighs K with a 0/1 block
 mask, zero on the diagonal, and reads that sum from the trace of its
 gradient product (``_grad_skew``).  ``_ricci``, K's row sums on its
-diagonal, gives tau less tau of a hyperplane.  The references below sum
+diagonal, gives tau less tau of a hyperplane.  The curvature operator Q
+on 2-vectors (``_curvature_operator``) holds K on its diagonal.  The references below sum
 the same terms from slices of T, one block at a time; the summation order
 differs, so values agree to 1e-12 relative (floored at 1, the scale of the
 random entries), not bit for bit.
@@ -12,6 +13,8 @@ K contracts slot 3 with itself, so the descent and every gap rotate only
 slots 1 and 2 (``_rotate_two_slots``); the full rotation is the reference
 there.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from deltainv.delta import (
 )
 from deltainv.errors import RankDeficientFrame
 from deltainv.tensors import (
+    _curvature_operator,
     _orthonormalize_rows,
     _ricci,
     _rotate_dense,
@@ -71,6 +75,15 @@ def _tau_sliced(T, idx0, cval):
     sub = T[np.ix_(idx0, idx0)]
     hpart = 0.5 * (float(s @ s) - float((sub * sub).sum()))
     return hpart + cval * (m * (m - 1) // 2)
+
+
+def _curvature_operator_sliced(T):
+    """Q[(ij), (kl)] = h_ik. . h_jl. - h_il. . h_jk., entry by entry, over
+    the pairs i < j and k < l in itertools.combinations order."""
+    pairs = list(itertools.combinations(range(T.shape[-1]), 2))
+    return np.array(
+        [[T[i, k] @ T[j, l] - T[i, l] @ T[j, k] for k, l in pairs] for i, j in pairs]
+    )
 
 
 def _leading_blocks0(P):
@@ -156,6 +169,28 @@ def test_ricci_is_row_sums_of_K_rotates_and_gives_the_hyperplane_drop(n):
         for cval in C_VALUES:
             drop = _tau_dense(H, range(n), cval) - _tau_dense(H, range(n - 1), cval)
             assert _close(drop, u @ ric @ u + (n - 1) * cval)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_curvature_operator_holds_K_and_tau_and_rotates_with_h(n):
+    # the diagonal at e_i ^ e_j is K[i, j], so tr Q = 1/2 sum K = tau_h; Q is
+    # symmetric, and a rotation of h conjugates it by the orthogonal
+    # Lambda^2 R, so its eigenvalues stay
+    rng = np.random.default_rng([89, n])
+    first, second = np.triu_indices(n, 1)
+    for _ in range(2):
+        h = random_cubic_form(n, 1.0, rng)
+        T = h.dense_view
+        Q = _curvature_operator(T)
+        assert Q.shape == (n * (n - 1) // 2,) * 2
+        assert _close(Q, _curvature_operator_sliced(T))
+        assert _close(np.diag(Q), _sectional_matrix(T)[first, second])
+        assert _close(np.trace(Q), 0.5 * _sectional_matrix(T).sum())
+        assert _close(np.trace(Q), scalar_curvature(h, 0.0))
+        assert _close(Q, Q.T)
+        H = _rotate_dense(T, Frame.random(n, rng).matrix)
+        eig = np.linalg.eigvalsh(Q)
+        assert _close(np.linalg.eigvalsh(_curvature_operator(H)), eig)
 
 
 @pytest.mark.parametrize(
